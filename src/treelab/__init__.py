@@ -31,7 +31,6 @@ from .spaces import (
 )
 from .operators import (
     LinearOperator,
-    PowerIterationError,
     adjacency_operator,
     branching_operator,
     parent_shift_operator,
@@ -57,11 +56,8 @@ from .groups import (
     pi1_operator,
 )
 from .reps import (
-    bounded_rep_apply,
     bounded_rep_operator,
-    unitary_rep_apply,
     unitary_rep_operator,
-    limit_rep_apply,
     limit_rep_operator,
     finite_rank_defect,
     uniform_bound_certificate,

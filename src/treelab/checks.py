@@ -231,20 +231,10 @@ def _max_entry(matrix: np.ndarray) -> float:
     return float(np.abs(matrix).max()) if matrix.size else 0.0
 
 
-def _dense_s_q(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
-    n = tree.n
-    s = np.zeros((n, n))
-    for u, v in tree.edges:
-        s[u, v] = 1.0
-        s[v, u] = 1.0
-    q = np.diag([float(tree.q(x)) for x in range(n)])
-    return s, q
-
-
 def _check_shift_factorization(ctx: _Context) -> list[CheckRecord]:
     """Parent shift against adjacency: P P* = Q + p0 and P + P* = S."""
     tol = ctx.tol["identity"]
-    s, q = _dense_s_q(ctx.tree)
+    s, q = kernels_mod.dense_s_q(ctx.tree)
     out = []
     for rooted in ctx.rooted_list:
         p = materialize(parent_shift_operator(rooted))
@@ -267,7 +257,7 @@ def _check_shift_factorization(ctx: _Context) -> list[CheckRecord]:
 def _check_deformation_identity(ctx: _Context) -> list[CheckRecord]:
     """T T* = 1 - t S + t^2 Q, and T T* commutes with the vertex action."""
     tol = ctx.tol["identity"]
-    s, q = _dense_s_q(ctx.tree)
+    s, q = kernels_mod.dense_s_q(ctx.tree)
     n = ctx.tree.n
     out = []
     for rooted in ctx.rooted_list:
@@ -318,7 +308,7 @@ def _check_resolvent_series(ctx: _Context) -> list[CheckRecord]:
                         break
                     series = series.add(term)
                 diff = resolvent_apply(rooted, z, e).sub(series)
-                worst = max(worst, max((abs(c) for _, c in diff.items()), default=0.0))
+                worst = max(worst, kernels_mod.max_abs(diff))
             out.append(
                 _record(
                     ctx, "resolvent-series", rooted.origin, worst, tol,
@@ -377,7 +367,7 @@ def _check_edge_factorization(ctx: _Context) -> list[CheckRecord]:
             e = cob.domain.basis_vector(j)
             lhs = resolvent_apply(rooted, 1.0, cob.apply(e))
             diff = lhs.sub(fstar.apply(e))
-            worst = max(worst, max((abs(c) for _, c in diff.items()), default=0.0))
+            worst = max(worst, kernels_mod.max_abs(diff))
         out.append(_record(ctx, "edge-resolvent-adjoint", rooted.origin, worst, tol))
     return out
 

@@ -107,6 +107,15 @@ def _out_dir(path_text: str) -> Path:
     return out
 
 
+def _fail_line(r: dict) -> str:
+    """One failed record, as a CheckRecord.to_dict() or a report.json entry."""
+    return (
+        f"FAIL {r['check']} tree={r['tree']} origin={r['origin']} "
+        f"g={r['g']} param={r['parameter']} "
+        f"measured={r['measured']:.3e} bound={r['bound']:.3e}"
+    )
+
+
 def _cmd_check(args, tolerances) -> int:
     config = SuiteConfig(
         tree_spec=args.tree,
@@ -122,10 +131,7 @@ def _cmd_check(args, tolerances) -> int:
     out.write_text(report_to_json(report), encoding="utf-8")
     failures = [r for r in report.records if not r.passed]
     for r in failures:
-        print(
-            f"FAIL {r.check} tree={r.tree} origin={r.origin} g={r.g} "
-            f"param={r.parameter} measured={r.measured:.3e} bound={r.bound:.3e}"
-        )
+        print(_fail_line(r.to_dict()))
     status = "pass" if report.aggregate_pass else "FAIL"
     print(
         f"{status}: {len(report.records) - len(failures)}/{len(report.records)} "
@@ -239,11 +245,7 @@ def _cmd_report(args, tolerances) -> int:
     records = payload["records"]
     failures = [r for r in records if not r["passed"]]
     for r in failures:
-        print(
-            f"FAIL {r['check']} tree={r['tree']} origin={r['origin']} "
-            f"g={r['g']} param={r['parameter']} "
-            f"measured={r['measured']:.3e} bound={r['bound']:.3e}"
-        )
+        print(_fail_line(r))
     print(
         f"{'pass' if payload['aggregate_pass'] else 'FAIL'}: "
         f"{len(records) - len(failures)}/{len(records)} checks passed "

@@ -9,11 +9,11 @@ the image of a canonical orientation is reversed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .operators import LinearOperator, edge_space, vertex_space
 from .spaces import EdgeVector, VertexVector
-from .trees import Tree
+from .trees import Tree, root_at
 
 __all__ = [
     "Automorphism",
@@ -170,17 +170,8 @@ def full_automorphism_group(
             f"full group search limited to N <= {max_vertices} vertices, got {n}; "
             "supply a generator file instead"
         )
-    order = [0]
-    search_parent: list[Optional[int]] = [None] * n
-    seen = [False] * n
-    seen[0] = True
-    for v in order:
-        for w in tree.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                search_parent[w] = v
-                order.append(w)
-
+    rooted = root_at(tree, 0)
+    order, search_parent = rooted.order, rooted.parent
     degree = [tree.degree(x) for x in range(n)]
     image: list[int] = [-1] * n
     used = [False] * n

@@ -45,6 +45,7 @@ __all__ = [
     "PsdReport",
     "psd_check",
     "GramIdentityReport",
+    "dense_s_q",
     "gram_identity_check",
     "Cocycle",
     "geodesic_cocycle",
@@ -52,6 +53,7 @@ __all__ = [
     "cocycle_report",
     "cocycle_equivariance_residual",
     "chasles_residual",
+    "max_abs",
     "CND_SEED",
 ]
 
@@ -204,6 +206,17 @@ class GramIdentityReport:
     passed: bool
 
 
+def dense_s_q(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
+    """Dense adjacency S and diagonal branching Q = diag(deg - 1)."""
+    n = tree.n
+    s = np.zeros((n, n))
+    for u, v in tree.edges:
+        s[u, v] = 1.0
+        s[v, u] = 1.0
+    q = np.diag([float(tree.q(x)) for x in range(n)])
+    return s, q
+
+
 def gram_identity_check(
     rooted: RootedTree, t: float, tolerance: float = KERNEL_TOLERANCE
 ) -> GramIdentityReport:
@@ -211,12 +224,7 @@ def gram_identity_check(
     tree = rooted.tree
     n = tree.n
     k_exp = exp_kernel(tree, t).matrix
-
-    s = np.zeros((n, n))
-    for u, v in tree.edges:
-        s[u, v] = 1.0
-        s[v, u] = 1.0
-    q = np.diag([float(tree.q(x)) for x in range(n)])
+    s, q = dense_s_q(tree)
     algebraic = float(
         np.abs((np.eye(n) - t * s + t * t * q) @ k_exp - (1 - t * t) * np.eye(n)).max()
     )
@@ -265,7 +273,8 @@ def geodesic_cocycle(tree: Tree, x: int, y: int) -> Cocycle:
     return Cocycle(source=x, target=y, steps=tuple(steps), vector=vector)
 
 
-def _max_abs(v) -> float:
+def max_abs(v) -> float:
+    """Largest coefficient modulus of a sparse vector; 0.0 when empty."""
     return max((abs(c) for _, c in v.items()), default=0.0)
 
 
@@ -305,18 +314,18 @@ def cocycle_report(
 
     ok = (
         c.squared_norm == d
-        and _max_abs(cob) <= tolerance
-        and _max_abs(closed) <= tolerance
-        and _max_abs(anti) == 0.0
+        and max_abs(cob) <= tolerance
+        and max_abs(closed) <= tolerance
+        and max_abs(anti) == 0.0
     )
     return CocycleReport(
         source=x,
         target=y,
         distance=d,
         squared_norm=c.squared_norm,
-        coboundary_residual=_max_abs(cob),
-        closed_form_residual=_max_abs(closed),
-        antisymmetry_residual=_max_abs(anti),
+        coboundary_residual=max_abs(cob),
+        closed_form_residual=max_abs(closed),
+        antisymmetry_residual=max_abs(anti),
         passed=ok,
     )
 
@@ -327,11 +336,11 @@ def cocycle_equivariance_residual(
     """Gap between c(g x, g y) and the edge action of g applied to c(x, y)."""
     lhs = geodesic_cocycle(tree, g(x), g(y)).vector
     rhs = pi1_apply(tree, g, geodesic_cocycle(tree, x, y).vector)
-    return _max_abs(lhs.sub(rhs))
+    return max_abs(lhs.sub(rhs))
 
 
 def chasles_residual(tree: Tree, x: int, y: int, z: int) -> float:
     """Gap in c(x, z) = c(x, y) + c(y, z); exact when y lies on path(x, z)."""
     lhs = geodesic_cocycle(tree, x, z).vector
     rhs = geodesic_cocycle(tree, x, y).vector.add(geodesic_cocycle(tree, y, z).vector)
-    return _max_abs(lhs.sub(rhs))
+    return max_abs(lhs.sub(rhs))

@@ -31,7 +31,6 @@ from .trees import RootedTree, Tree
 __all__ = [
     "Space",
     "LinearOperator",
-    "PowerIterationError",
     "vertex_space",
     "edge_space",
     "identity_operator",
@@ -52,7 +51,6 @@ __all__ = [
 ]
 
 MATERIALIZE_DIM_LIMIT = 10000
-POWER_SEED = 314159
 
 
 @dataclass(frozen=True)
@@ -141,10 +139,6 @@ class LinearOperator:
             f"{self.domain.kind}[{self.domain.dim}] -> "
             f"{self.codomain.kind}[{self.codomain.dim}])"
         )
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within the iteration budget."""
 
 
 def identity_operator(space: Space) -> LinearOperator:
@@ -426,40 +420,10 @@ def materialize(op: LinearOperator) -> np.ndarray:
     return out
 
 
-def operator_norm(
-    op: Union[LinearOperator, np.ndarray],
-    rel_tol: float = 1e-10,
-    max_iter: int = 10**4,
-    seed: int = POWER_SEED,
-) -> float:
-    """Spectral norm by power iteration on A*A from a seeded start vector.
-
-    Raises PowerIterationError if the estimate has not stabilized to
-    rel_tol within max_iter iterations. Deterministic for a fixed seed.
-    """
+def operator_norm(op: Union[LinearOperator, np.ndarray]) -> float:
+    """Spectral norm (largest singular value), exact to rounding."""
     a = op if isinstance(op, np.ndarray) else materialize(op)
-    a = np.asarray(a, dtype=np.complex128)
-    m, n = a.shape
-    if m == 0 or n == 0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= math.sqrt(np.vdot(v, v).real)
-    ah = a.conj().T
-    est = 0.0
-    for _ in range(max_iter):
-        u = ah @ (a @ v)
-        lam = math.sqrt(np.vdot(u, u).real)
-        if lam == 0.0:
-            return 0.0
-        new = math.sqrt(lam)
-        if abs(new - est) <= rel_tol * new:
-            return new
-        est = new
-        v = u / lam
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations"
-    )
+    return float(np.linalg.norm(a, 2))
 
 
 def matrix_to_csv(matrix: np.ndarray) -> str:

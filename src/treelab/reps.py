@@ -45,11 +45,8 @@ from .trees import RootedTree, root_at
 
 __all__ = [
     "displacement",
-    "bounded_rep_apply",
     "bounded_rep_operator",
-    "unitary_rep_apply",
     "unitary_rep_operator",
-    "limit_rep_apply",
     "limit_rep_operator",
     "dense_pi0",
     "dense_bounded_rep",
@@ -127,12 +124,6 @@ def bounded_rep_operator(
     return op
 
 
-def bounded_rep_apply(
-    rooted: RootedTree, g: Automorphism, z: complex, v: VertexVector
-) -> VertexVector:
-    return bounded_rep_operator(rooted, g, z).apply(v)
-
-
 def unitary_rep_operator(
     rooted: RootedTree, g: Automorphism, t: float
 ) -> LinearOperator:
@@ -145,12 +136,6 @@ def unitary_rep_operator(
     return op
 
 
-def unitary_rep_apply(
-    rooted: RootedTree, g: Automorphism, t: float, v: VertexVector
-) -> VertexVector:
-    return unitary_rep_operator(rooted, g, t).apply(v)
-
-
 def limit_rep_operator(rooted: RootedTree, g: Automorphism) -> LinearOperator:
     """F* o (edge action of g) o F + origin projection; the t -> 1 limit."""
     f = parent_edge_operator(rooted)
@@ -158,12 +143,6 @@ def limit_rep_operator(rooted: RootedTree, g: Automorphism) -> LinearOperator:
     op = _op_sum(core, origin_projection(rooted))
     op.name = "rho~[t=1]"
     return op
-
-
-def limit_rep_apply(
-    rooted: RootedTree, g: Automorphism, v: VertexVector
-) -> VertexVector:
-    return limit_rep_operator(rooted, g).apply(v)
 
 
 # ----------------------------------------------------------------------
@@ -506,5 +485,5 @@ def curve_to_csv(points: Sequence[CurvePoint]) -> str:
 def origin_sphere_residual(rooted: RootedTree, g: Automorphism, t: float) -> float:
     """|norm(rep_t(g) delta_origin) - 1|; the unitary family preserves it."""
     v = VertexVector(rooted.n, {rooted.origin: 1})
-    image = unitary_rep_apply(rooted, g, t, v)
+    image = unitary_rep_operator(rooted, g, t).apply(v)
     return abs(image.norm() - 1.0)

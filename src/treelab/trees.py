@@ -35,11 +35,16 @@ __all__ = [
 class TreeFormatError(ValueError):
     """Raised for malformed tree files or structurally invalid edge lists.
 
-    Carries the 1-based line number when the error is tied to a file line.
+    Carries the 1-based line number when the error is tied to a file line,
+    and the 0-based position of the offending edge in the input edge list
+    when one edge is to blame.
     """
 
-    def __init__(self, message: str, line: Optional[int] = None):
+    def __init__(
+        self, message: str, line: Optional[int] = None, edge: Optional[int] = None
+    ):
         self.line = line
+        self.edge = edge
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -69,17 +74,19 @@ class Tree:
                 x = parent[x]
             return x
 
-        for u, v in edges:
+        for i, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
-                raise TreeFormatError(f"vertex id out of range in edge ({u}, {v})")
+                raise TreeFormatError(
+                    f"vertex id out of range in edge ({u}, {v})", edge=i
+                )
             if u == v:
-                raise TreeFormatError(f"self-loop at vertex {u}")
+                raise TreeFormatError(f"self-loop at vertex {u}", edge=i)
             e = (min(u, v), max(u, v))
             if e in seen:
-                raise TreeFormatError(f"duplicate edge {e}")
+                raise TreeFormatError(f"duplicate edge {e}", edge=i)
             ru, rv = find(u), find(v)
             if ru == rv:
-                raise TreeFormatError(f"cycle detected at edge {e}")
+                raise TreeFormatError(f"cycle detected at edge {e}", edge=i)
             parent[ru] = rv
             seen.add(e)
             canonical.append(e)
@@ -125,46 +132,46 @@ class Tree:
         if not (0 <= x < self.n):
             raise ValueError(f"vertex id {x} out of range 0..{self.n - 1}")
 
+    @cached_property
+    def _rooting(self) -> "RootedTree":
+        """The rooting at vertex 0 that every traversal query derives from."""
+        return root_at(self, 0)
+
     def path(self, x: int, y: int) -> list[int]:
-        """The unique vertex sequence from x to y, consecutive entries adjacent."""
+        """The unique vertex sequence from x to y, consecutive entries adjacent.
+
+        Both ends climb toward vertex 0, deeper end first, until they meet.
+        """
         self.check_vertex(x)
         self.check_vertex(y)
-        if x == y:
-            return [x]
-        prev = {x: x}
-        frontier = [x]
-        while frontier and y not in prev:
-            nxt = []
-            for v in frontier:
-                for w in self.adjacency[v]:
-                    if w not in prev:
-                        prev[w] = v
-                        nxt.append(w)
-            frontier = nxt
-        walk = [y]
-        while walk[-1] != x:
-            walk.append(prev[walk[-1]])
-        walk.reverse()
-        return walk
+        parent, depth = self._rooting.parent, self._rooting.depth
+        up, down = [x], [y]
+        while up[-1] != down[-1]:
+            if depth[up[-1]] >= depth[down[-1]]:
+                up.append(parent[up[-1]])
+            else:
+                down.append(parent[down[-1]])
+        return up + down[-2::-1]
 
     def distance(self, x: int, y: int) -> int:
         return len(self.path(x, y)) - 1
 
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs edge distances, computed by one BFS per vertex."""
-        d = np.full((self.n, self.n), -1, dtype=np.int64)
-        for s in range(self.n):
-            d[s, s] = 0
-            frontier = [s]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for w in self.adjacency[v]:
-                        if d[s, w] < 0:
-                            d[s, w] = d[s, v] + 1
-                            nxt.append(w)
-                frontier = nxt
-        return d
+        """All-pairs edge distances, filled row by row in BFS order from 0.
+
+        Every vertex listed before x lies outside x's subtree, so its path
+        to x runs through parent(x), whose row is already complete there.
+        """
+        rooted = self._rooting
+        pos = {v: i for i, v in enumerate(rooted.order)}
+        d = np.zeros((self.n, self.n), dtype=np.int64)  # indexed by BFS position
+        for i, x in enumerate(rooted.order[1:], start=1):
+            d[i, :i] = d[pos[rooted.parent[x]], :i] + 1
+            d[:i, i] = d[i, :i]
+        order = np.array(rooted.order)
+        out = np.empty_like(d)
+        out[np.ix_(order, order)] = d
+        return out
 
     def __repr__(self) -> str:
         return f"Tree(n={self.n}, edges={len(self.edges)})"
@@ -174,7 +181,9 @@ class RootedTree:
     """A tree with a chosen origin, plus parent-toward-origin and depth maps.
 
     parent[origin] is None; for any other vertex it is the unique neighbour
-    one step closer to the origin.
+    one step closer to the origin. order lists the vertices in breadth-first
+    order from the origin, so every parent precedes its children. This is
+    the package's only tree traversal; every other one derives from it.
     """
 
     def __init__(self, tree: Tree, origin: int):
@@ -194,6 +203,7 @@ class RootedTree:
                     order.append(w)
         self.tree = tree
         self.origin = origin
+        self.order: tuple[int, ...] = tuple(order)
         self.parent: tuple[Optional[int], ...] = tuple(parent)
         self.depth: tuple[int, ...] = tuple(depth)
         self.max_depth: int = max(depth)
@@ -258,37 +268,11 @@ def parse_tree(text: str) -> Tree:
     if n is None:
         raise TreeFormatError("missing header 'tree v=N'")
 
-    # Validate incrementally so errors carry the offending line number.
-    canonical: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, lineno in entries:
-        if not (0 <= u < n and 0 <= v < n):
-            raise TreeFormatError(f"vertex id out of range in edge ({u}, {v})", lineno)
-        if u == v:
-            raise TreeFormatError(f"self-loop at vertex {u}", lineno)
-        e = (min(u, v), max(u, v))
-        if e in seen:
-            raise TreeFormatError(f"duplicate edge {e}", lineno)
-        if find(u) == find(v):
-            raise TreeFormatError("cycle detected", lineno)
-        parent[find(u)] = find(v)
-        seen.add(e)
-        canonical.append(e)
-    if len(canonical) != n - 1:
-        raise TreeFormatError(
-            f"disconnected graph: {n} vertices need {n - 1} edges, "
-            f"got {len(canonical)}",
-            n_line,
-        )
-    return Tree(n, canonical)
+    try:
+        return Tree(n, [(u, v) for u, v, _ in entries])
+    except TreeFormatError as exc:
+        line = n_line if exc.edge is None else entries[exc.edge][2]
+        raise TreeFormatError(str(exc), line) from None
 
 
 def serialize_tree(tree: Tree) -> str:
@@ -317,25 +301,15 @@ def make_regular(q: int, r: int) -> Tree:
 
     Every vertex within distance r-1 of the center has degree q+1; the
     vertices at distance r are leaves. Vertex ids follow breadth-first
-    order from the center.
+    order from the center: the center's children are 1..q+1, and every
+    later vertex c has parent (c - 2) // q.
     """
     if q < 1:
         raise ValueError(f"branching number must be >= 1, got {q}")
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    edges = []
-    next_id = 1
-    frontier = [0]
-    for level in range(r):
-        grown = []
-        for v in frontier:
-            children = q + 1 if level == 0 else q
-            for _ in range(children):
-                edges.append((v, next_id))
-                grown.append(next_id)
-                next_id += 1
-        frontier = grown
-    return Tree(next_id, edges)
+    n = 1 + (q + 1) * sum(q**k for k in range(r))
+    return Tree(n, [(0 if c <= q + 1 else (c - 2) // q, c) for c in range(1, n)])
 
 
 def make_random(n: int, seed: int) -> Tree:

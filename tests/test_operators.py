@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from treelab.operators import (
-    PowerIterationError,
     Space,
     adjacency_operator,
     branching_operator,
@@ -355,25 +354,21 @@ class TestMaterializeAndNorm:
         assert operator_norm(adjacency_operator(tree)) == pytest.approx(1.0, abs=1e-10)
 
     def test_norm_against_svd_oracle(self):
+        # ||A|| = sqrt(largest eigenvalue of A* A), by a solver other than SVD
+        def oracle(mat):
+            return math.sqrt(np.linalg.eigvalsh(mat.conj().T @ mat).max())
+
         rng = np.random.default_rng(5)
         for rooted in random_trees(6, max_n=64):
             mat = materialize(deformation_inverse(rooted, 0.8))
-            assert operator_norm(mat) == pytest.approx(
-                np.linalg.norm(mat, 2), rel=1e-7
-            )
+            assert operator_norm(mat) == pytest.approx(oracle(mat), rel=1e-7)
         for _ in range(5):
             mat = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-            assert operator_norm(mat) == pytest.approx(
-                np.linalg.norm(mat, 2), rel=1e-7
-            )
+            assert operator_norm(mat) == pytest.approx(oracle(mat), rel=1e-7)
 
     def test_norm_of_zero_operator(self):
         assert operator_norm(np.zeros((4, 4))) == 0.0
         assert operator_norm(np.zeros((0, 3))) == 0.0
-
-    def test_norm_non_convergence_is_an_error(self):
-        with pytest.raises(PowerIterationError):
-            operator_norm(np.diag([2.0, 1.0]), max_iter=1)
 
     def test_norm_deterministic(self):
         mat = np.random.default_rng(9).standard_normal((10, 10))

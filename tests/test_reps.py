@@ -10,7 +10,6 @@ from treelab.groups import (
 )
 from treelab.operators import materialize, parent_shift_operator
 from treelab.reps import (
-    bounded_rep_apply,
     bounded_rep_operator,
     conjugation_equivalence_residual,
     curve_to_csv,
@@ -25,7 +24,6 @@ from treelab.reps import (
     limit_rep_operator,
     origin_sphere_residual,
     uniform_bound_certificate,
-    unitary_rep_apply,
     unitary_rep_operator,
 )
 from treelab.spaces import VertexVector, delta_vertex
@@ -64,7 +62,7 @@ class TestBoundedFamily:
         # value pinned by the dense-inversion oracle
         rooted = root_at(make_path(3), 0)
         g = verify_automorphism(rooted.tree, [2, 1, 0])
-        out = bounded_rep_apply(rooted, g, 0.5, delta_vertex(rooted.tree, 1))
+        out = bounded_rep_operator(rooted, g, 0.5).apply(delta_vertex(rooted.tree, 1))
         assert out == VertexVector(3, {0: 0.375, 1: 0.75, 2: -0.5})
         oracle = oracle_bounded(rooted, g, 0.5)
         assert np.abs(oracle[:, 1] - np.array([0.375, 0.75, -0.5])).max() <= 1e-15
@@ -100,10 +98,10 @@ class TestUnitaryFamily:
         g = verify_automorphism(rooted.tree, [1, 0])
         for t in (0.25, 0.5, 0.9):
             s = math.sqrt(1 - t * t)
-            out0 = unitary_rep_apply(rooted, g, t, delta_vertex(rooted.tree, 0))
+            out0 = unitary_rep_operator(rooted, g, t).apply(delta_vertex(rooted.tree, 0))
             assert abs(out0.coeff(0) - t) <= 1e-15
             assert abs(out0.coeff(1) - s) <= 1e-15
-            out1 = unitary_rep_apply(rooted, g, t, delta_vertex(rooted.tree, 1))
+            out1 = unitary_rep_operator(rooted, g, t).apply(delta_vertex(rooted.tree, 1))
             assert abs(out1.coeff(0) - s) <= 1e-15
             assert abs(out1.coeff(1) + t) <= 1e-15
 
@@ -349,7 +347,7 @@ class TestOriginSphere:
         g = verify_automorphism(rooted.tree, [4, 3, 2, 1, 0])
         d = displacement(rooted, g)
         for t in (0.3, 0.9, 0.99):
-            v = unitary_rep_apply(rooted, g, t, delta_vertex(rooted.tree, 0))
+            v = unitary_rep_operator(rooted, g, t).apply(delta_vertex(rooted.tree, 0))
             norm_sq = sum(abs(c) ** 2 for _, c in v.items())
             closed = t ** (2 * d) + (1 - t * t) * sum(
                 t ** (2 * k) for k in range(d)

@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treelab.trees import (
@@ -233,3 +234,43 @@ def test_random_tree_paths_walk_edges(n, seed):
     for u, v in zip(walk, walk[1:]):
         assert tree.has_edge(u, v)
     assert len(set(walk)) == len(walk)
+
+
+def _bfs_oracle(tree, source):
+    """Predecessor and distance maps of a plain BFS from source."""
+    prev, dist = {source: source}, {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in tree.adjacency[v]:
+                if w not in prev:
+                    prev[w], dist[w] = v, dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return prev, dist
+
+
+_trees = st.one_of(
+    st.integers(1, 24).map(make_path),
+    st.integers(1, 24).map(make_star),
+    st.builds(make_random, st.integers(1, 40), st.integers(0, 2**31 - 1)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=_trees)
+@example(tree=Tree(1, []))
+@example(tree=Tree(2, [(0, 1)]))
+@example(tree=Tree(5, [(2, 0), (2, 1), (2, 3), (3, 4)]))
+def test_queries_match_plain_bfs(tree):
+    d = tree.distance_matrix()
+    assert d.shape == (tree.n, tree.n) and d.dtype == np.int64
+    for x in range(tree.n):
+        prev, dist = _bfs_oracle(tree, x)
+        for y in range(tree.n):
+            walk = [y]
+            while walk[-1] != x:
+                walk.append(prev[walk[-1]])
+            assert tree.path(x, y) == walk[::-1]
+            assert tree.distance(x, y) == dist[y] == d[x, y]

@@ -9,6 +9,7 @@ kept in a separate field so reports stay byte-comparable).
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -102,8 +103,10 @@ class SuiteConfig:
                 raise ConfigError(
                     f"unknown tolerance {name!r}; known: {sorted(table)}"
                 )
-            if not value > 0:
-                raise ConfigError(f"tolerance {name} must be positive, got {value}")
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(
+                    f"tolerance {name} must be positive and finite, got {value}"
+                )
             table[name] = float(value)
         return table
 

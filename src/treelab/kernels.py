@@ -32,7 +32,7 @@ from .operators import (
     parent_edge_operator,
     resolvent_apply,
 )
-from .spaces import EdgeVector, VertexVector, delta_edge
+from .spaces import EdgeVector, VertexVector
 from .trees import RootedTree, Tree
 
 __all__ = [
@@ -264,13 +264,14 @@ class Cocycle:
 
 def geodesic_cocycle(tree: Tree, x: int, y: int) -> Cocycle:
     walk = tree.path(x, y)
-    steps = []
-    vector = EdgeVector(tree.edge_count)
-    for u, v in zip(walk, walk[1:]):
-        sign = 1 if u < v else -1
-        steps.append((sign, (min(u, v), max(u, v))))
-        vector = vector.add(delta_edge(tree, u, v))
-    return Cocycle(source=x, target=y, steps=tuple(steps), vector=vector)
+    steps = tuple(
+        (1 if u < v else -1, (min(u, v), max(u, v))) for u, v in zip(walk, walk[1:])
+    )
+    # path edges are distinct, so each basis vector is set once
+    vector = EdgeVector(
+        tree.edge_count, {tree.edge_index[e]: sign for sign, e in steps}
+    )
+    return Cocycle(source=x, target=y, steps=steps, vector=vector)
 
 
 def max_abs(v) -> float:

@@ -47,7 +47,6 @@ __all__ = [
     "materialize",
     "operator_norm",
     "matrix_to_csv",
-    "children_map",
 ]
 
 MATERIALIZE_DIM_LIMIT = 10000
@@ -125,6 +124,28 @@ class LinearOperator:
             name=f"{self.name}.{other.name}",
         )
 
+    def __add__(self, other: "LinearOperator") -> "LinearOperator":
+        if other.domain != self.domain or other.codomain != self.codomain:
+            raise ValueError("summands act between different spaces")
+        return LinearOperator(
+            self.domain,
+            self.codomain,
+            lambda v: self._apply(v).add(other._apply(v)),
+            lambda w: self._adjoint(w).add(other._adjoint(w)),
+            name=f"{self.name}+{other.name}",
+        )
+
+    def scale(self, a: complex) -> "LinearOperator":
+        """a times self; the adjoint scales by conj(a)."""
+        ac = a.conjugate()
+        return LinearOperator(
+            self.domain,
+            self.codomain,
+            lambda v: self._apply(v).scale(a),
+            lambda w: self._adjoint(w).scale(ac),
+            name=f"({a}){self.name}",
+        )
+
     @staticmethod
     def _check(v, space: Space) -> None:
         expected = VertexVector if space.kind == "vertex" else EdgeVector
@@ -143,16 +164,6 @@ class LinearOperator:
 
 def identity_operator(space: Space) -> LinearOperator:
     return LinearOperator(space, space, lambda v: v, lambda v: v, name="1")
-
-
-def children_map(rooted: RootedTree) -> tuple[tuple[int, ...], ...]:
-    """Per-vertex tuple of children (neighbours pointing back to it)."""
-    kids: list[list[int]] = [[] for _ in range(rooted.n)]
-    for x in range(rooted.n):
-        p = rooted.parent[x]
-        if p is not None:
-            kids[p].append(x)
-    return tuple(tuple(k) for k in kids)
 
 
 def adjacency_operator(tree: Tree) -> LinearOperator:
@@ -201,7 +212,7 @@ def parent_shift_operator(rooted: RootedTree) -> LinearOperator:
     """
     sp = vertex_space(rooted.tree)
     parent = rooted.parent
-    kids = children_map(rooted)
+    kids = rooted.children
 
     def apply(v: VertexVector) -> VertexVector:
         out: dict[int, complex] = {}
@@ -228,30 +239,14 @@ def deformation_operator(rooted: RootedTree, t: float) -> LinearOperator:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"deformation parameter must lie in [0, 1], got {t}")
-    sp = vertex_space(rooted.tree)
     alpha = math.sqrt(1.0 - t * t) - 1.0
-    shift = parent_shift_operator(rooted)
-    x0 = rooted.origin
-
-    def apply(v: VertexVector) -> VertexVector:
-        out = v._data().copy()
-        for x, c in shift.apply(v).items():
-            out[x] = out.get(x, 0j) - t * c
-        c0 = v.coeff(x0)
-        if c0 != 0 and alpha != 0:
-            out[x0] = out.get(x0, 0j) + alpha * c0
-        return VertexVector(rooted.n, out)
-
-    def adjoint(v: VertexVector) -> VertexVector:
-        out = v._data().copy()
-        for x, c in shift.adjoint_apply(v).items():
-            out[x] = out.get(x, 0j) - t * c
-        c0 = v.coeff(x0)
-        if c0 != 0 and alpha != 0:
-            out[x0] = out.get(x0, 0j) + alpha * c0
-        return VertexVector(rooted.n, out)
-
-    return LinearOperator(sp, sp, apply, adjoint, name=f"T[{t}]")
+    op = (
+        identity_operator(vertex_space(rooted.tree))
+        + parent_shift_operator(rooted).scale(-t)
+        + origin_projection(rooted).scale(alpha)
+    )
+    op.name = f"T[{t}]"
+    return op
 
 
 def resolvent_apply(rooted: RootedTree, z: complex, v: VertexVector) -> VertexVector:
@@ -280,7 +275,7 @@ def resolvent_operator(rooted: RootedTree, z: complex) -> LinearOperator:
     conj(z)^k at depth k.
     """
     sp = vertex_space(rooted.tree)
-    kids = children_map(rooted)
+    kids = rooted.children
     zc = complex(z).conjugate()
 
     def adjoint(v: VertexVector) -> VertexVector:
@@ -309,26 +304,12 @@ def deformation_inverse(rooted: RootedTree, t: float) -> LinearOperator:
     """
     if not 0.0 <= t < 1.0:
         raise ValueError(f"deformation inverse needs t in [0, 1), got {t}")
-    sp = vertex_space(rooted.tree)
     beta = 1.0 / math.sqrt(1.0 - t * t) - 1.0
-    x0 = rooted.origin
-    resolvent = resolvent_operator(rooted, t)
-
-    def rescale(v: VertexVector) -> VertexVector:
-        c0 = v.coeff(x0)
-        if c0 == 0 or beta == 0:
-            return v
-        out = v._data().copy()
-        out[x0] = out.get(x0, 0j) + beta * c0
-        return VertexVector(rooted.n, out)
-
-    def apply(v: VertexVector) -> VertexVector:
-        return rescale(resolvent.apply(v))
-
-    def adjoint(v: VertexVector) -> VertexVector:
-        return resolvent.adjoint_apply(rescale(v))
-
-    return LinearOperator(sp, sp, apply, adjoint, name=f"Tinv[{t}]")
+    sp = vertex_space(rooted.tree)
+    rescale = identity_operator(sp) + origin_projection(rooted).scale(beta)
+    op = rescale.compose(resolvent_operator(rooted, t))
+    op.name = f"Tinv[{t}]"
+    return op
 
 
 def parent_edge_operator(rooted: RootedTree) -> LinearOperator:
@@ -415,7 +396,7 @@ def materialize(op: LinearOperator) -> np.ndarray:
     out = np.zeros((m, n), dtype=np.complex128)
     for j in range(n):
         col = op.apply(op.domain.basis_vector(j))
-        for i, c in col.items():
+        for i, c in col._data().items():
             out[i, j] = c
     return out
 

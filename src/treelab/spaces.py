@@ -65,6 +65,14 @@ class _SparseVector:
     def __len__(self) -> int:
         return len(self._coeffs)
 
+    def _with(self, data: dict[int, complex]):
+        """Same type and dimension over data whose keys come from vectors of
+        this space and whose values are nonzero complex: no re-validation."""
+        vec = object.__new__(type(self))
+        vec.dim = self.dim
+        vec._coeffs = data
+        return vec
+
     def _binary(self, other, sign: complex):
         if type(other) is not type(self) or other.dim != self.dim:
             raise ValueError("vectors live in different spaces")
@@ -75,7 +83,7 @@ class _SparseVector:
                 out.pop(k, None)
             else:
                 out[k] = s
-        return type(self)(self.dim, out)
+        return self._with(out)
 
     def add(self, other):
         return self._binary(other, 1)
@@ -85,7 +93,9 @@ class _SparseVector:
 
     def scale(self, a: complex):
         a = complex(a)
-        return type(self)(self.dim, {k: a * c for k, c in self._coeffs.items()})
+        return self._with(
+            {k: p for k, c in self._coeffs.items() if (p := a * c) != 0}
+        )
 
     def inner(self, other) -> complex:
         """Inner product, conjugate-linear in self (the first argument)."""

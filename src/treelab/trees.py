@@ -181,9 +181,11 @@ class RootedTree:
     """A tree with a chosen origin, plus parent-toward-origin and depth maps.
 
     parent[origin] is None; for any other vertex it is the unique neighbour
-    one step closer to the origin. order lists the vertices in breadth-first
-    order from the origin, so every parent precedes its children. This is
-    the package's only tree traversal; every other one derives from it.
+    one step closer to the origin; children[x] lists, in ascending order,
+    the neighbours whose parent is x. order lists the vertices in
+    breadth-first order from the origin, so every parent precedes its
+    children. This is the package's only tree traversal; every other one
+    derives from it.
     """
 
     def __init__(self, tree: Tree, origin: int):
@@ -191,6 +193,7 @@ class RootedTree:
         n = tree.n
         parent: list[Optional[int]] = [None] * n
         depth = [0] * n
+        children: list[list[int]] = [[] for _ in range(n)]
         seen = [False] * n
         seen[origin] = True
         order = [origin]
@@ -200,11 +203,13 @@ class RootedTree:
                     seen[w] = True
                     parent[w] = v
                     depth[w] = depth[v] + 1
+                    children[v].append(w)
                     order.append(w)
         self.tree = tree
         self.origin = origin
         self.order: tuple[int, ...] = tuple(order)
         self.parent: tuple[Optional[int], ...] = tuple(parent)
+        self.children: tuple[tuple[int, ...], ...] = tuple(map(tuple, children))
         self.depth: tuple[int, ...] = tuple(depth)
         self.max_depth: int = max(depth)
 

@@ -148,6 +148,12 @@ class TestCheckCommand:
                        "--tol.bogus=1e-9", "--out", str(tmp_path)) == 2
         assert "unknown tolerance" in capsys.readouterr().err
 
+    def test_infinite_tolerance_rejected(self, tmp_path, capsys):
+        assert run_cli("check", "--tree", "path:3", "--group", "auto",
+                       "--tol.identity=inf", "--out", str(tmp_path)) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_missing_tree_file(self, tmp_path, capsys):
         assert run_cli("check", "--tree", str(tmp_path / "nope.tree"),
                        "--out", str(tmp_path)) == 2

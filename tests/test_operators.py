@@ -319,6 +319,8 @@ class TestAdjointContract:
                 resolvent_operator(rooted, 0.2 + 0.5j),
                 parent_edge_operator(rooted),
                 coboundary_operator(tree),
+                parent_shift_operator(rooted) + origin_projection(rooted),
+                resolvent_operator(rooted, 0.3).scale(0.4 - 1.1j),
             ]
             for op in ops:
                 for _ in range(3):
@@ -396,6 +398,8 @@ class TestOperatorPlumbing:
         f = parent_edge_operator(rooted)
         with pytest.raises(ValueError):
             f.compose(coboundary_operator(make_path(4)))
+        with pytest.raises(ValueError, match="different spaces"):
+            f + coboundary_operator(tree)
 
     def test_compose_matches_matrix_product(self):
         rooted = root_at(make_star(5), 1)
@@ -404,4 +408,12 @@ class TestOperatorPlumbing:
         composed = materialize(b.compose(f))
         assert np.abs(
             composed - materialize(b) @ materialize(f)
+        ).max() == 0.0
+        p0 = origin_projection(rooted)
+        summed = materialize(b.compose(f) + p0)
+        assert np.abs(summed - (composed + materialize(p0))).max() == 0.0
+        a = 0.5 - 2j
+        assert np.abs(materialize(f.scale(a)) - a * materialize(f)).max() == 0.0
+        assert np.abs(
+            materialize(f.scale(a).adjoint()) - np.conj(a) * materialize(f).conj().T
         ).max() == 0.0

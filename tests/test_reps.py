@@ -46,6 +46,43 @@ def oracle_bounded(rooted, g, z):
     return np.linalg.inv(one_minus) @ pi0 @ one_minus
 
 
+def oracle_unitary(rooted, g, t):
+    """Independent oracle: the deformation written out, inverted generically."""
+    n = rooted.n
+    shift = np.zeros((n, n))
+    for x, p in enumerate(rooted.parent):
+        if p is not None:
+            shift[p, x] = 1.0
+    p0 = np.zeros((n, n))
+    p0[rooted.origin, rooted.origin] = 1.0
+    alpha = math.sqrt(1.0 - t * t) - 1.0
+    deform = np.eye(n) - t * shift + alpha * p0
+    return np.linalg.inv(deform) @ dense_pi0(n, g) @ deform
+
+
+def oracle_limit(rooted, g):
+    """Independent oracle: F* (signed edge permutation) F + p0, written out."""
+    tree = rooted.tree
+    n, m = tree.n, tree.edge_count
+    f = np.zeros((m, n))
+    for x, p in enumerate(rooted.parent):
+        if p is not None:
+            f[tree.edge_index[(min(x, p), max(x, p))], x] = 1.0 if x < p else -1.0
+    pi1 = np.zeros((m, m))
+    for idx, (u, v) in enumerate(tree.edges):
+        gu, gv = g(u), g(v)
+        pi1[tree.edge_index[(min(gu, gv), max(gu, gv))], idx] = 1.0 if gu < gv else -1.0
+    p0 = np.zeros((n, n))
+    p0[rooted.origin, rooted.origin] = 1.0
+    return f.T @ pi1 @ f + p0
+
+
+@pytest.fixture(scope="module")
+def random14_rooted():
+    tree = make_random(14, seed=4)
+    return root_at(tree, 9), full_automorphism_group(tree, max_vertices=14)
+
+
 class TestBoundedFamily:
     def test_z_zero_is_plain_action(self):
         rooted = root_at(make_path(3), 0)
@@ -112,6 +149,17 @@ class TestUnitaryFamily:
                 rep = dense_unitary_rep(rooted, g, t)
                 assert np.abs(rep.conj().T @ rep - np.eye(4)).max() <= 1e-11
 
+    def test_dense_and_applier_match_oracle(self, random14_rooted):
+        rooted, group = random14_rooted
+        assert [displacement(rooted, g) > 0 for g in group] == [False, False, True, True]
+        for g in group:
+            for t in (0.0, 0.5, 0.9):
+                oracle = oracle_unitary(rooted, g, t)
+                assert np.abs(dense_unitary_rep(rooted, g, t) - oracle).max() <= 1e-12
+                assert np.abs(
+                    materialize(unitary_rep_operator(rooted, g, t)) - oracle
+                ).max() <= 1e-12
+
     def test_dense_matches_applier(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
         for g in group:
@@ -165,6 +213,13 @@ class TestLimitRep:
             assert np.abs(rep.conj().T @ rep - np.eye(4)).max() <= 1e-14
             for h in group:
                 assert homomorphism_residual(rooted, g, h, "limit", None) <= 1e-14
+
+    def test_dense_and_applier_match_oracle(self, random14_rooted):
+        rooted, group = random14_rooted
+        for g in group:
+            oracle = oracle_limit(rooted, g)
+            assert np.abs(dense_limit_rep(rooted, g) - oracle).max() == 0.0
+            assert np.abs(materialize(limit_rep_operator(rooted, g)) - oracle).max() == 0.0
 
     def test_dense_matches_applier(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted

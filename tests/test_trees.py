@@ -268,6 +268,10 @@ def test_queries_match_plain_bfs(tree):
     assert d.shape == (tree.n, tree.n) and d.dtype == np.int64
     for x in range(tree.n):
         prev, dist = _bfs_oracle(tree, x)
+        assert root_at(tree, x).children == tuple(
+            tuple(y for y in range(tree.n) if y != x and prev[y] == v)
+            for v in range(tree.n)
+        )
         for y in range(tree.n):
             walk = [y]
             while walk[-1] != x:

@@ -7,6 +7,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -108,11 +109,13 @@ def _out_dir(path_text: str) -> Path:
 
 
 def _fail_line(r: dict) -> str:
-    """One failed record, as a CheckRecord.to_dict() or a report.json entry."""
+    """One failed record, as a CheckRecord.to_dict() or a report.json entry
+    (where a non-finite measured value is null)."""
+    measured = math.nan if r["measured"] is None else r["measured"]
     return (
         f"FAIL {r['check']} tree={r['tree']} origin={r['origin']} "
         f"g={r['g']} param={r['parameter']} "
-        f"measured={r['measured']:.3e} bound={r['bound']:.3e}"
+        f"measured={measured:.3e} bound={r['bound']:.3e}"
     )
 
 
@@ -124,7 +127,6 @@ def _cmd_check(args, tolerances) -> int:
         z_grid=_parse_z_grid(args.z),
         seed=args.seed,
         tolerances=tolerances,
-        out_dir=args.out,
     )
     report = run_check_suite(config)
     out = _out_dir(args.out) / "report.json"

@@ -31,6 +31,7 @@ from .operators import (
     materialize,
     parent_edge_operator,
     resolvent_apply,
+    worst_of,
 )
 from .spaces import EdgeVector, VertexVector
 from .trees import RootedTree, Tree
@@ -137,9 +138,10 @@ class CndReport:
 
     @property
     def max_form(self) -> float:
-        return max(
-            self.max_basis_form, self.max_random_form, self.max_centered_eigenvalue
-        )
+        # not floored at zero: a conditionally negative form stays negative
+        return float(np.max(
+            [self.max_basis_form, self.max_random_form, self.max_centered_eigenvalue]
+        ))
 
 
 def cnd_check(
@@ -154,10 +156,7 @@ def cnd_check(
         return CndReport(0.0, 0.0, 0.0, n_random, seed, tolerance, True)
 
     # deterministic basis of mean-zero vectors: e_i - e_0
-    basis_forms = [
-        k[i, i] + k[0, 0] - k[i, 0] - k[0, i] for i in range(1, n)
-    ]
-    max_basis = float(max(basis_forms))
+    max_basis = float((k.diagonal()[1:] + k[0, 0] - k[1:, 0] - k[0, 1:]).max())
 
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((n_random, n))
@@ -174,7 +173,7 @@ def cnd_check(
         n_random=n_random,
         seed=seed,
         tolerance=tolerance,
-        passed=max(max_basis, max_random, max_eig) <= tolerance,
+        passed=bool(np.max([max_basis, max_random, max_eig]) <= tolerance),
     )
 
 
@@ -234,7 +233,7 @@ def gram_identity_check(
         algebraic_residual=algebraic,
         gram_residual=gram,
         tolerance=tolerance,
-        passed=max(algebraic, gram) <= tolerance,
+        passed=worst_of((algebraic, gram))[0] <= tolerance,
     )
 
 
@@ -276,7 +275,7 @@ def geodesic_cocycle(tree: Tree, x: int, y: int) -> Cocycle:
 
 def max_abs(v) -> float:
     """Largest coefficient modulus of a sparse vector; 0.0 when empty."""
-    return max((abs(c) for _, c in v.items()), default=0.0)
+    return worst_of([abs(c) for c in v._data().values()])[0]
 
 
 @dataclass(frozen=True)
@@ -305,29 +304,25 @@ def cocycle_report(
     d = tree.distance(x, y)
 
     target_diff = VertexVector(tree.n, {x: 1}).sub(VertexVector(tree.n, {y: 1}))
-    cob = coboundary_operator(tree).apply(c.vector).sub(target_diff)
-    closed = (
+    cob = max_abs(coboundary_operator(tree).apply(c.vector).sub(target_diff))
+    closed = max_abs(
         parent_edge_operator(rooted)
         .apply(resolvent_apply(rooted, 1.0, target_diff))
         .sub(c.vector)
     )
-    anti = geodesic_cocycle(tree, y, x).vector.add(c.vector)
-
-    ok = (
-        c.squared_norm == d
-        and max_abs(cob) <= tolerance
-        and max_abs(closed) <= tolerance
-        and max_abs(anti) == 0.0
-    )
+    anti = max_abs(geodesic_cocycle(tree, y, x).vector.add(c.vector))
     return CocycleReport(
         source=x,
         target=y,
         distance=d,
         squared_norm=c.squared_norm,
-        coboundary_residual=max_abs(cob),
-        closed_form_residual=max_abs(closed),
-        antisymmetry_residual=max_abs(anti),
-        passed=ok,
+        coboundary_residual=cob,
+        closed_form_residual=closed,
+        antisymmetry_residual=anti,
+        passed=(
+            c.squared_norm == d and cob <= tolerance and closed <= tolerance
+            and anti == 0.0
+        ),
     )
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "coboundary_operator",
     "materialize",
     "operator_norm",
+    "worst_of",
     "matrix_to_csv",
 ]
 
@@ -405,6 +406,20 @@ def operator_norm(op: Union[LinearOperator, np.ndarray]) -> float:
     """Spectral norm (largest singular value), exact to rounding."""
     a = op if isinstance(op, np.ndarray) else materialize(op)
     return float(np.linalg.norm(a, 2))
+
+
+def worst_of(values) -> tuple[float, int]:
+    """The largest of values and the first index that holds it: a worst
+    residual and its witness. Floored at (0.0, 0), so an empty or
+    non-positive input gives (0.0, 0). A NaN anywhere is the result, at its
+    first index; Python's max() would drop it.
+    """
+    a = np.asarray(values, dtype=float).ravel()
+    if a.size == 0:
+        return 0.0, 0
+    i = int(a.argmax())
+    top = float(a[i])
+    return (top, i) if top > 0.0 or math.isnan(top) else (0.0, 0)
 
 
 def matrix_to_csv(matrix: np.ndarray) -> str:

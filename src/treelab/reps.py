@@ -42,6 +42,7 @@ from .operators import (
     parent_shift_operator,
     resolvent_operator,
     vertex_space,
+    worst_of,
 )
 from .spaces import VertexVector
 from .trees import RootedTree, root_at
@@ -215,7 +216,6 @@ class DefectReport:
     support: tuple[int, ...]
     rank: int
     defect_norm: float
-    rep_norm: float
     outside_residual: float
     range_residual: float
     cross_check_residual: Optional[float]
@@ -248,22 +248,19 @@ def finite_rank_defect(
     inside = np.zeros(n, dtype=bool)
     inside[list(segment)] = True
 
-    outside_residual = 0.0
-    if not inside.all():
-        out_rows = float(np.abs(mult_defect[~inside, :]).max())
-        out_cols = float(np.abs(mult_defect[:, ~inside]).max())
-        outside_residual = max(out_rows, out_cols)
+    outside_residual = worst_of((
+        np.abs(mult_defect[~inside, :]).max(initial=0.0),
+        np.abs(mult_defect[:, ~inside]).max(initial=0.0),
+    ))[0]
 
     additive = rho - dense_pi0(n, g)
-    range_residual = (
-        float(np.abs(additive[~inside, :]).max()) if not inside.all() else 0.0
-    )
+    range_residual = worst_of(np.abs(additive[~inside, :]))[0]
 
-    row_peaks = np.abs(mult_defect).max(axis=1, initial=0.0)
-    col_peaks = np.abs(mult_defect).max(axis=0, initial=0.0)
-    support = tuple(
-        int(i) for i in range(n) if max(row_peaks[i], col_peaks[i]) > support_tol
+    peaks = np.maximum(
+        np.abs(mult_defect).max(axis=1, initial=0.0),
+        np.abs(mult_defect).max(axis=0, initial=0.0),
     )
+    support = tuple(int(i) for i in np.flatnonzero(peaks > support_tol))
 
     singular = np.linalg.svd(mult_defect, compute_uv=False)
     rank = int(np.count_nonzero(singular > rank_threshold))
@@ -289,7 +286,6 @@ def finite_rank_defect(
         support=support,
         rank=rank,
         defect_norm=defect_norm,
-        rep_norm=float(np.linalg.norm(rho, 2)),
         outside_residual=outside_residual,
         range_residual=range_residual,
         cross_check_residual=cross,
@@ -320,13 +316,9 @@ def uniform_bound_certificate(
     """Max norm over the closure, checked against 1 + 2|z|/(1-|z|) + slack."""
     z = _check_z(z)
     bound = 1.0 + 2.0 * abs(z) / (1.0 - abs(z))
-    max_norm = 0.0
-    argmax = 0
-    for i, g in enumerate(closure):
-        norm = operator_norm(dense_bounded_rep(rooted, g, z))
-        if norm > max_norm:
-            max_norm = norm
-            argmax = i
+    max_norm, argmax = worst_of(np.fromiter(
+        (operator_norm(dense_bounded_rep(rooted, g, z)) for g in closure), float
+    ))
     return BoundCertificate(
         z=z,
         bound=bound,

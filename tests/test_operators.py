@@ -21,6 +21,7 @@ from treelab.operators import (
     resolvent_apply,
     resolvent_operator,
     vertex_space,
+    worst_of,
 )
 from treelab.spaces import EdgeVector, VertexVector, delta_edge, delta_vertex
 from treelab.trees import make_path, make_random, make_star, root_at
@@ -375,6 +376,22 @@ class TestMaterializeAndNorm:
     def test_norm_deterministic(self):
         mat = np.random.default_rng(9).standard_normal((10, 10))
         assert operator_norm(mat) == operator_norm(mat)
+
+    def test_worst_of(self):
+        # the largest value and the first index holding it
+        assert worst_of([0.1, 0.3, 0.2, 0.3]) == (0.3, 1)
+        assert worst_of(np.array([[0.0, 2.0], [2.0, 1.0]])) == (2.0, 1)
+        # floored at (0.0, 0): empty and non-positive inputs
+        assert worst_of([]) == (0.0, 0)
+        assert worst_of([-3, -1, 0.0, 0.0]) == (0.0, 0)
+        assert worst_of([0.0, 0.0, 5e-324]) == (5e-324, 2)
+        # inf is kept; a NaN anywhere wins, at its first index
+        assert worst_of([1.0, math.inf, 2.0]) == (math.inf, 1)
+        nan = math.nan
+        cases = (([nan, 1.0], 0), ([1.0, nan, 3.0, nan], 1), ([-1, nan], 1))
+        for values, first in cases:
+            value, index = worst_of(values)
+            assert math.isnan(value) and index == first
 
     def test_csv_export(self):
         mat = np.array([[1.0, 0.5], [0.5, 1.0]])

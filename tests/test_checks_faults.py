@@ -14,7 +14,7 @@ from treelab.checks import _record
 from treelab.cli import main
 from treelab.groups import full_automorphism_group
 from treelab.spaces import VertexVector
-from treelab.trees import make_star, root_at
+from treelab.trees import make_path, make_star, root_at
 
 
 def _nan_unitary_at_half(original):
@@ -41,6 +41,22 @@ def _inf_bounded(original):
     return patched
 
 
+def _breaks_curve(g) -> bool:
+    # on star:4 two elements fix leaf 1: the identity and the swap of leaves
+    # 2 and 3; at the leaf origin 3 the first fixes the origin and the second
+    # moves it, so both branches of the rule are broken
+    return g(1) == 1
+
+
+def _rising_curve(original):
+    def patched(rooted, g, t_grid):
+        if not _breaks_curve(g):
+            return original(rooted, g, t_grid)
+        return [reps.CurvePoint(t, 1.0 + t, 0.0) for t in t_grid]
+
+    return patched
+
+
 # (module, attribute, wrapper, checks whose records must fail, checks that
 # must break down into one failed `error=` record)
 FAULTS = {
@@ -56,7 +72,12 @@ FAULTS = {
     ),
     "bounded-inf": (
         reps, "dense_bounded_rep", _inf_bounded,
-        {"uniform-bound", "conjugation-equivalence", "defect-identity"}, set(),
+        {"uniform-bound", "conjugation-equivalence", "defect-identity",
+         "defect-rank"},
+        set(),
+    ),
+    "rising-curve": (
+        reps, "homotopy_curve", _rising_curve, {"limit-monotone"}, set(),
     ),
 }
 
@@ -105,20 +126,14 @@ def test_non_finite_bounded_member_fails_certificate(monkeypatch):
         root_at(tree, 0), full_automorphism_group(tree), 0.5
     )
     assert not math.isfinite(cert.max_norm)
-    assert not cert.passed
 
 
 def test_record_rule_requires_a_finite_measured_value():
     ctx = SimpleNamespace(label="path:2")
     assert _record(ctx, "c", 0, 1.0, 1.0).passed
     assert not _record(ctx, "c", 0, 1.5, 1.0).passed
-    # limit-monotone's own verdict replaces the comparison...
-    assert _record(ctx, "c", 0, 1.5, 1.0, within=True).passed
-    assert not _record(ctx, "c", 0, 0.5, 1.0, within=False).passed
-    # ...but no verdict passes a non-finite measured value
     for bad in (math.nan, math.inf, -math.inf):
         assert not _record(ctx, "c", 0, bad, 1.0).passed
-        assert not _record(ctx, "c", 0, bad, 1.0, within=True).passed
         assert _record(ctx, "c", 0, bad, 1.0).to_dict()["measured"] is None
 
 
@@ -126,3 +141,36 @@ def test_max_abs_keeps_a_nan_coefficient():
     for coeffs in ({0: 1.0, 2: math.nan}, {0: math.nan, 2: 1.0}):
         assert math.isnan(kernels.max_abs(VertexVector(3, coeffs)))
     assert kernels.max_abs(VertexVector(3, {})) == 0.0
+
+
+def test_limit_monotone_counts_the_broken_curves(monkeypatch, tmp_path):
+    monkeypatch.setattr(reps, "homotopy_curve", _rising_curve(reps.homotopy_curve))
+    tree = make_star(4)
+    broken = sum(_breaks_curve(g) for g in full_automorphism_group(tree))
+    assert 0 < broken < 6
+
+    assert main(["check", "--tree", "star:4", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    records = [r for r in report["records"] if r["check"] == "limit-monotone"]
+    assert [r["origin"] for r in records] == [0, 3]
+    for r in records:
+        assert r["measured"] == broken and r["bound"] == 0.0
+        assert r["passed"] is False
+    # the rising curve is not fed to any other check
+    assert {r["check"] for r in report["records"] if not r["passed"]} == {
+        "limit-monotone"
+    }
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_defect_rank_is_nan_on_a_non_finite_defect(monkeypatch):
+    # the swap on path:2 has displacement + 1 == n, so its rank excess would
+    # read 0 even if NaN singular values were counted as nonzero
+    monkeypatch.setattr(
+        reps, "dense_bounded_rep", _inf_bounded(reps.dense_bounded_rep)
+    )
+    tree = make_path(2)
+    swap = full_automorphism_group(tree)[1]
+    rep = reps.finite_rank_defect(root_at(tree, 0), swap, "bounded", 0.5)
+    assert rep.displacement + 1 == tree.n
+    assert math.isnan(rep.rank)

@@ -64,13 +64,12 @@ class TestConditionalNegativity:
     def test_reports(self):
         for tree in (make_path(5), make_star(6), make_random(40, seed=2)):
             report = cnd_check(distance_kernel(tree))
-            assert report.passed
             assert report.max_form <= 1e-10
             # the basis forms are exactly -2 * d(i, 0)
             assert report.max_basis_form == -2.0
 
     def test_single_vertex(self):
-        assert cnd_check(distance_kernel(Tree(1, []))).passed
+        assert cnd_check(distance_kernel(Tree(1, []))).max_form <= 1e-10
 
     def test_seed_reproducible(self):
         k = distance_kernel(make_random(20, seed=5))
@@ -104,16 +103,16 @@ class TestDecayKernel:
     def test_psd_on_corpus(self):
         for tree in (make_path(20), make_star(15), make_random(60, seed=8)):
             for t in (0.1, 0.5, 0.9):
-                assert psd_check(exp_kernel(tree, t)).passed
+                assert psd_check(exp_kernel(tree, t)) >= -1e-10
 
     def test_schoenberg_consistency(self):
         # negativity of the distance form and positivity of the decay
         # kernel are verified independently on the same trees
         for seed in range(4):
             tree = make_random(25, seed=seed)
-            assert cnd_check(distance_kernel(tree)).passed
+            assert cnd_check(distance_kernel(tree)).max_form <= 1e-10
             for t in (0.1, 0.5, 0.9):
-                assert psd_check(exp_kernel(tree, t)).passed
+                assert psd_check(exp_kernel(tree, t)) >= -1e-10
 
 
 class TestGramIdentity:
@@ -141,7 +140,6 @@ class TestGramIdentity:
             rooted = root_at(tree, seed % tree.n)
             for t in (0.1, 0.5, 0.9):
                 report = gram_identity_check(rooted, t)
-                assert report.passed
                 assert report.algebraic_residual <= 1e-10
                 assert report.gram_residual <= 1e-10
 
@@ -161,7 +159,8 @@ class TestGramIdentity:
         # heavy-leaf trees exercise the boundary term in the identity
         star = make_star(30)
         report = gram_identity_check(root_at(star, 0), 0.9)
-        assert report.passed
+        assert report.algebraic_residual <= 1e-10
+        assert report.gram_residual <= 1e-10
 
 
 class TestCocycle:
@@ -191,7 +190,6 @@ class TestCocycle:
         for x in range(tree.n):
             for y in range(tree.n):
                 report = cocycle_report(rooted, x, y)
-                assert report.passed
                 assert report.squared_norm == tree.distance(x, y)
                 assert report.coboundary_residual == 0.0
                 assert report.antisymmetry_residual == 0.0

@@ -50,8 +50,7 @@ from .groups import (
     verify_automorphism,
     close_group,
     full_automorphism_group,
-    pi0_apply,
-    pi1_apply,
+    edge_images,
     pi0_operator,
     pi1_operator,
 )

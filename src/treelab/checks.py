@@ -22,7 +22,6 @@ import numpy as np
 from . import kernels as kernels_mod
 from . import reps as reps_mod
 from .groups import (
-    Automorphism,
     GroupClosure,
     close_group,
     full_automorphism_group,
@@ -36,6 +35,7 @@ from .operators import (
     deformation_operator,
     identity_operator,
     materialize,
+    operator_norm,
     origin_projection,
     parent_edge_operator,
     parent_shift_operator,
@@ -236,8 +236,18 @@ def _record(
     )
 
 
-def _max_entry(matrix: np.ndarray) -> float:
-    return float(np.abs(matrix).max()) if matrix.size else 0.0
+def _max_entry(matrix: np.ndarray):
+    """The largest entry modulus of a matrix, or of each matrix of a stack."""
+    return np.abs(matrix).max(axis=(-2, -1), initial=0.0)
+
+
+def _per_element(ctx: _Context, measure, rows=None) -> np.ndarray:
+    """measure(block) over blocks of rows (by default the closure's image
+    arrays), joined along the last axis: one value, or column, per row."""
+    rows = ctx.closure.images if rows is None else rows
+    return np.concatenate([
+        measure(rows[block]) for block in reps_mod.element_blocks(len(rows), ctx.tree.n)
+    ], axis=-1)
 
 
 def _check_shift_factorization(ctx: _Context) -> list[CheckRecord]:
@@ -280,11 +290,10 @@ def _check_deformation_identity(ctx: _Context) -> list[CheckRecord]:
                     _max_entry(prod - target), tol, parameter=f"t={t:g}",
                 )
             )
-            # [prod, pi0(g)]: rows moved by g against columns gathered by g
-            worst, worst_g = worst_of(np.fromiter((
-                _max_entry(reps_mod._row_permuted(prod, g) - prod[:, list(g.images)])
-                for g in ctx.closure
-            ), float))
+            # [prod, pi0(g)] holds the entries prod[g x, g y] - prod[x, y]
+            worst, worst_g = worst_of(_per_element(ctx, lambda images: _max_entry(
+                prod[images[:, :, None], images[:, None, :]] - prod
+            )))
             out.append(
                 _record(
                     ctx, "deformation-commutant", rooted.origin,
@@ -407,18 +416,16 @@ def _check_bounded_family(ctx: _Context) -> list[CheckRecord]:
     for rooted in ctx.rooted_list:
         for z in ctx.config.z_grid:
             ptxt = f"z={format_complex(z)}"
-            # per-element values go in arrays: a DefectReport or a Python
-            # float kept per element raises peak memory with |G|
-            size = len(ctx.closure)
-            local, excess, cross = (np.empty(size) for _ in range(3))
-            for i, g in enumerate(ctx.closure):
+
+            def measure(images):
                 rep = reps_mod.finite_rank_defect(
-                    rooted, g, "bounded", z, rank_threshold=tol_rank
+                    rooted, images, "bounded", z, rank_threshold=tol_rank
                 )
-                local[i] = rep.outside_residual
-                # NaN when the defect has a non-finite singular value
-                excess[i] = rep.rank - (rep.displacement + 1)
-                cross[i] = rep.cross_check_residual
+                # the rank excess is NaN where a singular value is not finite
+                excess = rep.rank - (rep.displacement + 1)
+                return rep.outside_residual, excess, rep.cross_check_residual
+
+            local, excess, cross = _per_element(ctx, measure)
             out.append(
                 _record(ctx, "defect-locality", rooted.origin, worst_of(local)[0],
                         tol_loc, parameter=ptxt)
@@ -442,13 +449,13 @@ def _check_bounded_family(ctx: _Context) -> list[CheckRecord]:
     return out
 
 
-def _pair_sample(ctx: _Context) -> list[tuple[Automorphism, Automorphism]]:
-    elements = list(ctx.closure)
-    if len(elements) ** 2 <= HOMOMORPHISM_PAIR_CAP:
-        return [(g, h) for g in elements for h in elements]
+def _pair_sample(ctx: _Context) -> np.ndarray:
+    """Closure indices (g, h) per row: all pairs or a seeded sample."""
+    size = len(ctx.closure)
+    if size ** 2 <= HOMOMORPHISM_PAIR_CAP:
+        return np.stack(np.divmod(np.arange(size * size), size), axis=1)
     rng = np.random.default_rng(ctx.config.seed)
-    idx = rng.integers(0, len(elements), size=(HOMOMORPHISM_PAIR_CAP, 2))
-    return [(elements[i], elements[j]) for i, j in idx]
+    return rng.integers(0, size, size=(HOMOMORPHISM_PAIR_CAP, 2))
 
 
 def _check_unitary_family(ctx: _Context) -> list[CheckRecord]:
@@ -457,16 +464,18 @@ def _check_unitary_family(ctx: _Context) -> list[CheckRecord]:
     tol_u = ctx.tol["unitarity"]
     tol_h = ctx.tol["homomorphism"]
     n = ctx.tree.n
-    pairs = _pair_sample(ctx)
+    images, pairs = ctx.closure.images, _pair_sample(ctx)
     out = []
     for rooted in ctx.rooted_list:
         for t in ctx.config.t_grid:
             ptxt = f"t={t:g}"
-            unitary, equiv = np.empty(len(ctx.closure)), np.empty(len(ctx.closure))
-            for i, g in enumerate(ctx.closure):
-                rep = reps_mod.dense_unitary_rep(rooted, g, t)
-                unitary[i] = _max_entry(rep.conj().T @ rep - np.eye(n))
-                equiv[i] = reps_mod.conjugation_equivalence_residual(rooted, g, t)
+
+            def measure(block):
+                rep = reps_mod.dense_unitary_rep(rooted, block, t)
+                gap = _max_entry(rep.conj().swapaxes(1, 2) @ rep - np.eye(n))
+                return gap, reps_mod.conjugation_equivalence_residual(rooted, block, t)
+
+            unitary, equiv = _per_element(ctx, measure)
             out.append(
                 _record(ctx, "unitarity", rooted.origin, worst_of(unitary)[0], tol_u,
                         parameter=ptxt)
@@ -475,10 +484,9 @@ def _check_unitary_family(ctx: _Context) -> list[CheckRecord]:
                 _record(ctx, "conjugation-equivalence", rooted.origin,
                         worst_of(equiv)[0], tol_u, parameter=ptxt)
             )
-        hom = np.fromiter((
-            reps_mod.homomorphism_residual(rooted, g, h, "unitary", 0.7)
-            for g, h in pairs
-        ), float)
+        hom = _per_element(ctx, lambda pair: reps_mod.homomorphism_residual(
+            rooted, images[pair[:, 0]], images[pair[:, 1]], "unitary", 0.7
+        ), pairs)
         out.append(
             _record(ctx, "homomorphism", rooted.origin, worst_of(hom)[0], tol_h,
                     parameter="t=0.7")
@@ -486,19 +494,17 @@ def _check_unitary_family(ctx: _Context) -> list[CheckRecord]:
     return out
 
 
-def _approaches_limit(values: list[float], d: int, tol: float) -> bool:
-    """Whether the distances to the limit at MONOTONE_T_VALUES follow the
-    rule for origin displacement d: within tol of zero when d = 0, else
-    falling at every step. Distances between unitaries saturate near 2 for
-    very deep displacements, so strictness is only demanded where the curve
-    is guaranteed to separate (d <= 6); beyond that a step may not rise by
-    more than 1e-9. A NaN distance breaks the rule."""
-    if d == 0:
-        return all(v <= tol for v in values)
-    drops = [b - a for a, b in zip(values, values[1:])]
-    if d <= 6:
-        return all(step < 0 for step in drops)
-    return all(step <= 1e-9 for step in drops)
+def _approaches_limit(values: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
+    """Per element, whether its distances to the limit at MONOTONE_T_VALUES
+    (one row per element) follow the rule for its origin displacement d:
+    within tol of zero when d = 0, else falling at every step. Distances
+    between unitaries saturate near 2 for very deep displacements, so
+    strictness is only demanded where the curve is guaranteed to separate
+    (d <= 6); beyond that a step may not rise by more than 1e-9. A NaN
+    distance breaks the rule."""
+    drops = np.diff(values, axis=1)
+    falling = np.where(d <= 6, (drops < 0).all(axis=1), (drops <= 1e-9).all(axis=1))
+    return np.where(d == 0, (values <= tol).all(axis=1), falling)
 
 
 def _check_limit_family(ctx: _Context) -> list[CheckRecord]:
@@ -512,32 +518,37 @@ def _check_limit_family(ctx: _Context) -> list[CheckRecord]:
     out = []
     for rooted in ctx.rooted_list:
         x0 = rooted.origin
-        # one value per element, in arrays, as in the bounded family
-        start, sphere = (np.empty(len(ctx.closure)) for _ in range(2))
-        steps = np.empty((len(ctx.closure), len(grid) - 1))
-        broken = 0
-        for j, g in enumerate(ctx.closure):
-            pi0 = reps_mod.dense_pi0(ctx.tree.n, g)
-            start[j] = _max_entry(reps_mod.dense_unitary_rep(rooted, g, 0.0) - pi0)
-            reps = [reps_mod.dense_unitary_rep(rooted, g, t) for t in grid]
-            # the origin column of each member is its image of delta_origin
-            sphere[j] = np.max([abs(np.linalg.norm(rep[:, x0]) - 1.0) for rep in reps])
-            steps[j] = [np.linalg.norm(b - a, 2) for a, b in zip(reps, reps[1:])]
-            values = [
-                p.dist_to_limit
-                for p in reps_mod.homotopy_curve(rooted, g, MONOTONE_T_VALUES)
-            ]
-            broken += not _approaches_limit(
-                values, reps_mod.displacement(rooted, g), tol_u
-            )
+
+        def measure(images):
+            pi0 = reps_mod.dense_pi0(ctx.tree.n, images)
+            start = _max_entry(reps_mod.dense_unitary_rep(rooted, images, 0.0) - pi0)
+            # one member stack at a time, beside the previous one for the step
+            sphere, steps, previous = np.zeros(len(images)), [], None
+            for t in grid:
+                member = reps_mod.dense_unitary_rep(rooted, images, t)
+                # the origin column, the image of delta_origin, made contiguous
+                # so that its dot product rounds as in np.linalg.norm
+                column = member[:, :, x0].copy()
+                norms = np.sqrt(np.vecdot(column, column))
+                sphere = np.maximum(sphere, abs(norms - 1.0))
+                if previous is not None:
+                    steps.append(operator_norm(member - previous))
+                previous = member
+            to_limit = reps_mod.homotopy_curve(rooted, images, MONOTONE_T_VALUES)[0]
+            displaced = reps_mod.displacement(rooted, images)
+            broken = ~_approaches_limit(to_limit, displaced, tol_u)
+            return np.vstack([start, sphere, broken, *steps])
+
+        start, sphere, broken, *steps = _per_element(ctx, measure)
         out.append(_record(ctx, "endpoint-start", x0, worst_of(start)[0], 0.0))
         out.append(_record(ctx, "origin-sphere", x0, worst_of(sphere)[0], tol_id))
-        out.append(_record(ctx, "limit-monotone", x0, broken, 0.0))
+        out.append(_record(ctx, "limit-monotone", x0, broken.sum(), 0.0))
         bounds = [
             reps_mod.unitary_step_bound(rooted, a, b, 1.0 + tol_u)
             for a, b in zip(grid, grid[1:])
         ]
-        out.append(_record(ctx, "grid-lipschitz", x0, worst_of(steps / bounds)[0], 1.0))
+        ratios = np.divide(steps, np.reshape(bounds, (-1, 1)))
+        out.append(_record(ctx, "grid-lipschitz", x0, worst_of(ratios)[0], 1.0))
     return out
 
 

@@ -67,12 +67,16 @@ def _split_tolerance_flags(argv: list[str]) -> tuple[list[str], dict[str, float]
     return rest, tols
 
 
+def _parse_grid(text: str, name: str, parse) -> tuple:
+    """The comma-separated values of a grid, each parsed and checked in turn."""
+    values = tuple(parse(tok.strip()) for tok in text.split(",") if tok.strip())
+    if not values:
+        raise ConfigError(f"empty {name} grid")
+    return values
+
+
 def _parse_t_grid(text: str, allow_limit: bool) -> tuple[float, ...]:
-    values = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    def parse(tok: str) -> float:
         t = float(tok)
         if t == 1.0 and not allow_limit:
             raise ConfigError(
@@ -81,25 +85,19 @@ def _parse_t_grid(text: str, allow_limit: bool) -> tuple[float, ...]:
             )
         if not 0.0 <= t <= 1.0:
             raise ConfigError(f"t values must lie in [0, 1], got {t}")
-        values.append(t)
-    if not values:
-        raise ConfigError("empty t grid")
-    return tuple(values)
+        return t
+
+    return _parse_grid(text, "t", parse)
 
 
 def _parse_z_grid(text: str) -> tuple[complex, ...]:
-    values = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    def parse(tok: str) -> complex:
         z = parse_complex(tok)
         if abs(z) >= 1.0:
             raise ConfigError(f"z values need |z| < 1, got {tok}")
-        values.append(z)
-    if not values:
-        raise ConfigError("empty z grid")
-    return tuple(values)
+        return z
+
+    return _parse_grid(text, "z", parse)
 
 
 def _out_dir(path_text: str) -> Path:
@@ -151,9 +149,9 @@ def _cmd_curve(args, tolerances) -> int:
         )
     rooted = root_at(tree, 0)
     grid = _parse_t_grid(args.t, allow_limit=True)
-    points = homotopy_curve(rooted, closure[args.g], grid)
+    curve = homotopy_curve(rooted, closure.images[args.g : args.g + 1], grid)
     out = _out_dir(args.out) / f"curve_{args.g}.csv"
-    csv_text = curve_to_csv(points)
+    csv_text = curve_to_csv(grid, curve[:, 0])
     out.write_text(csv_text, encoding="utf-8")
     sys.stdout.write(csv_text)
     print(f"curve written to {out}", file=sys.stderr)

@@ -9,12 +9,12 @@ the image of a canonical orientation is reversed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .operators import LinearOperator, Space, edge_space
-from .spaces import EdgeVector, VertexVector
+from .operators import LinearOperator, edge_space, vertex_space
 from .trees import Tree, root_at
 
 __all__ = [
@@ -26,10 +26,9 @@ __all__ = [
     "full_automorphism_group",
     "parse_automorphisms",
     "serialize_automorphisms",
-    "pi0_apply",
-    "pi1_apply",
     "pi0_operator",
     "pi1_operator",
+    "edge_images",
 ]
 
 FULL_SEARCH_VERTEX_LIMIT = 12
@@ -89,7 +88,8 @@ class GroupClosure:
 
     When complete is True the list is closed under composition and inverses
     and contains the identity (which sorts first). generator_indices locate
-    the generating elements inside elements.
+    the generating elements inside elements; images holds their image
+    arrays as one (len, n) block, the form the representation stacks take.
     """
 
     elements: tuple[Automorphism, ...]
@@ -105,11 +105,12 @@ class GroupClosure:
     def __getitem__(self, i: int) -> Automorphism:
         return self.elements[i]
 
-    def index(self, g: Automorphism) -> int:
-        try:
-            return self.elements.index(g)
-        except ValueError:
-            raise KeyError(f"{g} is not in the closure") from None
+    @cached_property
+    def images(self) -> np.ndarray:
+        """Row i is the image array of element i; read-only."""
+        images = np.array([g.images for g in self.elements], dtype=np.intp)
+        images.flags.writeable = False
+        return images
 
 
 def _sorted_closure(
@@ -233,23 +234,9 @@ def serialize_automorphisms(autos: Iterable[Automorphism]) -> str:
 # ----------------------------------------------------------------------
 
 
-def pi0_apply(g: Automorphism, v: VertexVector) -> VertexVector:
-    """Permute vertex coefficients along g."""
-    return _vertex_action(v.dim, g).apply(v)
-
-
-def pi1_apply(tree: Tree, g: Automorphism, w: EdgeVector) -> EdgeVector:
-    """Permute signed edge classes along g."""
-    return pi1_operator(tree, g).apply(w)
-
-
 def pi0_operator(tree: Tree, g: Automorphism) -> LinearOperator:
-    return _vertex_action(tree.n, g)
-
-
-def _vertex_action(n: int, g: Automorphism) -> LinearOperator:
     """A scatter along the images of g; the adjoint gathers along them."""
-    sp, images = Space("vertex", n), np.array(g.images, dtype=np.intp)
+    sp, images = vertex_space(tree), np.array(g.images, dtype=np.intp)
 
     def apply(b: np.ndarray) -> np.ndarray:
         out = np.empty_like(b)
@@ -261,16 +248,23 @@ def _vertex_action(n: int, g: Automorphism) -> LinearOperator:
     )
 
 
+def edge_images(tree: Tree, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The signed edge action of an image block (or array): edge j goes to
+    edge target[..., j] with sign[..., j], +1.0 exactly when g maps the
+    canonical orientation (low endpoint to high) to a canonical one."""
+    low, high = tree.edge_ends
+    a, b = images[..., low], images[..., high]
+    keys = low * tree.n + high  # ascending, as tree.edges is sorted
+    target = np.searchsorted(keys, np.minimum(a, b) * tree.n + np.maximum(a, b))
+    return target, np.where(a < b, 1.0, -1.0)
+
+
 def pi1_operator(tree: Tree, g: Automorphism) -> LinearOperator:
     """Permute signed edge classes along g: a signed scatter onto the
-    image edges, whose adjoint is the matching signed gather.
-
-    The image class keeps sign +1 exactly when g maps the canonical
-    orientation to a canonical orientation.
+    image edges (edge_images), whose adjoint is the matching signed gather.
     """
-    sp, ends = edge_space(tree), [(g(u), g(v)) for u, v in tree.edges]
-    target = [tree.edge_index[(min(e), max(e))] for e in ends]
-    sign = np.array([1.0 if u < v else -1.0 for u, v in ends]).reshape(-1, 1)
+    sp, (target, sign) = edge_space(tree), edge_images(tree, np.array(g.images))
+    sign = sign.reshape(-1, 1)
 
     def apply(w: np.ndarray) -> np.ndarray:
         out = np.empty_like(w)

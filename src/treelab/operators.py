@@ -402,10 +402,12 @@ def materialize(op: LinearOperator) -> np.ndarray:
     return np.add(op._apply(np.eye(n)), 0.0, dtype=complex)
 
 
-def operator_norm(op: Union[LinearOperator, np.ndarray]) -> float:
-    """Spectral norm (largest singular value), exact to rounding."""
+def operator_norm(op: Union[LinearOperator, np.ndarray]):
+    """Spectral norm (largest singular value), exact to rounding; one each
+    for the matrices of a (k, m, n) stack."""
     a = op if isinstance(op, np.ndarray) else materialize(op)
-    return float(np.linalg.norm(a, 2))
+    norms = np.linalg.norm(a, 2, axis=(-2, -1))
+    return norms if a.ndim > 2 else float(norms)
 
 
 def worst_of(values) -> tuple[float, int]:

@@ -13,11 +13,13 @@ Two families are built by conjugating the vertex permutation action:
   limit representation built from the edge action: F* (edge action) F
   plus the origin projection.
 
-Each member is built once, as a composition of the operator module's
-block appliers. The dense matrices used by the bulk suites are those
-operators materialized (memoized per rooted tree and parameter) and
-combined by one matrix product; nothing here restates an operator in
-closed form. The test-suite checks both against oracles of its own.
+One member is built as a composition of the operator module's block
+appliers. The dense route maps a block of elements, a (k, n) int array of
+vertex images such as GroupClosure.images, to the (k, n, n) stack of its
+members: the operators materialized (memoized per rooted tree and
+parameter), one row gather and one matrix product; nothing here restates
+an operator in closed form, and every dense measurement returns one value
+per element. The test-suite checks both routes against oracles of its own.
 
 The reports here carry measurements only; the checks module compares
 them with its tolerances.
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import Automorphism, GroupClosure, pi0_operator, pi1_operator
+from .groups import Automorphism, GroupClosure, edge_images, pi0_operator, pi1_operator
 from .operators import (
     LinearOperator,
     deformation_inverse,
@@ -48,10 +50,11 @@ from .operators import (
     worst_of,
 )
 from .spaces import VertexVector
-from .trees import RootedTree, root_at
+from .trees import RootedTree
 
 __all__ = [
     "displacement",
+    "element_blocks",
     "bounded_rep_operator",
     "unitary_rep_operator",
     "limit_rep_operator",
@@ -65,7 +68,6 @@ __all__ = [
     "uniform_bound_certificate",
     "conjugation_equivalence_residual",
     "homomorphism_residual",
-    "CurvePoint",
     "homotopy_curve",
     "curve_to_csv",
     "unitary_step_bound",
@@ -76,9 +78,9 @@ RANK_THRESHOLD = 1e-9
 SUPPORT_TOLERANCE = 1e-11
 
 
-def displacement(rooted: RootedTree, g: Automorphism) -> int:
-    """Distance from the origin to its image under g."""
-    return rooted.depth[g(rooted.origin)]
+def displacement(rooted: RootedTree, images: np.ndarray) -> np.ndarray:
+    """Per element of the block, the distance from the origin to its image."""
+    return np.asarray(rooted.depth)[images[:, rooted.origin]]
 
 
 def _check_z(z: complex) -> complex:
@@ -135,10 +137,21 @@ def limit_rep_operator(rooted: RootedTree, g: Automorphism) -> LinearOperator:
 
 
 # ----------------------------------------------------------------------
-# Dense fast path. Every dense matrix is an operator materialized
-# (memoized per rooted tree, constructor and parameters); a member of a
-# family is then one matrix product with a row gather.
+# Dense stacks. A block of group elements is a (k, n) int array of vertex
+# images, one row per element; GroupClosure.images is the block of a whole
+# closure. Every dense matrix is an operator materialized (memoized per
+# rooted tree, constructor and parameters); a family maps a block to its
+# (k, n, n) stack of members by one row gather and one matrix product.
 # ----------------------------------------------------------------------
+
+STACK_BYTES = 1 << 17  # the byte budget of one (k, n, n) complex stack
+
+
+def element_blocks(count: int, n: int) -> list[slice]:
+    """Consecutive slices covering count elements (or pairs), each as long
+    as one complex (k, n, n) stack fits in STACK_BYTES, and at least 1."""
+    size = max(1, STACK_BYTES // (16 * n * n))
+    return [slice(i, i + size) for i in range(0, count, size)]
 
 
 @lru_cache(maxsize=128)
@@ -155,44 +168,45 @@ def _dense_context(rooted: RootedTree, make, *args) -> np.ndarray:
     return mat
 
 
-def _row_permuted(mat: np.ndarray, g: Automorphism) -> np.ndarray:
-    """(vertex action of g) @ mat: row x of mat becomes row g(x)."""
-    out = np.empty_like(mat)
-    out[list(g.images)] = mat
-    return out
+def _gathered(mat: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """The stack (vertex action of g) @ mat: row x of mat moves to row g(x)."""
+    return mat[np.argsort(images, axis=1)]
 
 
-def dense_pi0(n: int, g: Automorphism) -> np.ndarray:
-    return _row_permuted(np.eye(n), g)
+def dense_pi0(n: int, images: np.ndarray) -> np.ndarray:
+    return _gathered(np.eye(n), images)
 
 
-def dense_bounded_rep(rooted: RootedTree, g: Automorphism, z: complex) -> np.ndarray:
+def dense_bounded_rep(rooted: RootedTree, images: np.ndarray, z: complex) -> np.ndarray:
     z = _check_z(z)
-    return _dense_context(rooted, resolvent_operator, z) @ _row_permuted(
-        _dense_context(rooted, _one_minus_shift, z), g
+    return _dense_context(rooted, resolvent_operator, z) @ _gathered(
+        _dense_context(rooted, _one_minus_shift, z), images
     )
 
 
-def dense_unitary_rep(rooted: RootedTree, g: Automorphism, t: float) -> np.ndarray:
+def dense_unitary_rep(rooted: RootedTree, images: np.ndarray, t: float) -> np.ndarray:
     t = _check_t(t)
-    return _dense_context(rooted, deformation_inverse, t) @ _row_permuted(
-        _dense_context(rooted, deformation_operator, t), g
+    return _dense_context(rooted, deformation_inverse, t) @ _gathered(
+        _dense_context(rooted, deformation_operator, t), images
     )
 
 
-def dense_limit_rep(rooted: RootedTree, g: Automorphism) -> np.ndarray:
+def dense_limit_rep(rooted: RootedTree, images: np.ndarray) -> np.ndarray:
+    """F* (edge action) F + p0, with (edge action) F gathered from F's rows."""
     f = _dense_context(rooted, parent_edge_operator)
-    pi1 = materialize(pi1_operator(rooted.tree, g)).real
-    return f.T @ pi1 @ f + _dense_context(rooted, origin_projection)
+    target, sign = edge_images(rooted.tree, images)
+    source = np.argsort(target, axis=1)
+    moved = np.take_along_axis(sign, source, axis=1)[..., None] * f[source]
+    return f.T @ moved + _dense_context(rooted, origin_projection)
 
 
-def _dense_rep(rooted: RootedTree, g: Automorphism, kind: str, parameter) -> np.ndarray:
+def _dense_rep(rooted: RootedTree, images, kind: str, parameter) -> np.ndarray:
     if kind == "bounded":
-        return dense_bounded_rep(rooted, g, parameter)
+        return dense_bounded_rep(rooted, images, parameter)
     if kind == "unitary":
-        return dense_unitary_rep(rooted, g, parameter)
+        return dense_unitary_rep(rooted, images, parameter)
     if kind == "limit":
-        return dense_limit_rep(rooted, g)
+        return dense_limit_rep(rooted, images)
     raise ValueError(f"unknown representation kind {kind!r}")
 
 
@@ -203,91 +217,81 @@ def _dense_rep(rooted: RootedTree, g: Automorphism, kind: str, parameter) -> np.
 
 @dataclass(frozen=True)
 class DefectReport:
-    """Locality and rank analysis of rep(g) against the permutation action.
+    """Locality and rank analysis of rep(g) against the permutation action,
+    one entry (or one row) per element of the block.
 
     The multiplicative defect rep(g) o (action of g)^(-1) - 1 vanishes, in
     rows and columns, outside the geodesic segment from the origin to its
     image. Its entry (i, g(j)) is entry (i, j) of the additive difference
     rep(g) - action(g), so the rows bound that difference's range as well.
-    rank is NaN when a singular value is not finite.
+    segment and support are (k, n) vertex masks. rank is NaN where a
+    singular value is not finite.
     """
 
-    g: Automorphism
-    kind: str
-    parameter: complex | float | None
-    displacement: int
-    segment: tuple[int, ...]
-    support: tuple[int, ...]
-    rank: float
-    defect_norm: float
-    outside_residual: float
-    cross_check_residual: Optional[float]
+    displacement: np.ndarray
+    segment: np.ndarray
+    support: np.ndarray
+    rank: np.ndarray
+    defect_norm: np.ndarray
+    outside_residual: np.ndarray
+    cross_check_residual: Optional[np.ndarray]
 
 
 def finite_rank_defect(
     rooted: RootedTree,
-    g: Automorphism,
+    images: np.ndarray,
     kind: str,
     parameter=None,
     rank_threshold: float = RANK_THRESHOLD,
     support_tol: float = SUPPORT_TOLERANCE,
 ) -> DefectReport:
-    """Measure the defect of a deformed representation at one group element.
+    """Measure the defect of a deformed representation on a block of
+    group elements.
 
     For the bounded family the report also carries the residual of the
     structural identity
         rep(g) (action g)^(-1) - 1 = z * resolvent(z) (shift - shift'),
-    where shift' is the parent shift rooted at the image of the origin.
+    where shift' is the parent shift rooted at the image of the origin,
+    that is (action g) shift (action g)^(-1).
     """
-    tree = rooted.tree
-    n = tree.n
-    rho = _dense_rep(rooted, g, kind, parameter)
+    inv = np.argsort(images, axis=1)
 
-    # rho @ (action of g)^(-1) = (action of g @ rho^T)^T
-    mult_defect = _row_permuted(rho.T, g).T - np.eye(n)
+    def moved_columns(stack: np.ndarray) -> np.ndarray:
+        # stack @ (action of g)^(-1): column x becomes column g(x)
+        return np.take_along_axis(stack, inv[:, None, :], axis=2)
 
-    segment = tuple(tree.path(rooted.origin, g(rooted.origin)))
-    inside = np.zeros(n, dtype=bool)
-    inside[list(segment)] = True
+    rep = _dense_rep(rooted, images, kind, parameter)
+    mult_defect = moved_columns(rep) - np.eye(rooted.n)
 
-    outside_residual = worst_of((
-        np.abs(mult_defect[~inside, :]).max(initial=0.0),
-        np.abs(mult_defect[:, ~inside]).max(initial=0.0),
-    ))[0]
+    # x lies on the segment from the origin o to y when d(o,x) + d(x,y) = d(o,y)
+    shift_of_origin = displacement(rooted, images)
+    distance = rooted.tree.distance_matrix()[images[:, rooted.origin]]
+    segment = np.asarray(rooted.depth) + distance == shift_of_origin[:, None]
 
-    peaks = np.maximum(
-        np.abs(mult_defect).max(axis=1, initial=0.0),
-        np.abs(mult_defect).max(axis=0, initial=0.0),
-    )
-    support = tuple(int(i) for i in np.flatnonzero(peaks > support_tol))
+    size = np.abs(mult_defect)
+    off_segment = ~(segment[:, :, None] & segment[:, None, :])
+    outside_residual = np.where(off_segment, size, 0.0).max(axis=(1, 2))
+    support = np.maximum(size.max(axis=2), size.max(axis=1)) > support_tol
 
     singular = np.linalg.svd(mult_defect, compute_uv=False)
-    rank = (
-        int(np.count_nonzero(singular > rank_threshold))
-        if np.isfinite(singular).all() else math.nan
-    )
-    defect_norm = float(singular[0]) if singular.size else 0.0
+    rank = np.count_nonzero(singular > rank_threshold, axis=1)
+    rank = np.where(np.isfinite(singular).all(axis=1), rank, np.nan)
 
     cross = None
     if kind == "bounded":
         z = complex(parameter)
         shift = _dense_context(rooted, parent_shift_operator)
-        image_root = root_at(tree, g(rooted.origin))
-        image_shift = materialize(parent_shift_operator(image_root)).real
-        predicted = z * (
-            _dense_context(rooted, resolvent_operator, z) @ (shift - image_shift)
-        )
-        cross = float(np.abs(mult_defect - predicted).max())
+        image_shift = shift[inv[:, :, None], inv[:, None, :]]
+        resolvent = _dense_context(rooted, resolvent_operator, z)
+        predicted = z * (resolvent @ (shift - image_shift))
+        cross = np.abs(mult_defect - predicted).max(axis=(1, 2))
 
     return DefectReport(
-        g=g,
-        kind=kind,
-        parameter=parameter,
-        displacement=displacement(rooted, g),
+        displacement=shift_of_origin,
         segment=segment,
         support=support,
         rank=rank,
-        defect_norm=defect_norm,
+        defect_norm=singular[:, 0],
         outside_residual=outside_residual,
         cross_check_residual=cross,
     )
@@ -313,9 +317,11 @@ def uniform_bound_certificate(
     """Max norm over the closure, beside the bound 1 + 2|z|/(1-|z|)."""
     z = _check_z(z)
     bound = 1.0 + 2.0 * abs(z) / (1.0 - abs(z))
-    max_norm, argmax = worst_of(np.fromiter(
-        (operator_norm(dense_bounded_rep(rooted, g, z)) for g in closure), float
-    ))
+    images = closure.images
+    max_norm, argmax = worst_of(np.concatenate([
+        operator_norm(dense_bounded_rep(rooted, images[block], z))
+        for block in element_blocks(len(images), rooted.n)
+    ]))
     return BoundCertificate(
         z=z,
         bound=bound,
@@ -331,70 +337,59 @@ def uniform_bound_certificate(
 
 
 def conjugation_equivalence_residual(
-    rooted: RootedTree, g: Automorphism, t: float
-) -> float:
-    """Entrywise gap between the unitary member at t and the rank-one
-    conjugation of the bounded member at z = t.
+    rooted: RootedTree, images: np.ndarray, t: float
+) -> np.ndarray:
+    """Per element of the block, the entrywise gap between the unitary
+    member at t and the rank-one conjugation of the bounded member at z = t.
 
     The conjugator is the identity off the origin and scales the origin
     coordinate by sqrt(1 - t^2).
     """
     t = _check_t(t)
     scale = math.sqrt(1.0 - t * t)
-    rhs = dense_bounded_rep(rooted, g, t)
-    rhs[rooted.origin, :] *= 1.0 / scale
-    rhs[:, rooted.origin] *= scale
-    return float(np.abs(dense_unitary_rep(rooted, g, t) - rhs).max())
+    rhs = dense_bounded_rep(rooted, images, t)
+    rhs[:, rooted.origin, :] *= 1.0 / scale
+    rhs[:, :, rooted.origin] *= scale
+    return np.abs(dense_unitary_rep(rooted, images, t) - rhs).max(axis=(1, 2))
 
 
 def homomorphism_residual(
-    rooted: RootedTree, g: Automorphism, h: Automorphism, kind: str, parameter
-) -> float:
-    """Entrywise gap between rep(g h) and rep(g) rep(h)."""
-    gh = g.compose(h)
+    rooted: RootedTree, g_images: np.ndarray, h_images: np.ndarray, kind: str, parameter
+) -> np.ndarray:
+    """Per pair (g, h) of rows of the two blocks, the entrywise gap between
+    rep(g h) and rep(g) rep(h)."""
+    gh = np.take_along_axis(g_images, h_images, axis=1)  # g(h(x))
     lhs = _dense_rep(rooted, gh, kind, parameter)
-    rhs = _dense_rep(rooted, g, kind, parameter) @ _dense_rep(
-        rooted, h, kind, parameter
+    rhs = _dense_rep(rooted, g_images, kind, parameter) @ _dense_rep(
+        rooted, h_images, kind, parameter
     )
-    return float(np.abs(lhs - rhs).max())
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    t: float
-    dist_to_limit: float
-    dist_to_pi0: float
+    return np.abs(lhs - rhs).max(axis=(1, 2))
 
 
 def homotopy_curve(
-    rooted: RootedTree, g: Automorphism, t_grid: Sequence[float]
-) -> list[CurvePoint]:
+    rooted: RootedTree, images: np.ndarray, t_grid: Sequence[float]
+) -> np.ndarray:
     """Spectral-norm distances from the unitary member at each grid t to
-    the limit representation and to the plain permutation action.
+    the limit representation (row 0) and to the plain permutation action
+    (row 1) of the (2, k, len(t_grid)) result.
 
     On a finite tree vector-wise and norm convergence coincide, so the
-    first column decreasing to zero certifies the approach to the limit.
+    first row decreasing to zero certifies the approach to the limit.
     A grid value of exactly 1.0 refers to the limit representation itself.
     """
-    limit = dense_limit_rep(rooted, g)
-    pi0 = dense_pi0(rooted.n, g)
-    points = []
-    for t in t_grid:
-        rep = limit if t == 1.0 else dense_unitary_rep(rooted, g, t)
-        points.append(
-            CurvePoint(
-                t=float(t),
-                dist_to_limit=float(np.linalg.norm(rep - limit, 2)),
-                dist_to_pi0=float(np.linalg.norm(rep - pi0, 2)),
-            )
-        )
-    return points
+    limit, pi0 = dense_limit_rep(rooted, images), dense_pi0(rooted.n, images)
+    curve = np.empty((2, len(images), len(t_grid)))
+    for i, t in enumerate(t_grid):
+        rep = limit if t == 1.0 else dense_unitary_rep(rooted, images, t)
+        curve[:, :, i] = operator_norm(rep - limit), operator_norm(rep - pi0)
+    return curve
 
 
-def curve_to_csv(points: Sequence[CurvePoint]) -> str:
+def curve_to_csv(t_grid: Sequence[float], curve: np.ndarray) -> str:
+    """One element's curve, a (2, len(t_grid)) slice of homotopy_curve."""
     lines = ["t,dist_to_limit,dist_to_pi0"]
-    for p in points:
-        lines.append(f"{p.t:.17g},{p.dist_to_limit:.17g},{p.dist_to_pi0:.17g}")
+    for t, to_limit, to_pi0 in zip(t_grid, *curve):
+        lines.append(f"{float(t):.17g},{to_limit:.17g},{to_pi0:.17g}")
     return "\n".join(lines) + "\n"
 
 

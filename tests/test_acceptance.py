@@ -44,6 +44,7 @@ from treelab.reps import (
     dense_pi0,
     dense_unitary_rep,
     displacement,
+    element_blocks,
     finite_rank_defect,
     homomorphism_residual,
     homotopy_curve,
@@ -183,11 +184,12 @@ def test_criterion_04_bounded_family(closure_corpus, record_criterion):
         )
         for rooted in defect_roots:
             for z in z_values:
-                for g in closure:
-                    rep = finite_rank_defect(rooted, g, "bounded", z)
-                    worst_local = max(worst_local, rep.outside_residual)
-                    worst_cross = max(worst_cross, rep.cross_check_residual)
-                    rank_ok = rank_ok and rep.rank <= rep.displacement + 1
+                for block in element_blocks(len(closure), tree.n):
+                    images = closure.images[block]
+                    rep = finite_rank_defect(rooted, images, "bounded", z)
+                    worst_local = max(worst_local, rep.outside_residual.max())
+                    worst_cross = max(worst_cross, rep.cross_check_residual.max())
+                    rank_ok = rank_ok and (rep.rank <= rep.displacement + 1).all()
         for rooted in rooted_pairs(tree):
             for z in z_values:
                 cert = uniform_bound_certificate(rooted, closure, z)
@@ -221,34 +223,36 @@ def test_criterion_05_unitary_family(
         n = tree.n
         for rooted in rooted_pairs(tree):
             for t in DEFAULT_T_GRID:
-                for g in closure:
-                    rep = dense_unitary_rep(rooted, g, t)
-                    worst_unitary = max(
-                        worst_unitary, np.abs(rep.conj().T @ rep - np.eye(n)).max()
-                    )
+                for block in element_blocks(len(closure), n):
+                    images = closure.images[block]
+                    rep = dense_unitary_rep(rooted, images, t)
+                    gram = rep.conj().swapaxes(1, 2) @ rep
+                    worst_unitary = max(worst_unitary, np.abs(gram - np.eye(n)).max())
                     if t > 0.0:
                         worst_equiv = max(
                             worst_equiv,
-                            conjugation_equivalence_residual(rooted, g, t),
+                            conjugation_equivalence_residual(rooted, images, t).max(),
                         )
     for spec, tree, closure in small_group_corpus:
         rooted = root_at(tree, tree.n - 1)
-        for g in closure:
-            for h in closure:
-                for t in (0.3, 0.9):
-                    worst_hom = max(
-                        worst_hom,
-                        homomorphism_residual(rooted, g, h, "unitary", t),
-                    )
+        g, h = np.divmod(np.arange(len(closure) ** 2), len(closure))
+        for t in (0.3, 0.9):
+            worst_hom = max(
+                worst_hom,
+                homomorphism_residual(
+                    rooted, closure.images[g], closure.images[h], "unitary", t
+                ).max(),
+            )
     # the 3072-element group contributes a seeded sample of pairs
     _, tree, closure = next(c for c in closure_corpus if c[1].n == 22)
     rooted = root_at(tree, tree.n - 1)
     rng = np.random.default_rng(0xA11CE)
     pair_idx = rng.integers(0, len(closure), size=(4096, 2))
-    for i, j in pair_idx:
+    for block in element_blocks(len(pair_idx), tree.n):
+        g, h = closure.images[pair_idx[block]].swapaxes(0, 1)
         worst_hom = max(
             worst_hom,
-            homomorphism_residual(rooted, closure[i], closure[j], "unitary", 0.9),
+            homomorphism_residual(rooted, g, h, "unitary", 0.9).max(),
         )
     passed = (
         worst_unitary <= UNITARITY_TOL
@@ -298,26 +302,24 @@ def test_criterion_07_limit_approach(closure_corpus, record_criterion):
     for spec, tree, closure in closure_corpus:
         for rooted in rooted_pairs(tree):
             for g in closure:
-                d = displacement(rooted, g)
                 for t in DEFAULT_T_GRID + (0.999,):
                     sphere_worst = max(
                         sphere_worst, origin_sphere_residual(rooted, g, t)
                     )
-                values = [
-                    p.dist_to_limit
-                    for p in homotopy_curve(rooted, g, (0.9, 0.99, 0.999))
-                ]
-                if d == 0:
-                    monotone_ok = monotone_ok and max(values) <= UNITARITY_TOL
-                elif d <= 6:
-                    monotone_ok = monotone_ok and values[0] > values[1] > values[2]
+            for block in element_blocks(len(closure), tree.n):
+                images = closure.images[block]
+                curves = homotopy_curve(rooted, images, (0.9, 0.99, 0.999))[0]
+                for values, d in zip(curves, displacement(rooted, images)):
+                    if d == 0:
+                        monotone_ok = monotone_ok and max(values) <= UNITARITY_TOL
+                    elif d <= 6:
+                        monotone_ok = monotone_ok and values[0] > values[1] > values[2]
     # the two-vertex path has the exact closed form sqrt(2 (1 - t))
     rooted = root_at(make_path(2), 0)
-    swap = full_automorphism_group(rooted.tree)[1]
-    for p in homotopy_curve(rooted, swap, (0.9, 0.99, 0.999)):
-        p2_worst = max(
-            p2_worst, abs(p.dist_to_limit - math.sqrt(2 * (1 - p.t)))
-        )
+    swap = full_automorphism_group(rooted.tree).images[1:2]
+    grid = (0.9, 0.99, 0.999)
+    for t, dist in zip(grid, homotopy_curve(rooted, swap, grid)[0, 0]):
+        p2_worst = max(p2_worst, abs(dist - math.sqrt(2 * (1 - t))))
     passed = monotone_ok and sphere_worst <= IDENTITY_TOL and p2_worst <= 1e-10
     record_criterion(
         "C07 limit-approach",
@@ -346,12 +348,10 @@ def test_criterion_07_limit_gap_ceiling(closure_corpus, record_criterion):
     worst = 0.0
     for spec, tree, closure in closure_corpus:
         for rooted in rooted_pairs(tree):
-            for g in closure:
-                d = displacement(rooted, g)
-                if not 1 <= d <= 6:
-                    continue
-                (point,) = homotopy_curve(rooted, g, (0.999,))
-                worst = max(worst, point.dist_to_limit)
+            d = displacement(rooted, closure.images)
+            images = closure.images[(1 <= d) & (d <= 6)]
+            if len(images):
+                worst = max(worst, homotopy_curve(rooted, images, (0.999,))[0].max())
     record_criterion(
         "C07 limit-gap-ceiling",
         worst < 0.05,
@@ -440,23 +440,24 @@ def test_criterion_10_endpoints_and_continuity(closure_corpus, record_criterion)
     for spec, tree, closure in closure_corpus:
         n = tree.n
         for rooted in rooted_pairs(tree):
-            for g in closure:
+            for block in element_blocks(len(closure), n):
+                images = closure.images[block]
                 gap = np.abs(
-                    dense_unitary_rep(rooted, g, 0.0) - dense_pi0(n, g)
+                    dense_unitary_rep(rooted, images, 0.0) - dense_pi0(n, images)
                 ).max()
                 start_exact = start_exact and gap == 0.0
                 # the limit member, sparse-applier route vs dense route,
                 # plus its unitarity
-                dense = dense_limit_rep(rooted, g)
-                sparse = materialize(limit_rep_operator(rooted, g))
-                worst_limit = max(worst_limit, np.abs(dense - sparse).max())
-                worst_limit = max(
-                    worst_limit, np.abs(dense.conj().T @ dense - np.eye(n)).max()
-                )
-                reps = [dense_unitary_rep(rooted, g, t) for t in DEFAULT_T_GRID]
+                limits = dense_limit_rep(rooted, images)
+                for dense, g in zip(limits, closure.elements[block]):
+                    sparse = materialize(limit_rep_operator(rooted, g))
+                    worst_limit = max(worst_limit, np.abs(dense - sparse).max())
+                gram = limits.conj().swapaxes(1, 2) @ limits
+                worst_limit = max(worst_limit, np.abs(gram - np.eye(n)).max())
+                reps = [dense_unitary_rep(rooted, images, t) for t in DEFAULT_T_GRID]
                 for i in range(len(reps) - 1):
                     step = DEFAULT_T_GRID[i + 1] - DEFAULT_T_GRID[i]
-                    dist = float(np.linalg.norm(reps[i + 1] - reps[i], 2))
+                    dist = np.linalg.norm(reps[i + 1] - reps[i], 2, axis=(1, 2)).max()
                     worst_ratio = max(worst_ratio, dist / (LIPSCHITZ_FACTOR * step))
     passed = start_exact and worst_limit <= UNITARITY_TOL and worst_ratio <= 1.0
     record_criterion(

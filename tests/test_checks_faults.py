@@ -20,12 +20,12 @@ from treelab.trees import make_path, make_star, root_at
 
 
 def _nan_unitary_at_half(original):
-    def patched(rooted, g, t):
-        mat = original(rooted, g, t)
+    def patched(rooted, images, t):
+        stack = original(rooted, images, t)
         if t == 0.5:
-            mat = mat.copy()
-            mat[0, 0] = np.nan
-        return mat
+            stack = stack.copy()
+            stack[:, 0, 0] = np.nan
+        return stack
 
     return patched
 
@@ -43,35 +43,47 @@ def _nan_block(original):
 
 
 def _inf_bounded(original):
-    def patched(rooted, g, z):
-        mat = original(rooted, g, z).copy()
-        mat[0, 0] = np.inf
-        return mat
+    def patched(rooted, images, z):
+        stack = original(rooted, images, z).copy()
+        stack[:, 0, 0] = np.inf
+        return stack
 
     return patched
 
 
 def _flip_one_member(original):
     # -rho is unitary too, but it lies about 2 away from its grid neighbours
-    def patched(rooted, g, t):
-        mat = original(rooted, g, t)
-        return -mat if t == 0.5 and g.images == (0, 2, 1, 3) else mat
+    def patched(rooted, images, t):
+        stack = original(rooted, images, t)
+        if t == 0.5:
+            flip = (images == (0, 2, 1, 3)).all(axis=1)
+            stack = np.where(flip[:, None, None], -stack, stack)
+        return stack
 
     return patched
 
 
-def _breaks_curve(g) -> bool:
+def _inverse_members(original):
+    # each unitary member built from g^-1: an anti-homomorphism, which the
+    # homomorphism law catches on the non-abelian group of star:4
+    def patched(rooted, images, t):
+        return original(rooted, np.argsort(images, axis=1), t)
+
+    return patched
+
+
+def _breaks_curve(images) -> np.ndarray:
     # on star:4 two elements fix leaf 1: the identity and the swap of leaves
     # 2 and 3; at the leaf origin 3 the first fixes the origin and the second
     # moves it, so both branches of the rule are broken
-    return g(1) == 1
+    return images[:, 1] == 1
 
 
 def _rising_curve(original):
-    def patched(rooted, g, t_grid):
-        if not _breaks_curve(g):
-            return original(rooted, g, t_grid)
-        return [reps.CurvePoint(t, 1.0 + t, 0.0) for t in t_grid]
+    def patched(rooted, images, t_grid):
+        curve = original(rooted, images, t_grid).copy()
+        curve[0, _breaks_curve(images)] = 1.0 + np.asarray(t_grid)
+        return curve
 
     return patched
 
@@ -101,6 +113,12 @@ FAULTS = {
     ),
     "rising-curve": (
         reps, "homotopy_curve", _rising_curve, {"limit-monotone"}, set(),
+    ),
+    "inverse-members": (
+        reps, "dense_unitary_rep", _inverse_members,
+        {"homomorphism", "conjugation-equivalence", "endpoint-start",
+         "limit-monotone"},
+        set(),
     ),
 }
 
@@ -169,7 +187,7 @@ def test_max_abs_keeps_a_nan_coefficient():
 def test_limit_monotone_counts_the_broken_curves(monkeypatch, tmp_path):
     monkeypatch.setattr(reps, "homotopy_curve", _rising_curve(reps.homotopy_curve))
     tree = make_star(4)
-    broken = sum(_breaks_curve(g) for g in full_automorphism_group(tree))
+    broken = int(_breaks_curve(full_automorphism_group(tree).images).sum())
     assert 0 < broken < 6
 
     assert main(["check", "--tree", "star:4", "--out", str(tmp_path)]) == 1
@@ -193,7 +211,7 @@ def test_defect_rank_is_nan_on_a_non_finite_defect(monkeypatch):
         reps, "dense_bounded_rep", _inf_bounded(reps.dense_bounded_rep)
     )
     tree = make_path(2)
-    swap = full_automorphism_group(tree)[1]
+    swap = full_automorphism_group(tree).images[1:2]
     rep = reps.finite_rank_defect(root_at(tree, 0), swap, "bounded", 0.5)
-    assert rep.displacement + 1 == tree.n
-    assert math.isnan(rep.rank)
+    assert rep.displacement[0] + 1 == tree.n
+    assert math.isnan(rep.rank[0])

@@ -9,9 +9,7 @@ from treelab.groups import (
     full_automorphism_group,
     identity_automorphism,
     parse_automorphisms,
-    pi0_apply,
     pi0_operator,
-    pi1_apply,
     pi1_operator,
     serialize_automorphisms,
     verify_automorphism,
@@ -98,6 +96,9 @@ class TestClosure:
         closure = close_group(make_star(4), [[0, 2, 3, 1]])
         assert closure[0].is_identity
         assert list(closure.elements) == sorted(closure.elements, key=lambda g: g.images)
+        # the same elements as one read-only block of image arrays
+        assert closure.images.tolist() == [list(g.images) for g in closure]
+        assert not closure.images.flags.writeable
 
     def test_generator_indices(self):
         gen = [0, 2, 3, 1]
@@ -172,19 +173,21 @@ class TestVertexAction:
     def test_swap_on_p2(self):
         tree = make_path(2)
         g = verify_automorphism(tree, [1, 0])
-        assert pi0_apply(g, delta_vertex(tree, 0)) == delta_vertex(tree, 1)
+        image = pi0_operator(tree, g).apply(delta_vertex(tree, 0))
+        assert image == delta_vertex(tree, 1)
 
     def test_identity_action(self):
         tree = make_path(3)
         v = VertexVector(3, {0: 1j, 2: -2})
-        assert pi0_apply(identity_automorphism(3), v) == v
+        assert pi0_operator(tree, identity_automorphism(3)).apply(v) == v
 
     def test_norm_preserved(self):
         tree = make_star(4)
         rng = np.random.default_rng(3)
         v = VertexVector(4, {i: complex(*rng.standard_normal(2)) for i in range(4)})
         for g in full_automorphism_group(tree):
-            assert pi0_apply(g, v).norm() == pytest.approx(v.norm(), rel=1e-15)
+            image = pi0_operator(tree, g).apply(v)
+            assert image.norm() == pytest.approx(v.norm(), rel=1e-15)
 
     def test_unitary_and_homomorphism_dense(self):
         tree = make_star(4)
@@ -200,21 +203,20 @@ class TestEdgeAction:
     def test_swap_on_p2_picks_up_sign(self):
         tree = make_path(2)
         g = verify_automorphism(tree, [1, 0])
-        out = pi1_apply(tree, g, EdgeVector(1, {0: 1}))
+        out = pi1_operator(tree, g).apply(EdgeVector(1, {0: 1}))
         assert out == EdgeVector(1, {0: -1})
 
     def test_identity(self):
         tree = make_path(3)
         w = EdgeVector(2, {0: 1j, 1: 2})
-        assert pi1_apply(tree, identity_automorphism(3), w) == w
+        assert pi1_operator(tree, identity_automorphism(3)).apply(w) == w
 
     def test_matches_delta_edge_transport(self):
         tree = make_random(12, seed=6)
         for g in full_automorphism_group(tree):
             for u, v in tree.edges:
-                assert pi1_apply(tree, g, delta_edge(tree, u, v)) == delta_edge(
-                    tree, g(u), g(v)
-                )
+                image = pi1_operator(tree, g).apply(delta_edge(tree, u, v))
+                assert image == delta_edge(tree, g(u), g(v))
 
     def test_unitary_and_homomorphism_dense(self):
         tree = make_star(5)

@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from treelab.checks import DEFAULT_T_GRID, TOLERANCES
+from treelab import reps
+from treelab.checks import DEFAULT_T_GRID, TOLERANCES, SuiteConfig, report_to_json
+from treelab.checks import run_check_suite
 from treelab.groups import (
     close_group,
     full_automorphism_group,
@@ -20,6 +23,7 @@ from treelab.reps import (
     dense_pi0,
     dense_unitary_rep,
     displacement,
+    element_blocks,
     finite_rank_defect,
     homomorphism_residual,
     homotopy_curve,
@@ -35,6 +39,11 @@ from treelab.trees import make_path, make_random, make_star, root_at
 T_GRID = (0.0, 0.3, 0.6, 0.9, 0.99)
 
 
+def block(*elements):
+    """The (k, n) image block of the given automorphisms."""
+    return np.array([g.images for g in elements], dtype=np.intp)
+
+
 @pytest.fixture(scope="module")
 def star4_leaf_rooted():
     tree = make_star(4)
@@ -45,8 +54,12 @@ def oracle_bounded(rooted, g, z):
     """Independent oracle: generic matrix inversion, no path formulas."""
     n = rooted.n
     one_minus = np.eye(n) - z * materialize(parent_shift_operator(rooted))
-    pi0 = dense_pi0(n, g)
-    return np.linalg.inv(one_minus) @ pi0 @ one_minus
+    return np.linalg.inv(one_minus) @ oracle_pi0(g) @ one_minus
+
+
+def oracle_pi0(g):
+    """Independent oracle: column x is the basis vector at g(x)."""
+    return np.eye(len(g.images))[:, list(g.images)]
 
 
 def oracle_deformation(rooted, t):
@@ -65,7 +78,7 @@ def oracle_deformation(rooted, t):
 def oracle_unitary(rooted, g, t):
     """Independent oracle: the deformation inverted generically."""
     deform = oracle_deformation(rooted, t)
-    return np.linalg.inv(deform) @ dense_pi0(rooted.n, g) @ deform
+    return np.linalg.inv(deform) @ oracle_pi0(g) @ deform
 
 
 def oracle_limit(rooted, g):
@@ -85,21 +98,64 @@ def oracle_limit(rooted, g):
     return f.T @ pi1 @ f + p0
 
 
+def all_pairs(group):
+    """The image blocks of g and of h over every pair (g, h), g-major."""
+    g, h = np.divmod(np.arange(len(group) ** 2), len(group))
+    return group.images[g], group.images[h]
+
+
 @pytest.fixture(scope="module")
 def random14_rooted():
     tree = make_random(14, seed=4)
     return root_at(tree, 9), full_automorphism_group(tree, max_vertices=14)
 
 
+class TestStacks:
+    @pytest.mark.parametrize("corpus", ["random14_rooted", "star4_leaf_rooted"])
+    def test_every_member_matches_its_oracle(self, corpus, request):
+        rooted, group = request.getfixturevalue(corpus)
+        for z in (0.5, 0.3 + 0.4j):
+            for dense, g in zip(dense_bounded_rep(rooted, group.images, z), group):
+                assert np.abs(dense - oracle_bounded(rooted, g, z)).max() <= 1e-12
+        for t in (0.0, 0.5, 0.9):
+            for dense, g in zip(dense_unitary_rep(rooted, group.images, t), group):
+                assert np.abs(dense - oracle_unitary(rooted, g, t)).max() <= 1e-12
+        for dense, g in zip(dense_limit_rep(rooted, group.images), group):
+            assert np.abs(dense - oracle_limit(rooted, g)).max() == 0.0
+
+    def test_element_blocks_cover_the_elements_in_order(self, monkeypatch):
+        per_block = reps.STACK_BYTES // (16 * 22 * 22)
+        blocks = element_blocks(1024, 22)
+        sizes = [b.stop - b.start for b in blocks]
+        assert sizes[:-1] == [per_block] * (len(blocks) - 1)
+        assert np.concatenate([np.arange(1024)[b] for b in blocks]).tolist() == list(
+            range(1024)
+        )
+        monkeypatch.setattr(reps, "STACK_BYTES", 1)
+        assert element_blocks(3, 200) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    @pytest.mark.parametrize("spec", ["star:5", "random:12,3"])
+    def test_block_size_changes_no_report(self, spec, monkeypatch):
+        def report():
+            payload = json.loads(report_to_json(run_check_suite(SuiteConfig(spec))))
+            payload.pop("timings")
+            return json.dumps(payload, indent=2)
+
+        default = report()
+        # one element, or one pair, per block
+        monkeypatch.setattr(reps, "STACK_BYTES", 1)
+        assert report() == default
+
+
 class TestBoundedFamily:
     def test_z_zero_is_plain_action(self):
         rooted = root_at(make_path(3), 0)
-        g = verify_automorphism(rooted.tree, [2, 1, 0])
+        g = block(verify_automorphism(rooted.tree, [2, 1, 0]))
         assert np.abs(dense_bounded_rep(rooted, g, 0.0) - dense_pi0(3, g)).max() == 0.0
 
     def test_identity_element(self):
         rooted = root_at(make_star(4), 1)
-        e = identity_automorphism(4)
+        e = block(identity_automorphism(4))
         for z in (0.2, 0.5j, -0.7):
             assert np.abs(dense_bounded_rep(rooted, e, z) - np.eye(4)).max() <= 1e-15
 
@@ -115,10 +171,11 @@ class TestBoundedFamily:
     def test_dense_and_applier_match_oracle(self):
         rooted = root_at(make_random(14, seed=3), 5)
         group = full_automorphism_group(rooted.tree, max_vertices=14)
-        for g in group:
-            for z in (0.5, 0.3 + 0.4j):
+        for z in (0.5, 0.3 + 0.4j):
+            stack = dense_bounded_rep(rooted, group.images, z)
+            for dense, g in zip(stack, group):
                 oracle = oracle_bounded(rooted, g, z)
-                assert np.abs(dense_bounded_rep(rooted, g, z) - oracle).max() <= 1e-12
+                assert np.abs(dense - oracle).max() <= 1e-12
                 assert np.abs(
                     materialize(bounded_rep_operator(rooted, g, z)) - oracle
                 ).max() <= 1e-12
@@ -132,9 +189,8 @@ class TestBoundedFamily:
 
     def test_homomorphism_in_g(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for g in group:
-            for h in group:
-                assert homomorphism_residual(rooted, g, h, "bounded", 0.4) <= 1e-12
+        g, h = all_pairs(group)
+        assert homomorphism_residual(rooted, g, h, "bounded", 0.4).max() <= 1e-12
 
 
 class TestUnitaryFamily:
@@ -152,26 +208,26 @@ class TestUnitaryFamily:
 
     def test_unitary_on_grid(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for g in group:
-            for t in T_GRID:
-                rep = dense_unitary_rep(rooted, g, t)
+        for t in T_GRID:
+            for rep in dense_unitary_rep(rooted, group.images, t):
                 assert np.abs(rep.conj().T @ rep - np.eye(4)).max() <= 1e-11
 
     def test_dense_and_applier_match_oracle(self, random14_rooted):
         rooted, group = random14_rooted
-        assert [displacement(rooted, g) > 0 for g in group] == [False, False, True, True]
-        for g in group:
-            for t in (0.0, 0.5, 0.9):
+        moved = displacement(rooted, group.images) > 0
+        assert moved.tolist() == [False, False, True, True]
+        for t in (0.0, 0.5, 0.9):
+            stack = dense_unitary_rep(rooted, group.images, t)
+            for dense, g in zip(stack, group):
                 oracle = oracle_unitary(rooted, g, t)
-                assert np.abs(dense_unitary_rep(rooted, g, t) - oracle).max() <= 1e-12
+                assert np.abs(dense - oracle).max() <= 1e-12
                 assert np.abs(
                     materialize(unitary_rep_operator(rooted, g, t)) - oracle
                 ).max() <= 1e-12
 
     def test_dense_matches_applier(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for g in group:
-            dense = dense_unitary_rep(rooted, g, 0.7)
+        for dense, g in zip(dense_unitary_rep(rooted, group.images, 0.7), group):
             sparse = materialize(unitary_rep_operator(rooted, g, 0.7))
             assert np.abs(dense - sparse).max() <= 1e-13
 
@@ -184,27 +240,26 @@ class TestUnitaryFamily:
 
     def test_conjugation_equivalence(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        assert conjugation_equivalence_residual(rooted, group[1], 0.0) == 0.0
-        for g in group:
-            for t in (0.3, 0.5, 0.9):
-                assert conjugation_equivalence_residual(rooted, g, t) <= 1e-12
+        assert conjugation_equivalence_residual(rooted, group.images[1:2], 0.0) == 0.0
+        for t in (0.3, 0.5, 0.9):
+            gaps = conjugation_equivalence_residual(rooted, group.images, t)
+            assert gaps.max() <= 1e-12
 
     def test_homomorphism_in_g(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for g in group:
-            for h in group:
-                assert homomorphism_residual(rooted, g, h, "unitary", 0.7) <= 1e-11
+        g, h = all_pairs(group)
+        assert homomorphism_residual(rooted, g, h, "unitary", 0.7).max() <= 1e-11
 
 
 class TestLimitRep:
     def test_p2_swap_is_diagonal(self):
         rooted = root_at(make_path(2), 0)
-        g = verify_automorphism(rooted.tree, [1, 0])
+        g = block(verify_automorphism(rooted.tree, [1, 0]))
         assert np.abs(dense_limit_rep(rooted, g) - np.diag([1.0, -1.0])).max() == 0.0
 
     def test_identity_element(self):
         rooted = root_at(make_star(5), 2)
-        e = identity_automorphism(5)
+        e = block(identity_automorphism(5))
         assert np.abs(dense_limit_rep(rooted, e) - np.eye(5)).max() == 0.0
 
     def test_origin_always_fixed(self, star4_leaf_rooted):
@@ -216,23 +271,21 @@ class TestLimitRep:
 
     def test_unitary_and_homomorphism(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for g in group:
-            rep = dense_limit_rep(rooted, g)
+        for rep in dense_limit_rep(rooted, group.images):
             assert np.abs(rep.conj().T @ rep - np.eye(4)).max() <= 1e-14
-            for h in group:
-                assert homomorphism_residual(rooted, g, h, "limit", None) <= 1e-14
+        g, h = all_pairs(group)
+        assert homomorphism_residual(rooted, g, h, "limit", None).max() <= 1e-14
 
     def test_dense_and_applier_match_oracle(self, random14_rooted):
         rooted, group = random14_rooted
-        for g in group:
+        for dense, g in zip(dense_limit_rep(rooted, group.images), group):
             oracle = oracle_limit(rooted, g)
-            assert np.abs(dense_limit_rep(rooted, g) - oracle).max() == 0.0
+            assert np.abs(dense - oracle).max() == 0.0
             assert np.abs(materialize(limit_rep_operator(rooted, g)) - oracle).max() == 0.0
 
     def test_dense_matches_applier(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for g in group:
-            dense = dense_limit_rep(rooted, g)
+        for dense, g in zip(dense_limit_rep(rooted, group.images), group):
             sparse = materialize(limit_rep_operator(rooted, g))
             assert np.abs(dense - sparse).max() == 0.0
 
@@ -240,47 +293,46 @@ class TestLimitRep:
 class TestDefect:
     def test_identity_has_no_defect(self):
         rooted = root_at(make_path(4), 0)
-        rep = finite_rank_defect(rooted, identity_automorphism(4), "bounded", 0.5)
-        assert rep.rank == 0
-        assert rep.support == ()
-        assert rep.defect_norm == 0.0
+        e = block(identity_automorphism(4))
+        rep = finite_rank_defect(rooted, e, "bounded", 0.5)
+        assert rep.rank.tolist() == [0]
+        assert not rep.support.any()
+        assert rep.defect_norm.tolist() == [0.0]
 
     def test_p3_end_swap(self):
         rooted = root_at(make_path(3), 0)
-        g = verify_automorphism(rooted.tree, [2, 1, 0])
+        g = block(verify_automorphism(rooted.tree, [2, 1, 0]))
         rep = finite_rank_defect(rooted, g, "bounded", 0.5)
-        assert rep.displacement == 2
-        assert set(rep.support) <= {0, 1, 2}
-        assert rep.rank <= 3
-        assert rep.defect_norm <= 2 * 0.5 / (1 - 0.5) + 1e-10
-        assert rep.cross_check_residual <= 1e-12
+        assert rep.displacement.tolist() == [2]
+        assert rep.support.shape == (1, 3)
+        assert rep.rank[0] <= 3
+        assert rep.defect_norm[0] <= 2 * 0.5 / (1 - 0.5) + 1e-10
+        assert rep.cross_check_residual[0] <= 1e-12
 
     def test_locality_off_the_segment(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for g in group:
-            for kind, param in (("bounded", 0.5), ("unitary", 0.9), ("limit", None)):
-                rep = finite_rank_defect(rooted, g, kind, param)
-                assert rep.outside_residual <= 1e-12
-                assert set(rep.support) <= set(rep.segment)
-                assert rep.rank <= len(rep.support)
-                assert rep.rank <= rep.displacement + 1
+        for kind, param in (("bounded", 0.5), ("unitary", 0.9), ("limit", None)):
+            rep = finite_rank_defect(rooted, group.images, kind, param)
+            assert (rep.outside_residual <= 1e-12).all()
+            assert not (rep.support & ~rep.segment).any()
+            assert (rep.rank <= rep.support.sum(axis=1)).all()
+            assert (rep.rank <= rep.displacement + 1).all()
 
     def test_stabilizer_elements_are_defect_free(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for g in group:
-            if g(rooted.origin) != rooted.origin:
-                continue
-            rep = finite_rank_defect(rooted, g, "bounded", 0.9)
-            assert rep.rank == 0
-            assert rep.defect_norm <= 1e-12
+        stabilizer = group.images[group.images[:, rooted.origin] == rooted.origin]
+        assert len(stabilizer) == 2
+        rep = finite_rank_defect(rooted, stabilizer, "bounded", 0.9)
+        assert (rep.rank == 0).all()
+        assert (rep.defect_norm <= 1e-12).all()
 
     def test_norm_bound_from_series(self):
         rooted = root_at(make_path(8), 0)
-        g = verify_automorphism(rooted.tree, list(reversed(range(8))))
+        g = block(verify_automorphism(rooted.tree, list(reversed(range(8)))))
         for z in (0.25, 0.5, 0.9):
             rep = finite_rank_defect(rooted, g, "bounded", z)
-            assert rep.defect_norm <= 2 * z / (1 - z) + 1e-9
-            assert rep.cross_check_residual <= 1e-11
+            assert rep.defect_norm[0] <= 2 * z / (1 - z) + 1e-9
+            assert rep.cross_check_residual[0] <= 1e-11
 
 
 class TestUniformBound:
@@ -304,7 +356,7 @@ class TestUniformBound:
         cert = uniform_bound_certificate(rooted, group, 0.9)
         assert cert.max_norm <= cert.bound + 1e-8
         assert cert.max_norm > 1.5  # the reversal genuinely deforms the action
-        assert displacement(rooted, group[cert.argmax_index]) == 5
+        assert displacement(rooted, group.images)[cert.argmax_index] == 5
 
     def test_capped_word_sample_on_radius_four_tree(self):
         # the radius-4 trivalent tree's full group is astronomically large;
@@ -348,47 +400,44 @@ class TestUniformBound:
 class TestHomotopy:
     def test_p2_closed_form_curve(self):
         rooted = root_at(make_path(2), 0)
-        g = verify_automorphism(rooted.tree, [1, 0])
-        points = homotopy_curve(rooted, g, (0.9, 0.99, 0.999))
-        for p in points:
-            assert p.dist_to_limit == pytest.approx(
-                math.sqrt(2 * (1 - p.t)), abs=1e-10
-            )
+        g = block(verify_automorphism(rooted.tree, [1, 0]))
+        grid = (0.9, 0.99, 0.999)
+        to_limit = homotopy_curve(rooted, g, grid)[0, 0]
+        for t, dist in zip(grid, to_limit):
+            assert dist == pytest.approx(math.sqrt(2 * (1 - t)), abs=1e-10)
 
     def test_t_zero_row(self):
         rooted = root_at(make_path(4), 0)
-        g = verify_automorphism(rooted.tree, [3, 2, 1, 0])
-        (point,) = homotopy_curve(rooted, g, (0.0,))
-        assert point.dist_to_pi0 <= 1e-15
+        g = block(verify_automorphism(rooted.tree, [3, 2, 1, 0]))
+        (to_pi0,) = homotopy_curve(rooted, g, (0.0,))[1, 0]
+        assert to_pi0 <= 1e-15
 
     def test_identity_curve_is_zero(self):
         rooted = root_at(make_star(4), 1)
-        points = homotopy_curve(rooted, identity_automorphism(4), (0.0, 0.5, 0.9, 1.0))
-        for p in points:
-            assert p.dist_to_limit <= 1e-14
-            assert p.dist_to_pi0 <= 1e-14
+        e = block(identity_automorphism(4))
+        curve = homotopy_curve(rooted, e, (0.0, 0.5, 0.9, 1.0))
+        assert curve.shape == (2, 1, 4)
+        assert (curve <= 1e-14).all()
 
     def test_grid_value_one_means_limit(self):
         rooted = root_at(make_path(3), 0)
-        g = verify_automorphism(rooted.tree, [2, 1, 0])
-        (point,) = homotopy_curve(rooted, g, (1.0,))
-        assert point.dist_to_limit == 0.0
+        g = block(verify_automorphism(rooted.tree, [2, 1, 0]))
+        (to_limit,) = homotopy_curve(rooted, g, (1.0,))[0, 0]
+        assert to_limit == 0.0
 
     def test_monotone_approach(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for g in group:
-            values = [
-                p.dist_to_limit for p in homotopy_curve(rooted, g, (0.9, 0.99, 0.999))
-            ]
-            if displacement(rooted, g) == 0:
+        curves = homotopy_curve(rooted, group.images, (0.9, 0.99, 0.999))[0]
+        for values, d in zip(curves, displacement(rooted, group.images)):
+            if d == 0:
                 assert max(values) <= 1e-12
             else:
                 assert values[0] > values[1] > values[2]
 
     def test_csv_format(self):
         rooted = root_at(make_path(2), 0)
-        g = verify_automorphism(rooted.tree, [1, 0])
-        text = curve_to_csv(homotopy_curve(rooted, g, (0.9,)))
+        g = block(verify_automorphism(rooted.tree, [1, 0]))
+        text = curve_to_csv((0.9,), homotopy_curve(rooted, g, (0.9,))[:, 0])
         lines = text.splitlines()
         assert lines[0] == "t,dist_to_limit,dist_to_pi0"
         t, dist, _ = lines[1].split(",")
@@ -407,7 +456,7 @@ class TestOriginSphere:
         # norm^2 = t^(2d) + (1-t^2) * sum_k t^(2k) telescopes to one
         rooted = root_at(make_path(5), 0)
         g = verify_automorphism(rooted.tree, [4, 3, 2, 1, 0])
-        d = displacement(rooted, g)
+        (d,) = displacement(rooted, block(g))
         for t in (0.3, 0.9, 0.99):
             v = unitary_rep_operator(rooted, g, t).apply(delta_vertex(rooted.tree, 0))
             norm_sq = sum(abs(c) ** 2 for _, c in v.items())
@@ -421,16 +470,16 @@ class TestOriginSphere:
 class TestEndpoints:
     def test_start_endpoint_exact(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for g in group:
-            gap = dense_unitary_rep(rooted, g, 0.0) - dense_pi0(4, g)
-            assert np.abs(gap).max() == 0.0
+        pi0 = dense_pi0(4, group.images)
+        gap = dense_unitary_rep(rooted, group.images, 0.0) - pi0
+        assert np.abs(gap).max() == 0.0
+        for action, g in zip(pi0, group):
             sparse = materialize(unitary_rep_operator(rooted, g, 0.0))
-            assert np.abs(sparse - dense_pi0(4, g)).max() == 0.0
+            assert np.abs(sparse - action).max() == 0.0
 
     def test_limit_endpoint_agrees_between_routes(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for g in group:
-            dense = dense_limit_rep(rooted, g)
+        for dense, g in zip(dense_limit_rep(rooted, group.images), group):
             sparse = materialize(limit_rep_operator(rooted, g))
             assert np.abs(dense - sparse).max() <= 1e-14
 
@@ -450,11 +499,11 @@ class TestGridSteps:
                 for a, b in zip(DEFAULT_T_GRID, DEFAULT_T_GRID[1:])
             ]
             assert all(0.0 < bound <= 2.0 * member_norm for bound in bounds)
-            for g in close_group(tree, [reflection]):
-                members = [dense_unitary_rep(rooted, g, t) for t in DEFAULT_T_GRID]
-                for i, bound in enumerate(bounds):
-                    step = np.linalg.norm(members[i + 1] - members[i], 2)
-                    worst = max(worst, step / bound)
+            images = close_group(tree, [reflection]).images
+            members = [dense_unitary_rep(rooted, images, t) for t in DEFAULT_T_GRID]
+            for i, bound in enumerate(bounds):
+                steps = np.linalg.norm(members[i + 1] - members[i], 2, axis=(1, 2))
+                worst = max(worst, steps.max() / bound)
         assert 0.85 < worst <= 1.0
 
     def test_bound_matches_its_formula(self):

@@ -132,26 +132,31 @@ def close_group(
     always included. In a finite group inverses are positive powers, so
     closing under composition alone is enough. If more than cap elements
     appear the search stops and the result is flagged incomplete.
+
+    Each frontier, a block of image arrays, is composed with every
+    generator in one gather; the products are taken in (g, h) order.
     """
     gens = [
         verify_automorphism(tree, g.images if isinstance(g, Automorphism) else g)
         for g in generators
     ]
-    ident = identity_automorphism(tree.n)
-    found = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                gh = g.compose(h)
-                if gh not in found:
-                    if len(found) >= cap:
-                        return _sorted_closure(found, gens, complete=False)
-                    found.add(gh)
-                    nxt.append(gh)
-        frontier = nxt
-    return _sorted_closure(found, gens, complete=True)
+    gen_block = np.array([g.images for g in gens], dtype=np.intp).reshape(-1, tree.n)
+    frontier = np.arange(tree.n)[None, :]
+    found = {tuple(range(tree.n))}  # image tuples
+    complete = True
+    while len(frontier) and complete:
+        fresh = []
+        # row (g, h) of the products is g after h: x -> g(h(x))
+        for gh in frontier[:, gen_block].reshape(-1, tree.n):
+            images = tuple(gh.tolist())
+            if images not in found:
+                if len(found) >= cap:
+                    complete = False
+                    break
+                found.add(images)
+                fresh.append(gh)
+        frontier = np.array(fresh, dtype=np.intp).reshape(-1, tree.n)
+    return _sorted_closure(map(Automorphism, found), gens, complete)
 
 
 def full_automorphism_group(

@@ -254,12 +254,30 @@ def max_abs(v) -> float:
 
 def _cocycle_block(tree: Tree, pairs) -> np.ndarray:
     """The geodesic cocycles of the vertex pairs, as the columns of a real
-    edge block."""
-    block = np.zeros((tree.edge_count, len(pairs)))
-    for j, (x, y) in enumerate(pairs):
-        steps = geodesic_cocycle(tree, x, y).steps
-        block[[tree.edge_index[e] for _, e in steps], j] = [s for s, _ in steps]
-    return block
+    edge block.
+
+    Tree.path's walk on every pair at once: both ends climb toward vertex 0,
+    deeper end first, until they meet. A step up from v crosses the edge
+    to v's parent, with its canonical sign on the first end's climb and
+    the opposite sign on the second's.
+    """
+    rooting = tree._rooting
+    parent, depth = rooting.parent_array, np.asarray(rooting.depth)
+    child, sign = rooting.edge_child_sign
+    up_edge = np.zeros(tree.n, dtype=np.intp)
+    up_edge[child] = np.arange(tree.edge_count)
+    up_sign = np.zeros(tree.n)
+    up_sign[child] = sign
+    ends = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+    block = np.zeros((tree.edge_count, ends.shape[1]))
+    while True:
+        (cols,) = np.nonzero(ends[0] != ends[1])
+        if not len(cols):
+            return block
+        side = (depth[ends[0, cols]] < depth[ends[1, cols]]).astype(np.intp)
+        v = ends[side, cols]
+        block[up_edge[v], cols] = np.where(side == 0, up_sign[v], -up_sign[v])
+        ends[side, cols] = parent[v]
 
 
 def _gaps(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -316,7 +334,7 @@ def cocycle_equivariance_residual(tree: Tree, g: Automorphism, pairs) -> np.ndar
     action of g applied to c(x, y)."""
     return _gaps(
         pi1_operator(tree, g) @ _cocycle_block(tree, pairs),
-        _cocycle_block(tree, [(g(x), g(y)) for x, y in pairs]),
+        _cocycle_block(tree, np.asarray(g.images)[np.asarray(pairs, dtype=np.intp)]),
     )
 
 

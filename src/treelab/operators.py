@@ -404,9 +404,19 @@ def materialize(op: LinearOperator) -> np.ndarray:
 
 def operator_norm(op: Union[LinearOperator, np.ndarray]):
     """Spectral norm (largest singular value), exact to rounding; one each
-    for the matrices of a (k, m, n) stack."""
+    for the matrices of a (k, m, n) stack.
+
+    The square root of the largest eigenvalue of the Gram matrix a* a,
+    clamped at 0: one symmetric eigensolve, cheaper than an SVD. A stack
+    holding a NaN or inf goes to the SVD instead, so a NaN raises
+    LinAlgError and an inf gives NaN.
+    """
     a = op if isinstance(op, np.ndarray) else materialize(op)
-    norms = np.linalg.norm(a, 2, axis=(-2, -1))
+    if np.isfinite(a).all():
+        gram = a.conj().swapaxes(-2, -1) @ a
+        norms = np.sqrt(np.linalg.eigvalsh(gram).max(axis=-1, initial=0.0))
+    else:
+        norms = np.linalg.norm(a, 2, axis=(-2, -1))
     return norms if a.ndim > 2 else float(norms)
 
 

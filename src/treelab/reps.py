@@ -404,9 +404,9 @@ def unitary_step_bound(
     rho_b - rho_a = U^-1 [rho_a, U - 1], of norm at most
     2 ||rho_a|| ||U^-1|| ||U - 1||. Exchanging a and b gives
     2 ||rho_b|| ||U|| ||U^-1 - 1||, and ||rho_a|| + ||rho_b|| caps both.
-    ||U|| and ||U^-1|| are the extreme singular values of U. A member_norm
-    above 1 keeps the bound from assuming the exact unitarity that the
-    unitarity record tests; near t = 1 the cap governs.
+    The four norms are operator_norm's, with U^-1 = T_b^-1 T_a formed
+    directly. A member_norm above 1 keeps the bound from assuming the exact
+    unitarity that the unitarity record tests; near t = 1 the cap governs.
     """
     a, b = _check_t(a), _check_t(b)
     u = _dense_context(rooted, deformation_inverse, a) @ _dense_context(
@@ -415,11 +415,10 @@ def unitary_step_bound(
     u_inv = _dense_context(rooted, deformation_inverse, b) @ _dense_context(
         rooted, deformation_operator, a
     )
-    singular = np.linalg.svd(u, compute_uv=False)
     eye = np.eye(rooted.n)
     return 2.0 * member_norm * min(
-        operator_norm(u - eye) / singular[-1],
-        singular[0] * operator_norm(u_inv - eye),
+        operator_norm(u - eye) * operator_norm(u_inv),
+        operator_norm(u) * operator_norm(u_inv - eye),
         1.0,
     )
 

@@ -1,6 +1,7 @@
 """Fault injection: a NaN or inf planted in one dense route, block
-application or residual, or one wrong member of a family, must fail the
-records built on it (a numerical breakdown fails its whole check), make
+application or residual, or a finite wrong input (one wrong member of a
+family, a non-nilpotent shift, a short series), must fail the records
+built on it (a numerical breakdown fails its whole check), make
 `treelab check` exit 1, and leave report.json standard JSON."""
 
 import json
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from treelab import kernels, reps
+from treelab import checks, kernels, reps
 from treelab.checks import _record
 from treelab.cli import main
 from treelab.groups import full_automorphism_group
@@ -88,6 +89,25 @@ def _rising_curve(original):
     return patched
 
 
+def _looping_shift(original):
+    # a loop at vertex 0 makes the shift's matrix non-nilpotent: the loop's
+    # entry survives every power
+    def patched(matrix, exponent):
+        looped = matrix.copy()
+        looped[0, 0] += 1.0
+        return original(looped, exponent)
+
+    return patched
+
+
+def _short_series(original):
+    # the geometric series one term short: (zP)^(max depth) is missing
+    def patched(x, terms):
+        return original(x, terms - 1)
+
+    return patched
+
+
 # (module, attribute, wrapper, checks whose records must fail, checks that
 # must break down into one failed `error=` record)
 FAULTS = {
@@ -120,6 +140,19 @@ FAULTS = {
          "limit-monotone"},
         set(),
     ),
+    "looping-shift": (
+        checks, "matrix_power", _looping_shift, {"shift-nilpotency"}, set(),
+    ),
+    "short-series": (
+        checks, "_geometric_series", _short_series, {"resolvent-series"}, set(),
+    ),
+}
+
+
+# faults that plant no NaN or inf: each fails exactly the records it names
+FINITE_FAULTS = {
+    "flipped-member", "inverse-members", "rising-curve", "looping-shift",
+    "short-series",
 }
 
 
@@ -141,6 +174,8 @@ def test_injected_fault_fails_loudly(fault, monkeypatch, tmp_path, capsys):
 
     failed = [r for r in report["records"] if not r["passed"]]
     assert failing <= {r["check"] for r in failed}
+    if fault in FINITE_FAULTS:
+        assert {r["check"] for r in failed} == failing
     errors = {r["check"]: r for r in failed if r["parameter"].startswith("error=")}
     assert set(errors) == broken
     for r in errors.values():

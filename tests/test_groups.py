@@ -92,6 +92,25 @@ class TestClosure:
         assert not closure.complete
         assert len(closure) == 3
 
+    def test_cap_keeps_the_discovery_order(self):
+        # a capped closure holds the first cap elements that a one-product-
+        # at-a-time breadth-first search finds, taking products g h in
+        # (frontier element g, generator h) order
+        tree = make_star(5)
+        gens = [Automorphism((0, 2, 1, 3, 4)), Automorphism((0, 2, 3, 4, 1))]
+        found = frontier = [identity_automorphism(5)]
+        while frontier:
+            fresh = []
+            for gh in (g.compose(h) for g in frontier for h in gens):
+                if gh not in found and gh not in fresh:
+                    fresh.append(gh)
+            found, frontier = found + fresh, fresh
+        assert len(found) == 24
+        for cap in range(1, 26):
+            closure = close_group(tree, gens, cap=cap)
+            assert closure.complete == (cap >= 24)
+            assert set(closure) == set(found[:cap])
+
     def test_sorted_with_identity_first(self):
         closure = close_group(make_star(4), [[0, 2, 3, 1]])
         assert closure[0].is_identity

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treelab.groups import full_automorphism_group, verify_automorphism
 from treelab.kernels import (
     KernelMatrix,
+    _cocycle_block,
     chasles_residual,
     cnd_check,
     cocycle_equivariance_residual,
@@ -176,6 +179,27 @@ class TestCocycle:
         c = geodesic_cocycle(tree, 1, 1)
         assert c.steps == ()
         assert c.vector == EdgeVector(2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 1000),
+        raw=st.lists(st.tuples(st.integers(0, 999), st.integers(0, 999)), max_size=30),
+    )
+    @example(n=1, seed=0, raw=[])
+    @example(n=2, seed=0, raw=[(0, 1), (1, 0)])
+    def test_block_matches_per_pair_cocycles(self, n, seed, raw):
+        # the vectorized walk against one geodesic_cocycle per pair,
+        # including x == y, whose column is zero
+        tree = make_random(n, seed)
+        pairs = [(x % n, y % n) for x, y in raw] + [(0, 0), (n - 1, n - 1)]
+        block = _cocycle_block(tree, pairs)
+        assert block.shape == (tree.edge_count, len(pairs))
+        for column, (x, y) in zip(block.T, pairs):
+            expected = np.zeros(tree.edge_count)
+            for edge, sign in geodesic_cocycle(tree, x, y).vector.items():
+                expected[edge] = sign.real
+            assert np.array_equal(column, expected)
 
     def test_antisymmetry(self):
         tree = make_random(20, seed=4)

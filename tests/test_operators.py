@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treelab.checks import _geometric_series
 from treelab.groups import pi0_operator, pi1_operator, verify_automorphism
 from treelab.operators import (
     Space,
@@ -231,6 +232,20 @@ class TestResolvent:
                 dense = materialize(resolvent_operator(rooted, z))
                 assert np.abs(dense - series.toarray()).max() <= 1e-13
 
+    @pytest.mark.parametrize("terms", [1, 2, 3, 4, 7, 8, 9])
+    def test_doubled_series_against_a_plain_loop(self, terms):
+        # the resolvent-series oracle sums by binary doubling; on path:12 no
+        # power below the 12th vanishes, so every term counts
+        rooted = root_at(make_path(12), 0)
+        rng = np.random.default_rng(terms)
+        generic = rng.standard_normal((6, 6)) / 6
+        for x in (0.5 * dense_shift(rooted).real, (0.3 + 0.4j) * dense_shift(rooted),
+                  generic):
+            series, term = np.zeros_like(x), np.eye(len(x))
+            for _ in range(terms):
+                series, term = series + term, term @ x
+            assert np.abs(_geometric_series(x, terms) - series).max() <= 1e-15
+
     def test_adjoint_consistency(self):
         rooted = root_at(make_random(20, seed=8), 3)
         op = resolvent_operator(rooted, 0.3 - 0.6j)
@@ -360,21 +375,41 @@ class TestMaterializeAndNorm:
         assert operator_norm(adjacency_operator(tree)) == pytest.approx(1.0, abs=1e-10)
 
     def test_norm_against_svd_oracle(self):
-        # ||A|| = sqrt(largest eigenvalue of A* A), by a solver other than SVD
+        # the largest singular value, by a solver other than the Gram route
         def oracle(mat):
-            return math.sqrt(np.linalg.eigvalsh(mat.conj().T @ mat).max())
+            return np.linalg.svd(mat, compute_uv=False)[..., 0]
 
         rng = np.random.default_rng(5)
         for rooted in random_trees(6, max_n=64):
             mat = materialize(deformation_inverse(rooted, 0.8))
-            assert operator_norm(mat) == pytest.approx(oracle(mat), rel=1e-7)
-        for _ in range(5):
-            mat = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-            assert operator_norm(mat) == pytest.approx(oracle(mat), rel=1e-7)
+            assert operator_norm(mat) == pytest.approx(oracle(mat), rel=1e-12)
+        real = rng.standard_normal((5, 12, 7))
+        cases = [real, real + 1j * rng.standard_normal((5, 12, 7)), real[:, :4]]
+        for stack in cases:
+            norms = operator_norm(stack)
+            assert norms.shape == (5,)
+            assert norms == pytest.approx(oracle(stack), rel=1e-12)
+            for mat, norm in zip(stack, norms):
+                assert operator_norm(mat) == pytest.approx(norm, rel=1e-15)
 
     def test_norm_of_zero_operator(self):
         assert operator_norm(np.zeros((4, 4))) == 0.0
         assert operator_norm(np.zeros((0, 3))) == 0.0
+        assert operator_norm(np.zeros((3, 0))) == 0.0
+        assert operator_norm(np.zeros((2, 4, 4), dtype=complex)).tolist() == [0.0, 0.0]
+
+    def test_norm_of_a_non_finite_matrix(self):
+        # the SVD's contract: a NaN raises, an inf gives NaN
+        stack = np.stack([np.eye(3), 2 * np.eye(3)])
+        stack[0, 1, 2] = math.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            operator_norm(stack)
+        with pytest.raises(np.linalg.LinAlgError):
+            operator_norm(stack[0].astype(complex))
+        stack[0, 1, 2] = math.inf
+        norms = operator_norm(stack)
+        assert math.isnan(norms[0]) and norms[1] == pytest.approx(2.0)
+        assert math.isnan(operator_norm(stack[0]))
 
     def test_norm_deterministic(self):
         mat = np.random.default_rng(9).standard_normal((10, 10))

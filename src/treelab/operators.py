@@ -407,9 +407,9 @@ def operator_norm(op: Union[LinearOperator, np.ndarray]):
     for the matrices of a (k, m, n) stack.
 
     The square root of the largest eigenvalue of the Gram matrix a* a,
-    clamped at 0: one symmetric eigensolve, cheaper than an SVD. A stack
-    holding a NaN or inf goes to the SVD instead, so a NaN raises
-    LinAlgError and an inf gives NaN.
+    clamped at 0: one symmetric eigensolve, cheaper than an SVD on real
+    matrices. A stack holding a NaN or inf goes to the SVD instead, so a
+    NaN raises LinAlgError and an inf gives NaN.
     """
     a = op if isinstance(op, np.ndarray) else materialize(op)
     if np.isfinite(a).all():

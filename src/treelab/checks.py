@@ -118,13 +118,12 @@ class SuiteConfig:
                     f"t grid values must lie in [0, 1) for the unitary family; "
                     f"got {t} (t = 1 is only meaningful as the limit itself)"
                 )
-        if len(set(self.t_grid)) != len(self.t_grid):
-            raise ConfigError(
-                f"t grid values must be distinct, got {list(self.t_grid)}"
-            )
         for z in self.z_grid:
             if abs(z) >= 1.0:
                 raise ConfigError(f"z grid values need |z| < 1, got {z}")
+        for name, grid in (("t", self.t_grid), ("z", self.z_grid)):
+            if len(set(grid)) != len(grid):
+                raise ConfigError(f"{name} grid values must be distinct: {list(grid)}")
         self.tolerance_table()
 
 
@@ -179,8 +178,9 @@ def resolve_tree(spec: str) -> Tree:
 
 
 def resolve_group(tree: Tree, spec: str) -> GroupClosure:
-    """'auto' (full group, small trees only) or an automorphism file whose
-    lines are taken as generators and closed under composition."""
+    """'auto' (the full group, refused above DEFAULT_GROUP_CAP elements) or
+    an automorphism file whose lines are taken as generators and closed
+    under composition."""
     if spec == "auto":
         try:
             return full_automorphism_group(tree)
@@ -695,7 +695,19 @@ def report_to_json(report: SuiteReport) -> str:
 
 
 def report_from_json(text: str) -> dict:
+    """A parsed report.json; a ValueError unless it is a schema-1 object
+    whose config and records carry every key a summary reads."""
     payload = json.loads(text)
-    if payload.get("schema") != 1:
-        raise ValueError(f"unsupported report schema {payload.get('schema')!r}")
+    if not isinstance(payload, dict) or payload.get("schema") != 1:
+        raise ValueError("not a schema-1 report object")
+    config, records = payload.get("config"), payload.get("records")
+    if not (isinstance(config, dict) and {"tree", "group_order"} <= config.keys()
+            and isinstance(records, list) and "aggregate_pass" in payload):
+        raise ValueError("report lacks aggregate_pass, records or config")
+    keys = CheckRecord.__dataclass_fields__.keys()
+    for i, r in enumerate(records):
+        if not (isinstance(r, dict) and keys <= r.keys()
+                and isinstance(r["bound"], (int, float))
+                and isinstance(r["measured"], (int, float, type(None)))):
+            raise ValueError(f"report record {i} lacks a key or a number")
     return payload

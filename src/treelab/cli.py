@@ -90,16 +90,6 @@ def _parse_t_grid(text: str, allow_limit: bool) -> tuple[float, ...]:
     return _parse_grid(text, "t", parse)
 
 
-def _parse_z_grid(text: str) -> tuple[complex, ...]:
-    def parse(tok: str) -> complex:
-        z = parse_complex(tok)
-        if abs(z) >= 1.0:
-            raise ConfigError(f"z values need |z| < 1, got {tok}")
-        return z
-
-    return _parse_grid(text, "z", parse)
-
-
 def _out_dir(path_text: str) -> Path:
     out = Path(path_text)
     out.mkdir(parents=True, exist_ok=True)
@@ -122,7 +112,7 @@ def _cmd_check(args, tolerances) -> int:
         tree_spec=args.tree,
         group_spec=args.group,
         t_grid=_parse_t_grid(args.t, allow_limit=False),
-        z_grid=_parse_z_grid(args.z),
+        z_grid=_parse_grid(args.z, "z", parse_complex),
         seed=args.seed,
         tolerances=tolerances,
     )
@@ -269,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "random:N,seed) or a tree file")
         p.add_argument("--group", default="auto",
                        help="'auto' for the full automorphism group "
-                            "(N <= 12) or a generator file")
+                            "(at most 20000 elements) or a generator file")
         p.add_argument("--seed", type=int, default=0xA11CE)
         p.add_argument("--out", default=".", help="output directory")
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -31,7 +33,6 @@ __all__ = [
     "edge_images",
 ]
 
-FULL_SEARCH_VERTEX_LIMIT = 12
 DEFAULT_GROUP_CAP = 20000
 
 
@@ -113,14 +114,6 @@ class GroupClosure:
         return images
 
 
-def _sorted_closure(
-    found: Iterable[Automorphism], generators: Sequence[Automorphism], complete: bool
-) -> GroupClosure:
-    elements = tuple(sorted(found, key=lambda g: g.images))
-    gen_indices = tuple(elements.index(g) for g in generators if g in elements)
-    return GroupClosure(elements, gen_indices, complete)
-
-
 def close_group(
     tree: Tree,
     generators: Sequence[Automorphism | Sequence[int]],
@@ -156,58 +149,58 @@ def close_group(
                 found.add(images)
                 fresh.append(gh)
         frontier = np.array(fresh, dtype=np.intp).reshape(-1, tree.n)
-    return _sorted_closure(map(Automorphism, found), gens, complete)
+    elements = tuple(map(Automorphism, sorted(found)))
+    gen_indices = tuple(elements.index(g) for g in gens if g in elements)
+    return GroupClosure(elements, gen_indices, complete)
 
 
-def full_automorphism_group(
-    tree: Tree,
-    max_vertices: int = FULL_SEARCH_VERTEX_LIMIT,
-    cap: int = DEFAULT_GROUP_CAP,
-) -> GroupClosure:
-    """All edge-preserving permutations, by breadth-first backtracking.
+def _centre_generators(tree: Tree) -> tuple[list[list[int]], int]:
+    """Generators of the full group, and its order, from the centre.
 
-    Vertices are assigned in a breadth-first order from vertex 0, so each
-    new vertex already has a mapped neighbour (its search parent) and the
-    candidate images are confined to the neighbours of that parent's
-    image. Intended for small trees; pass a larger max_vertices explicitly
-    to search bigger ones. Raises if the group would exceed cap elements.
+    Every automorphism fixes the centre of a longest path. Rooted there,
+    subtrees get AHU labels bottom-up, equal exactly when isomorphic. Each
+    class of m isomorphic siblings gets a cycle and (m > 2) a swap, which
+    move whole subtrees, pairing children in label order.
     """
-    n = tree.n
-    if n > max_vertices:
-        raise ValueError(
-            f"full group search limited to N <= {max_vertices} vertices, got {n}; "
-            "supply a generator file instead"
-        )
-    rooted = root_at(tree, 0)
-    order, search_parent = rooted.order, rooted.parent
-    degree = [tree.degree(x) for x in range(n)]
-    image: list[int] = [-1] * n
-    used = [False] * n
-    results: list[Automorphism] = []
+    far = root_at(tree, root_at(tree, 0).order[-1])
+    path = far.path_to_origin(far.order[-1])
+    centre, other = path[(len(path) - 1) // 2], path[len(path) // 2]
+    rooted = root_at(tree, centre)
+    # a bicentral tree is cut at its central edge; the halves are siblings
+    kids = [[w for w in c if w != other] for c in rooted.children]
+    label, ids = [0] * tree.n, {}
+    for v in reversed(rooted.order):
+        kids[v].sort(key=label.__getitem__)
+        label[v] = ids.setdefault(tuple(label[w] for w in kids[v]), len(ids))
 
-    def assign(pos: int) -> None:
-        if pos == n:
-            if len(results) >= cap:
-                raise ValueError(
-                    f"automorphism group exceeds {cap} elements; "
-                    "use generators and close_group instead"
-                )
-            results.append(Automorphism(tuple(image)))
-            return
-        x = order[pos]
-        p = search_parent[x]
-        candidates = range(n) if p is None else tree.adjacency[image[p]]
-        for y in candidates:
-            if used[y] or degree[y] != degree[x]:
-                continue
-            image[x] = y
-            used[y] = True
-            assign(pos + 1)
-            used[y] = False
-        image[x] = -1
+    def moved(pairs: list[tuple[int, int]]) -> list[int]:
+        images = list(range(tree.n))
+        while pairs:
+            x, y = pairs.pop()
+            images[x] = y
+            pairs.extend(zip(kids[x], kids[y]))
+        return images
 
-    assign(0)
-    return _sorted_closure(results, [], complete=True)
+    generators, order = [], 1
+    for siblings in [sorted({centre, other})] + kids:
+        for _, run in groupby(siblings, key=label.__getitem__):
+            run = list(run)
+            order *= factorial(len(run))
+            if len(run) > 1:
+                generators.append(moved(list(zip(run, run[1:] + run[:1]))))
+            if len(run) > 2:
+                generators.append(moved([(run[0], run[1]), (run[1], run[0])]))
+    return generators, order
+
+
+def full_automorphism_group(tree: Tree, cap: int = DEFAULT_GROUP_CAP) -> GroupClosure:
+    """All edge-preserving permutations, closed from _centre_generators.
+    A group over cap elements is refused before any element is built."""
+    generators, order = _centre_generators(tree)
+    if order > cap:
+        raise ValueError(f"automorphism group has {order} elements, which "
+                         f"exceeds the cap of {cap}; supply a generator file")
+    return close_group(tree, generators, cap)
 
 
 # ----------------------------------------------------------------------

@@ -144,10 +144,24 @@ class TestCheckCommand:
                        "--out", str(tmp_path)) == 2
         assert "distinct" in capsys.readouterr().err
 
-    def test_auto_group_vertex_limit(self, tmp_path, capsys):
-        assert run_cli("check", "--tree", "random:50,7", "--group", "auto",
+    @pytest.mark.parametrize("z,message", [("0.5,0.5", "distinct"), ("1", "|z| < 1")])
+    def test_rejects_a_bad_z_grid(self, tmp_path, capsys, z, message):
+        assert run_cli("check", "--tree", "star:4", "--z", z,
                        "--out", str(tmp_path)) == 2
-        assert "N <= 12" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_auto_group_of_a_large_tree(self, tmp_path):
+        assert run_cli("check", "--tree", "random:50,7", "--group", "auto",
+                       "--t", "0,0.5", "--out", str(tmp_path)) == 0
+        payload = report_from_json((tmp_path / "report.json").read_text())
+        assert payload["config"]["group_order"] == 8
+
+    def test_auto_group_order_cap(self, tmp_path, capsys):
+        assert run_cli("check", "--tree", "star:13", "--group", "auto",
+                       "--out", str(tmp_path)) == 2
+        assert "479001600" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_tolerance_name(self, tmp_path, capsys):
         assert run_cli("check", "--tree", "path:2", "--group", "auto",
@@ -221,6 +235,26 @@ class TestReportCommand:
 
     def test_missing_report(self, tmp_path):
         assert run_cli("report", str(tmp_path / "none.json")) == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"schema": 1},
+            [],
+            {"schema": 1, "config": {"tree": "path:2", "group_order": 2},
+             "aggregate_pass": False, "records": [{"check": "c"}]},
+            {"schema": 1, "config": {"tree": "path:2", "group_order": 2},
+             "aggregate_pass": False,
+             "records": [{"check": "c", "tree": "path:2", "origin": 0, "g": "e",
+                          "parameter": "", "measured": None, "bound": None,
+                          "passed": False}]},
+        ],
+    )
+    def test_malformed_report(self, tmp_path, capsys, payload):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli("report", str(path)) == 2  # not an uncaught exception
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_module_entry_point(tmp_path):

@@ -1,10 +1,12 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from treelab.groups import (
     Automorphism,
+    _centre_generators,
     close_group,
     full_automorphism_group,
     identity_automorphism,
@@ -22,7 +24,14 @@ from treelab.operators import (
     parent_edge_operator,
 )
 from treelab.spaces import EdgeVector, VertexVector, delta_edge, delta_vertex
-from treelab.trees import make_path, make_random, make_regular, make_star, root_at
+from treelab.trees import (
+    make_path,
+    make_random,
+    make_regular,
+    make_star,
+    root_at,
+    tree_from_spec,
+)
 
 
 def brute_force_group(tree):
@@ -138,6 +147,7 @@ class TestFullGroup:
             (make_path(3), 2),
             (make_star(4), 6),
             (make_regular(2, 2), 48),
+            (make_regular(2, 3), 3072),
         ],
     )
     def test_known_orders(self, tree, expected):
@@ -150,13 +160,28 @@ class TestFullGroup:
             found = [g.images for g in full_automorphism_group(tree)]
             assert found == brute_force_group(tree)
 
-    def test_vertex_limit(self):
-        with pytest.raises(ValueError, match="N <= 12"):
-            full_automorphism_group(make_random(50, seed=7))
+    @pytest.mark.parametrize(
+        "spec",
+        [f"{family}:{n}" for family in ("path", "star") for n in range(1, 9)]
+        + [f"random:{n},{s}" for n in range(2, 9) for s in range(1, 31)],
+    )
+    def test_equals_the_oracle_and_the_counted_order(self, spec):
+        # the even paths are bicentral with equal halves; random trees add
+        # bicentral ones with unequal halves
+        tree = tree_from_spec(spec)
+        group = full_automorphism_group(tree)
+        assert [g.images for g in group] == brute_force_group(tree)
+        assert len(group) == _centre_generators(tree)[1]
 
-    def test_limit_can_be_lifted(self):
-        group = full_automorphism_group(make_regular(2, 3), max_vertices=22)
-        assert len(group) == 3072
+    def test_refused_before_enumerating(self):
+        # star:13 has 12! automorphisms; the order is counted, not searched
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="479001600 elements, which exceeds"):
+            full_automorphism_group(make_star(13))
+        assert time.perf_counter() - start < 1.0
+
+    def test_deep_path(self):
+        assert len(full_automorphism_group(make_path(1200))) == 2
 
     def test_group_size_cap(self):
         # star:9 has 8! = 40320 automorphisms, over the default cap

@@ -107,7 +107,7 @@ def all_pairs(group):
 @pytest.fixture(scope="module")
 def random14_rooted():
     tree = make_random(14, seed=4)
-    return root_at(tree, 9), full_automorphism_group(tree, max_vertices=14)
+    return root_at(tree, 9), full_automorphism_group(tree)
 
 
 class TestStacks:
@@ -170,7 +170,7 @@ class TestBoundedFamily:
 
     def test_dense_and_applier_match_oracle(self):
         rooted = root_at(make_random(14, seed=3), 5)
-        group = full_automorphism_group(rooted.tree, max_vertices=14)
+        group = full_automorphism_group(rooted.tree)
         for z in (0.5, 0.3 + 0.4j):
             stack = dense_bounded_rep(rooted, group.images, z)
             for dense, g in zip(stack, group):

@@ -23,6 +23,7 @@ from numpy.linalg import matrix_power
 from . import kernels as kernels_mod
 from . import reps as reps_mod
 from .groups import (
+    DEFAULT_GROUP_CAP,
     GroupClosure,
     close_group,
     full_automorphism_group,
@@ -178,9 +179,9 @@ def resolve_tree(spec: str) -> Tree:
 
 
 def resolve_group(tree: Tree, spec: str) -> GroupClosure:
-    """'auto' (the full group, refused above DEFAULT_GROUP_CAP elements) or
-    an automorphism file whose lines are taken as generators and closed
-    under composition."""
+    """'auto' or an automorphism file whose lines are taken as generators
+    and closed under composition; either is refused above DEFAULT_GROUP_CAP
+    elements."""
     if spec == "auto":
         try:
             return full_automorphism_group(tree)
@@ -193,7 +194,11 @@ def resolve_group(tree: Tree, spec: str) -> GroupClosure:
         generators = parse_automorphisms(tree, path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return close_group(tree, generators)
+    closure = close_group(tree, generators, DEFAULT_GROUP_CAP)
+    if not closure.complete:
+        raise ConfigError(f"{path}: the generated group exceeds the cap of "
+                          f"{DEFAULT_GROUP_CAP} elements")
+    return closure
 
 
 # ----------------------------------------------------------------------
@@ -487,7 +492,8 @@ def _check_unitary_family(ctx: _Context) -> list[CheckRecord]:
             def measure(block):
                 rep = reps_mod.dense_unitary_rep(rooted, block, t)
                 gap = _max_entry(rep.conj().swapaxes(1, 2) @ rep - np.eye(n))
-                return gap, reps_mod.conjugation_equivalence_residual(rooted, block, t)
+                equiv = reps_mod.conjugation_equivalence_residual(rooted, block, t, rep)
+                return gap, equiv
 
             unitary, equiv = _per_element(ctx, measure)
             out.append(
@@ -508,14 +514,17 @@ def _check_unitary_family(ctx: _Context) -> list[CheckRecord]:
     return out
 
 
-def _approaches_limit(values: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
-    """Per element, whether its distances to the limit at MONOTONE_T_VALUES
-    (one row per element) follow the rule for its origin displacement d:
-    within tol of zero when d = 0, else falling at every step. Distances
-    between unitaries saturate near 2 for very deep displacements, so
-    strictness is only demanded where the curve is guaranteed to separate
-    (d <= 6); beyond that a step may not rise by more than 1e-9. A NaN
-    distance breaks the rule."""
+def _approaches_limit(
+    rooted: RootedTree, images: np.ndarray, values: np.ndarray, tol: float
+) -> np.ndarray:
+    """Per element of the block, whether its distances to the limit at
+    MONOTONE_T_VALUES (one row per element) follow the rule for its origin
+    displacement d: within tol of zero when d = 0, else falling at every
+    step. Distances between unitaries saturate near 2 for very deep
+    displacements, so strictness is only demanded where the curve is
+    guaranteed to separate (d <= 6); beyond that a step may not rise by
+    more than 1e-9. A NaN distance breaks the rule."""
+    d = reps_mod.displacement(rooted, images)
     drops = np.diff(values, axis=1)
     falling = np.where(d <= 6, (drops < 0).all(axis=1), (drops <= 1e-9).all(axis=1))
     return np.where(d == 0, (values <= tol).all(axis=1), falling)
@@ -534,12 +543,21 @@ def _check_limit_family(ctx: _Context) -> list[CheckRecord]:
         x0 = rooted.origin
 
         def measure(images):
-            pi0 = reps_mod.dense_pi0(ctx.tree.n, images)
-            start = _max_entry(reps_mod.dense_unitary_rep(rooted, images, 0.0) - pi0)
+            limit = reps_mod.dense_limit_rep(rooted, images)
+            # each member is built once; after the grid come the members that
+            # the endpoint and monotone records need and the grid lacks
+            extra = [t for t in (0.0, *MONOTONE_T_VALUES) if t not in grid]
+            to_limit = {}
             # one member stack at a time, beside the previous one for the step
             sphere, steps, previous = np.zeros(len(images)), [], None
-            for t in grid:
+            for t in (*grid, *extra):
                 member = reps_mod.dense_unitary_rep(rooted, images, t)
+                if t == 0.0:
+                    start = _max_entry(member - reps_mod.dense_pi0(ctx.tree.n, images))
+                if t in MONOTONE_T_VALUES:
+                    to_limit[t] = operator_norm(member - limit)
+                if t in extra:
+                    continue
                 # the origin column, the image of delta_origin, made contiguous
                 # so that its dot product rounds as in np.linalg.norm
                 column = member[:, :, x0].copy()
@@ -548,9 +566,8 @@ def _check_limit_family(ctx: _Context) -> list[CheckRecord]:
                 if previous is not None:
                     steps.append(operator_norm(member - previous))
                 previous = member
-            to_limit = reps_mod.homotopy_curve(rooted, images, MONOTONE_T_VALUES)[0]
-            displaced = reps_mod.displacement(rooted, images)
-            broken = ~_approaches_limit(to_limit, displaced, tol_u)
+            values = np.stack([to_limit[t] for t in MONOTONE_T_VALUES], axis=1)
+            broken = ~_approaches_limit(rooted, images, values, tol_u)
             return np.vstack([start, sphere, broken, *steps])
 
         start, sphere, broken, *steps = _per_element(ctx, measure)

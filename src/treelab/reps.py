@@ -16,10 +16,12 @@ Two families are built by conjugating the vertex permutation action:
 One member is built as a composition of the operator module's block
 appliers. The dense route maps a block of elements, a (k, n) int array of
 vertex images such as GroupClosure.images, to the (k, n, n) stack of its
-members: the operators materialized (memoized per rooted tree and
-parameter), one row gather and one matrix product; nothing here restates
-an operator in closed form, and every dense measurement returns one value
-per element. The test-suite checks both routes against oracles of its own.
+members: the operators materialized, one row gather and one matrix
+product; nothing here restates an operator in closed form, and every
+dense measurement returns one value per element. The materialized
+operators are memoized per rooted tree, and each tree's memo dies with
+it: a configuration's matrices are freed with its rooted trees. The
+test-suite checks both routes against oracles of its own.
 
 The reports here carry measurements only; the checks module compares
 them with its tolerances.
@@ -28,8 +30,9 @@ them with its tolerances.
 from __future__ import annotations
 
 import math
+import weakref
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -154,18 +157,42 @@ def element_blocks(count: int, n: int) -> list[slice]:
     return [slice(i, i + size) for i in range(0, count, size)]
 
 
-@lru_cache(maxsize=128)
-def _dense_context(rooted: RootedTree, make, *args) -> np.ndarray:
-    """materialize(make(rooted, *args)), shared and therefore read-only.
+_CacheInfo = namedtuple("_CacheInfo", "hits misses currsize")
 
-    Stored as float64 when its imaginary part is exactly zero. perfbench
-    reads cache_info() under this name.
+
+class _TreeMemo:
+    """_dense_context(rooted, make, *args): materialize(make(rooted, *args)),
+    shared and therefore read-only.
+
+    Stored as float64 when its imaginary part is exactly zero. The memo is
+    one dict per rooted tree, held by a weak reference to the tree, so it
+    dies with the tree: a finished configuration keeps no matrices.
+    cache_info() counts the hits and misses of the process's lifetime and
+    the matrices held now; perfbench reads it under the name _dense_context.
     """
-    mat = materialize(make(rooted, *args))
-    if not mat.imag.any():
-        mat = mat.real.copy()
-    mat.flags.writeable = False
-    return mat
+
+    def __init__(self):
+        self.memos = weakref.WeakKeyDictionary()  # rooted tree -> {key: matrix}
+        self.hits = self.misses = 0
+
+    def __call__(self, rooted: RootedTree, make, *args) -> np.ndarray:
+        memo, key = self.memos.setdefault(rooted, {}), (make, *args)
+        if key in memo:
+            self.hits += 1
+            return memo[key]
+        self.misses += 1
+        mat = materialize(make(rooted, *args))
+        if not mat.imag.any():
+            mat = mat.real.copy()
+        mat.flags.writeable = False
+        memo[key] = mat
+        return mat
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, sum(map(len, self.memos.values())))
+
+
+_dense_context = _TreeMemo()
 
 
 def _gathered(mat: np.ndarray, images: np.ndarray) -> np.ndarray:
@@ -337,10 +364,11 @@ def uniform_bound_certificate(
 
 
 def conjugation_equivalence_residual(
-    rooted: RootedTree, images: np.ndarray, t: float
+    rooted: RootedTree, images: np.ndarray, t: float, member: np.ndarray
 ) -> np.ndarray:
-    """Per element of the block, the entrywise gap between the unitary
-    member at t and the rank-one conjugation of the bounded member at z = t.
+    """Per element of the block, the entrywise gap between member, the
+    block's unitary stack at t (dense_unitary_rep, which the caller has
+    built), and the rank-one conjugation of the bounded member at z = t.
 
     The conjugator is the identity off the origin and scales the origin
     coordinate by sqrt(1 - t^2).
@@ -350,7 +378,7 @@ def conjugation_equivalence_residual(
     rhs = dense_bounded_rep(rooted, images, t)
     rhs[:, rooted.origin, :] *= 1.0 / scale
     rhs[:, :, rooted.origin] *= scale
-    return np.abs(dense_unitary_rep(rooted, images, t) - rhs).max(axis=(1, 2))
+    return np.abs(member - rhs).max(axis=(1, 2))
 
 
 def homomorphism_residual(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import re
+import weakref
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
@@ -165,8 +166,12 @@ class Tree:
 
     @cached_property
     def _rooting(self) -> "RootedTree":
-        """The rooting at vertex 0 that every traversal query derives from."""
-        return root_at(self, 0)
+        """The rooting at vertex 0 that every traversal query derives from.
+
+        It holds the tree through a weak proxy: with no reference cycle, a
+        tree and its cached arrays are freed as soon as it is dropped.
+        """
+        return root_at(weakref.proxy(self), 0)
 
     def path(self, x: int, y: int) -> list[int]:
         """The unique vertex sequence from x to y, consecutive entries adjacent.
@@ -188,7 +193,12 @@ class Tree:
         return len(self.path(x, y)) - 1
 
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs edge distances, filled row by row in BFS order from 0.
+        """All-pairs edge distances, computed once per tree; read-only."""
+        return self._distances
+
+    @cached_property
+    def _distances(self) -> np.ndarray:
+        """distance_matrix, filled row by row in BFS order from 0.
 
         Every vertex listed before x lies outside x's subtree, so its path
         to x runs through parent(x), whose row is already complete there.
@@ -202,6 +212,7 @@ class Tree:
         order = np.array(rooted.order)
         out = np.empty_like(d)
         out[np.ix_(order, order)] = d
+        out.flags.writeable = False
         return out
 
     def __repr__(self) -> str:

@@ -229,10 +229,8 @@ def test_criterion_05_unitary_family(
                     gram = rep.conj().swapaxes(1, 2) @ rep
                     worst_unitary = max(worst_unitary, np.abs(gram - np.eye(n)).max())
                     if t > 0.0:
-                        worst_equiv = max(
-                            worst_equiv,
-                            conjugation_equivalence_residual(rooted, images, t).max(),
-                        )
+                        equiv = conjugation_equivalence_residual(rooted, images, t, rep)
+                        worst_equiv = max(worst_equiv, equiv.max())
     for spec, tree, closure in small_group_corpus:
         rooted = root_at(tree, tree.n - 1)
         g, h = np.divmod(np.arange(len(closure) ** 2), len(closure))

@@ -81,10 +81,12 @@ def _breaks_curve(images) -> np.ndarray:
 
 
 def _rising_curve(original):
-    def patched(rooted, images, t_grid):
-        curve = original(rooted, images, t_grid).copy()
-        curve[0, _breaks_curve(images)] = 1.0 + np.asarray(t_grid)
-        return curve
+    # the limit family's distances to the limit, as its monotone rule reads
+    # them, rise along MONOTONE_T_VALUES for the elements _breaks_curve picks
+    def patched(rooted, images, values, tol):
+        values = values.copy()
+        values[_breaks_curve(images)] = 1.0 + np.asarray(checks.MONOTONE_T_VALUES)
+        return original(rooted, images, values, tol)
 
     return patched
 
@@ -132,7 +134,7 @@ FAULTS = {
         set(),
     ),
     "rising-curve": (
-        reps, "homotopy_curve", _rising_curve, {"limit-monotone"}, set(),
+        checks, "_approaches_limit", _rising_curve, {"limit-monotone"}, set(),
     ),
     "inverse-members": (
         reps, "dense_unitary_rep", _inverse_members,
@@ -220,7 +222,9 @@ def test_max_abs_keeps_a_nan_coefficient():
 
 
 def test_limit_monotone_counts_the_broken_curves(monkeypatch, tmp_path):
-    monkeypatch.setattr(reps, "homotopy_curve", _rising_curve(reps.homotopy_curve))
+    monkeypatch.setattr(
+        checks, "_approaches_limit", _rising_curve(checks._approaches_limit)
+    )
     tree = make_star(4)
     broken = int(_breaks_curve(full_automorphism_group(tree).images).sum())
     assert 0 < broken < 6
@@ -236,6 +240,26 @@ def test_limit_monotone_counts_the_broken_curves(monkeypatch, tmp_path):
     assert {r["check"] for r in report["records"] if not r["passed"]} == {
         "limit-monotone"
     }
+
+
+def test_limit_distances_equal_the_homotopy_curve(monkeypatch):
+    # the limit family takes its distances to the limit from the members it
+    # builds on the grid; they are the curve's first row, bit for bit
+    seen = []
+
+    def spy(rooted, images, values, tol):
+        seen.append((rooted, images, values))
+        return original(rooted, images, values, tol)
+
+    original = checks._approaches_limit
+    monkeypatch.setattr(checks, "_approaches_limit", spy)
+    checks.run_check_suite(checks.SuiteConfig("star:4"))
+
+    assert [rooted.origin for rooted, _, _ in seen] == [0, 3]
+    for rooted, images, values in seen:
+        assert len(images) == 6
+        curve = reps.homotopy_curve(rooted, images, checks.MONOTONE_T_VALUES)[0]
+        assert np.array_equal(values, curve)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -163,6 +163,17 @@ class TestCheckCommand:
         assert "479001600" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_generator_file_over_the_cap(self, tmp_path, capsys):
+        # a transposition and an 8-cycle of the leaves generate all 40320
+        # leaf permutations of star:9, twice the cap
+        group_file = tmp_path / "gens.txt"
+        group_file.write_text("0 2 1 3 4 5 6 7 8\n0 2 3 4 5 6 7 8 1\n")
+        assert run_cli("check", "--tree", "star:9", "--group", str(group_file),
+                       "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "exceeds" in err and "20000" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_unknown_tolerance_name(self, tmp_path, capsys):
         assert run_cli("check", "--tree", "path:2", "--group", "auto",
                        "--tol.bogus=1e-9", "--out", str(tmp_path)) == 2

@@ -240,10 +240,16 @@ class TestUnitaryFamily:
 
     def test_conjugation_equivalence(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        assert conjugation_equivalence_residual(rooted, group.images[1:2], 0.0) == 0.0
+        swap = group.images[1:2]
+        member = dense_unitary_rep(rooted, swap, 0.0)
+        assert conjugation_equivalence_residual(rooted, swap, 0.0, member) == 0.0
         for t in (0.3, 0.5, 0.9):
-            gaps = conjugation_equivalence_residual(rooted, group.images, t)
+            member = dense_unitary_rep(rooted, group.images, t)
+            gaps = conjugation_equivalence_residual(rooted, group.images, t, member)
             assert gaps.max() <= 1e-12
+            # the member is compared as given: a wrong one shows
+            wrong = conjugation_equivalence_residual(rooted, group.images, t, -member)
+            assert (wrong > 1.0).all()
 
     def test_homomorphism_in_g(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted

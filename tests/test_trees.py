@@ -147,6 +147,13 @@ class TestQueries:
             for y in range(tree.n):
                 assert d[x, y] == tree.distance(x, y)
 
+    def test_distance_matrix_is_computed_once_and_read_only(self):
+        tree = make_random(25, seed=9)
+        d = tree.distance_matrix()
+        assert tree.distance_matrix() is d
+        with pytest.raises(ValueError, match="read-only"):
+            d[0, 1] = 0
+
 
 class TestGenerators:
     def test_path(self):

@@ -113,6 +113,8 @@ class SuiteConfig:
         return table
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         for t in self.t_grid:
             if not 0.0 <= t < 1.0:
                 raise ConfigError(
@@ -558,11 +560,8 @@ def _check_limit_family(ctx: _Context) -> list[CheckRecord]:
                     to_limit[t] = operator_norm(member - limit)
                 if t in extra:
                     continue
-                # the origin column, the image of delta_origin, made contiguous
-                # so that its dot product rounds as in np.linalg.norm
-                column = member[:, :, x0].copy()
-                norms = np.sqrt(np.vecdot(column, column))
-                sphere = np.maximum(sphere, abs(norms - 1.0))
+                residual = reps_mod.origin_sphere_residual(rooted, member)
+                sphere = np.maximum(sphere, residual)
                 if previous is not None:
                     steps.append(operator_norm(member - previous))
                 previous = member

@@ -22,7 +22,9 @@ from .checks import (
     resolve_tree,
     run_check_suite,
 )
-from .kernels import distance_kernel, exp_kernel, geodesic_cocycle, gram_kernel
+from .kernels import (
+    CND_SEED, distance_kernel, exp_kernel, geodesic_cocycle, gram_kernel,
+)
 from .operators import (
     adjacency_operator,
     branching_operator,
@@ -260,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", default="auto",
                        help="'auto' for the full automorphism group "
                             "(at most 20000 elements) or a generator file")
-        p.add_argument("--seed", type=int, default=0xA11CE)
+        p.add_argument("--seed", type=int, default=CND_SEED)
         p.add_argument("--out", default=".", help="output directory")
 
     p_check = sub.add_parser("check", help="run the full invariant suite")

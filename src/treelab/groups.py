@@ -126,8 +126,8 @@ def close_group(
     closing under composition alone is enough. If more than cap elements
     appear the search stops and the result is flagged incomplete.
 
-    Each frontier, a block of image arrays, is composed with every
-    generator in one gather; the products are taken in (g, h) order.
+    Each frontier row is composed with every generator in one gather, a
+    row at a time; the products are taken in (g, h) order.
     """
     gens = [
         verify_automorphism(tree, g.images if isinstance(g, Automorphism) else g)
@@ -139,15 +139,14 @@ def close_group(
     complete = True
     while len(frontier) and complete:
         fresh = []
-        # row (g, h) of the products is g after h: x -> g(h(x))
-        for gh in frontier[:, gen_block].reshape(-1, tree.n):
-            images = tuple(gh.tolist())
+        # in (g, h) order, one frontier row g at a time: gh is x -> g(h(x))
+        for images in (tuple(gh) for g in frontier for gh in g[gen_block].tolist()):
             if images not in found:
                 if len(found) >= cap:
                     complete = False
                     break
                 found.add(images)
-                fresh.append(gh)
+                fresh.append(images)
         frontier = np.array(fresh, dtype=np.intp).reshape(-1, tree.n)
     elements = tuple(map(Automorphism, sorted(found)))
     gen_indices = tuple(elements.index(g) for g in gens if g in elements)

@@ -107,9 +107,9 @@ def exp_kernel(tree: Tree, t: float) -> KernelMatrix:
 def gram_kernel(rooted: RootedTree, t: float) -> KernelMatrix:
     """(1 - t^2) times the Gram matrix of the inverse-deformed vertex basis.
 
-    Computed through the inverse-deformation applier, so it is an
-    independent route to the same matrix as exp_kernel; the scaling makes
-    the diagonal exactly one. Origin choice does not affect the result.
+    Computed through the inverse-deformation applier: an independent route
+    to exp_kernel's matrix. The scaling makes the diagonal one up to rounding
+    (within KernelMatrix's 1e-12); origin choice does not affect the result.
     """
     t = _check_decay(t)
     inv = materialize(deformation_inverse(rooted, t))

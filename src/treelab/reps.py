@@ -52,7 +52,6 @@ from .operators import (
     vertex_space,
     worst_of,
 )
-from .spaces import VertexVector
 from .trees import RootedTree
 
 __all__ = [
@@ -451,8 +450,8 @@ def unitary_step_bound(
     )
 
 
-def origin_sphere_residual(rooted: RootedTree, g: Automorphism, t: float) -> float:
-    """|norm(rep_t(g) delta_origin) - 1|; the unitary family preserves it."""
-    v = VertexVector(rooted.n, {rooted.origin: 1})
-    image = unitary_rep_operator(rooted, g, t).apply(v)
-    return abs(image.norm() - 1.0)
+def origin_sphere_residual(rooted: RootedTree, member: np.ndarray) -> np.ndarray:
+    """Per element, |norm(member delta_origin) - 1| on a block's unitary stack.
+    The origin column is copied contiguous, so it rounds as in np.linalg.norm."""
+    column = member[:, :, rooted.origin].copy()
+    return abs(np.sqrt(np.vecdot(column, column)) - 1.0)

@@ -299,13 +299,13 @@ def test_criterion_07_limit_approach(closure_corpus, record_criterion):
     p2_worst = 0.0
     for spec, tree, closure in closure_corpus:
         for rooted in rooted_pairs(tree):
-            for g in closure:
-                for t in DEFAULT_T_GRID + (0.999,):
-                    sphere_worst = max(
-                        sphere_worst, origin_sphere_residual(rooted, g, t)
-                    )
             for block in element_blocks(len(closure), tree.n):
                 images = closure.images[block]
+                for t in DEFAULT_T_GRID + (0.999,):
+                    member = dense_unitary_rep(rooted, images, t)
+                    sphere_worst = max(
+                        sphere_worst, origin_sphere_residual(rooted, member).max()
+                    )
                 curves = homotopy_curve(rooted, images, (0.9, 0.99, 0.999))[0]
                 for values, d in zip(curves, displacement(rooted, images)):
                     if d == 0:

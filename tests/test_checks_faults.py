@@ -91,6 +91,14 @@ def _rising_curve(original):
     return patched
 
 
+def _sphere_offset(original):
+    # every origin-sphere residual 1e-9 too large: 10^3 times its tolerance
+    def patched(rooted, member):
+        return original(rooted, member) + 1e-9
+
+    return patched
+
+
 def _looping_shift(original):
     # a loop at vertex 0 makes the shift's matrix non-nilpotent: the loop's
     # entry survives every power
@@ -142,6 +150,9 @@ FAULTS = {
          "limit-monotone"},
         set(),
     ),
+    "sphere-offset": (
+        reps, "origin_sphere_residual", _sphere_offset, {"origin-sphere"}, set(),
+    ),
     "looping-shift": (
         checks, "matrix_power", _looping_shift, {"shift-nilpotency"}, set(),
     ),
@@ -153,8 +164,8 @@ FAULTS = {
 
 # faults that plant no NaN or inf: each fails exactly the records it names
 FINITE_FAULTS = {
-    "flipped-member", "inverse-members", "rising-curve", "looping-shift",
-    "short-series",
+    "flipped-member", "inverse-members", "rising-curve", "sphere-offset",
+    "looping-shift", "short-series",
 }
 
 
@@ -192,6 +203,15 @@ def test_injected_fault_fails_loudly(fault, monkeypatch, tmp_path, capsys):
     assert main(["report", str(tmp_path / "report.json")]) == 1
     report_out = capsys.readouterr().out
     assert report_out.count("FAIL ") == check_out.count("FAIL ") == len(failed)
+
+
+def test_sphere_offset_fails_origin_sphere_at_both_origins(monkeypatch):
+    # the suite's record reads the same function as the library and C07
+    module, attr, wrap, _, _ = FAULTS["sphere-offset"]
+    monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    report = checks.run_check_suite(checks.SuiteConfig("star:4"))
+    failed = [(r.check, r.origin) for r in report.records if not r.passed]
+    assert failed == [("origin-sphere", 0), ("origin-sphere", 3)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -151,6 +151,13 @@ class TestCheckCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_rejects_a_negative_seed(self, tmp_path, capsys):
+        # the seed drives the sampled checks; it is refused before any runs
+        assert run_cli("check", "--tree", "path:5", "--seed", "-1",
+                       "--out", str(tmp_path)) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_auto_group_of_a_large_tree(self, tmp_path):
         assert run_cli("check", "--tree", "random:50,7", "--group", "auto",
                        "--t", "0,0.5", "--out", str(tmp_path)) == 0

@@ -226,10 +226,13 @@ class TestUnitaryFamily:
                 ).max() <= 1e-12
 
     def test_dense_matches_applier(self, star4_leaf_rooted):
+        # up to t = 0.999: origin_sphere_residual reads the dense members only,
+        # so they stand in for the applier there
         rooted, group = star4_leaf_rooted
-        for dense, g in zip(dense_unitary_rep(rooted, group.images, 0.7), group):
-            sparse = materialize(unitary_rep_operator(rooted, g, 0.7))
-            assert np.abs(dense - sparse).max() <= 1e-13
+        for t in T_GRID + (0.7, 0.999):
+            for dense, g in zip(dense_unitary_rep(rooted, group.images, t), group):
+                sparse = materialize(unitary_rep_operator(rooted, g, t))
+                assert np.abs(dense - sparse).max() <= 1e-13
 
     def test_parameter_range(self):
         rooted = root_at(make_path(2), 0)
@@ -454,9 +457,11 @@ class TestHomotopy:
 class TestOriginSphere:
     def test_unit_norm_preserved(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for g in group:
-            for t in T_GRID + (0.999,):
-                assert origin_sphere_residual(rooted, g, t) <= 1e-13
+        for t in T_GRID + (0.999,):
+            member = dense_unitary_rep(rooted, group.images, t)
+            residual = origin_sphere_residual(rooted, member)
+            assert residual.shape == (len(group),)
+            assert (residual <= 1e-13).all()
 
     def test_closed_form_of_origin_image_norm(self):
         # norm^2 = t^(2d) + (1-t^2) * sum_k t^(2k) telescopes to one

@@ -118,8 +118,8 @@ class SuiteConfig:
         for t in self.t_grid:
             if not 0.0 <= t < 1.0:
                 raise ConfigError(
-                    f"t grid values must lie in [0, 1) for the unitary family; "
-                    f"got {t} (t = 1 is only meaningful as the limit itself)"
+                    f"t grid values must lie in the half-open interval [0, 1) of "
+                    f"the unitary family; got {t} (t = 1 is the limit, not a member)"
                 )
         for z in self.z_grid:
             if abs(z) >= 1.0:
@@ -470,13 +470,12 @@ def _check_bounded_family(ctx: _Context) -> list[CheckRecord]:
     return out
 
 
-def _pair_sample(ctx: _Context) -> np.ndarray:
-    """Closure indices (g, h) per row: all pairs or a seeded sample."""
-    size = len(ctx.closure)
-    if size ** 2 <= HOMOMORPHISM_PAIR_CAP:
+def _pair_sample(size: int, cap: int, seed: int) -> np.ndarray:
+    """Index pairs (i, j) in range(size), one per row: all of them in
+    row-major order when there are at most cap, else cap seeded draws."""
+    if size ** 2 <= cap:
         return np.stack(np.divmod(np.arange(size * size), size), axis=1)
-    rng = np.random.default_rng(ctx.config.seed)
-    return rng.integers(0, size, size=(HOMOMORPHISM_PAIR_CAP, 2))
+    return np.random.default_rng(seed).integers(0, size, size=(cap, 2))
 
 
 def _check_unitary_family(ctx: _Context) -> list[CheckRecord]:
@@ -485,7 +484,8 @@ def _check_unitary_family(ctx: _Context) -> list[CheckRecord]:
     tol_u = ctx.tol["unitarity"]
     tol_h = ctx.tol["homomorphism"]
     n = ctx.tree.n
-    images, pairs = ctx.closure.images, _pair_sample(ctx)
+    images = ctx.closure.images
+    pairs = _pair_sample(len(ctx.closure), HOMOMORPHISM_PAIR_CAP, ctx.config.seed)
     out = []
     for rooted in ctx.rooted_list:
         for t in ctx.config.t_grid:
@@ -607,14 +607,11 @@ def _check_kernels(ctx: _Context) -> list[CheckRecord]:
 def _check_cocycles(ctx: _Context) -> list[CheckRecord]:
     tol = ctx.tol["identity"]
     tree = ctx.tree
-    n = tree.n
     rooted = ctx.rooted_list[0]
-    if n * n <= COCYCLE_PAIR_CAP:
-        vertex_pairs = [(x, y) for x in range(n) for y in range(n)]
-    else:
-        rng = np.random.default_rng(ctx.config.seed)
-        idx = rng.integers(0, n, size=(COCYCLE_PAIR_CAP, 2))
-        vertex_pairs = [(int(x), int(y)) for x, y in idx]
+    vertex_pairs = [
+        (int(x), int(y))
+        for x, y in _pair_sample(tree.n, COCYCLE_PAIR_CAP, ctx.config.seed)
+    ]
 
     rep = kernels_mod.cocycle_report(rooted, vertex_pairs)
     gaps = np.concatenate((

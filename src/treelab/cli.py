@@ -1,5 +1,9 @@
 """Command-line harness: check suites, homotopy curves, kernels, cocycles.
 
+Each subcommand declares exactly the flags it reads, and none may be
+abbreviated. Only `check` takes `--seed` and the `--tol.<name>` overrides
+of `checks.TOLERANCES`, which `treelab check --help` lists.
+
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 configuration error.
 """
@@ -14,6 +18,7 @@ from pathlib import Path
 from .checks import (
     DEFAULT_T_GRID,
     DEFAULT_Z_GRID,
+    TOLERANCES,
     ConfigError,
     SuiteConfig,
     report_from_json,
@@ -45,51 +50,20 @@ from .trees import root_at
 __all__ = ["main"]
 
 
-def _split_tolerance_flags(argv: list[str]) -> tuple[list[str], dict[str, float]]:
-    """Pull out --tol.<name> flags, which argparse cannot declare generically."""
-    rest: list[str] = []
-    tols: dict[str, float] = {}
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg.startswith("--tol."):
-            name, eq, value = arg[6:].partition("=")
-            if not eq:
-                if i + 1 >= len(argv):
-                    raise ConfigError(f"flag --tol.{name} needs a value")
-                value = argv[i + 1]
-                i += 1
-            try:
-                tols[name] = float(value)
-            except ValueError:
-                raise ConfigError(f"--tol.{name}: not a number: {value!r}")
-        else:
-            rest.append(arg)
-        i += 1
-    return rest, tols
-
-
 def _parse_grid(text: str, name: str, parse) -> tuple:
-    """The comma-separated values of a grid, each parsed and checked in turn."""
+    """The comma-separated values of a grid; the code that uses it checks them."""
     values = tuple(parse(tok.strip()) for tok in text.split(",") if tok.strip())
     if not values:
         raise ConfigError(f"empty {name} grid")
     return values
 
 
-def _parse_t_grid(text: str, allow_limit: bool) -> tuple[float, ...]:
-    def parse(tok: str) -> float:
-        t = float(tok)
-        if t == 1.0 and not allow_limit:
-            raise ConfigError(
-                "t = 1.0 is outside the unitary family's open interval; "
-                "it is accepted only where the limit representation is compared"
-            )
-        if not 0.0 <= t <= 1.0:
-            raise ConfigError(f"t values must lie in [0, 1], got {t}")
-        return t
-
-    return _parse_grid(text, "t", parse)
+def _parameter(owner: str, flag: str, value, read: bool) -> None:
+    """Refuse a parameter that owner does not read, or lacks one it does."""
+    if read and value is None:
+        raise ConfigError(f"{owner} needs --{flag}")
+    if not read and value is not None:
+        raise ConfigError(f"{owner} takes no --{flag}")
 
 
 def _out_dir(path_text: str) -> Path:
@@ -109,14 +83,17 @@ def _fail_line(r: dict) -> str:
     )
 
 
-def _cmd_check(args, tolerances) -> int:
+def _cmd_check(args) -> int:
     config = SuiteConfig(
         tree_spec=args.tree,
         group_spec=args.group,
-        t_grid=_parse_t_grid(args.t, allow_limit=False),
+        t_grid=_parse_grid(args.t, "t", float),
         z_grid=_parse_grid(args.z, "z", parse_complex),
         seed=args.seed,
-        tolerances=tolerances,
+        tolerances={
+            k[len("tol."):]: v for k, v in vars(args).items()
+            if k.startswith("tol.") and v is not None
+        },
     )
     report = run_check_suite(config)
     out = _out_dir(args.out) / "report.json"
@@ -132,7 +109,7 @@ def _cmd_check(args, tolerances) -> int:
     return 0 if report.aggregate_pass else 1
 
 
-def _cmd_curve(args, tolerances) -> int:
+def _cmd_curve(args) -> int:
     tree = resolve_tree(args.tree)
     closure = resolve_group(tree, args.group)
     if not 0 <= args.g < len(closure):
@@ -140,7 +117,7 @@ def _cmd_curve(args, tolerances) -> int:
             f"group element index {args.g} out of range 0..{len(closure) - 1}"
         )
     rooted = root_at(tree, 0)
-    grid = _parse_t_grid(args.t, allow_limit=True)
+    grid = _parse_grid(args.t, "t", float)
     curve = homotopy_curve(rooted, closure.images[args.g : args.g + 1], grid)
     out = _out_dir(args.out) / f"curve_{args.g}.csv"
     csv_text = curve_to_csv(grid, curve[:, 0])
@@ -150,20 +127,15 @@ def _cmd_curve(args, tolerances) -> int:
     return 0
 
 
-def _cmd_kernel(args, tolerances) -> int:
+def _cmd_kernel(args) -> int:
+    _parameter(f"kernel kind {args.kind!r}", "t", args.t, args.kind != "distance")
     tree = resolve_tree(args.tree)
     if args.kind == "distance":
         kernel = distance_kernel(tree)
+    elif args.kind == "exp":
+        kernel = exp_kernel(tree, args.t)
     else:
-        if args.t is None:
-            raise ConfigError(f"kernel kind {args.kind!r} needs --t")
-        t_values = _parse_t_grid(args.t, allow_limit=False)
-        if len(t_values) != 1:
-            raise ConfigError("kernel emission takes exactly one t value")
-        if args.kind == "exp":
-            kernel = exp_kernel(tree, t_values[0])
-        else:
-            kernel = gram_kernel(root_at(tree, 0), t_values[0])
+        kernel = gram_kernel(root_at(tree, 0), args.t)
     csv_text = matrix_to_csv(kernel.matrix)
     out = _out_dir(args.out) / f"kernel_{args.kind}.csv"
     out.write_text(csv_text, encoding="utf-8")
@@ -176,7 +148,9 @@ OPERATOR_NAMES = (
 )
 
 
-def _build_named_operator(name: str, rooted, t_text, z_text):
+def _build_named_operator(name: str, rooted, t, z):
+    _parameter(f"operator {name!r}", "t", t, name in ("T", "Tinv"))
+    _parameter(f"operator {name!r}", "z", z, name == "resolvent")
     tree = rooted.tree
     if name == "S":
         return adjacency_operator(tree)
@@ -196,20 +170,13 @@ def _build_named_operator(name: str, rooted, t_text, z_text):
         return coboundary_operator(tree)
     if name == "resolvent":
         # any complex z is legal for the resolvent on a finite tree
-        if z_text is None or "," in z_text:
-            raise ConfigError("operator 'resolvent' needs exactly one --z value")
-        return resolvent_operator(rooted, parse_complex(z_text))
-    if t_text is None:
-        raise ConfigError(f"operator {name!r} needs --t")
-    t_values = _parse_t_grid(t_text, allow_limit=(name == "T"))
-    if len(t_values) != 1:
-        raise ConfigError("operator export takes exactly one t value")
+        return resolvent_operator(rooted, z)
     if name == "T":
-        return deformation_operator(rooted, t_values[0])
-    return deformation_inverse(rooted, t_values[0])
+        return deformation_operator(rooted, t)
+    return deformation_inverse(rooted, t)
 
 
-def _cmd_operator(args, tolerances) -> int:
+def _cmd_operator(args) -> int:
     rooted = root_at(resolve_tree(args.tree), 0)
     op = _build_named_operator(args.name, rooted, args.t, args.z)
     csv_text = matrix_to_csv(materialize(op))
@@ -219,17 +186,14 @@ def _cmd_operator(args, tolerances) -> int:
     return 0
 
 
-def _cmd_cocycle(args, tolerances) -> int:
-    tree = resolve_tree(args.tree)
-    tree.check_vertex(args.x)
-    tree.check_vertex(args.y)
-    cocycle = geodesic_cocycle(tree, args.x, args.y)
+def _cmd_cocycle(args) -> int:
+    cocycle = geodesic_cocycle(resolve_tree(args.tree), args.x, args.y)
     for sign, (u, v) in cocycle.steps:
         print(f"{'+' if sign > 0 else '-'} {u}-{v}")
     return 0
 
 
-def _cmd_report(args, tolerances) -> int:
+def _cmd_report(args) -> int:
     path = Path(args.path)
     if not path.is_file():
         raise ConfigError(f"no report at {path}")
@@ -254,29 +218,38 @@ def _build_parser() -> argparse.ArgumentParser:
         "on finite trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--tree", required=True,
+    shared = {
+        "--tree": dict(required=True,
                        help="generator string (path:N, star:N, regular:q,r, "
-                            "random:N,seed) or a tree file")
-        p.add_argument("--group", default="auto",
-                       help="'auto' for the full automorphism group "
-                            "(at most 20000 elements) or a generator file")
-        p.add_argument("--seed", type=int, default=CND_SEED)
-        p.add_argument("--out", default=".", help="output directory")
+                            "random:N,seed) or a tree file"),
+        "--group": dict(default="auto",
+                        help="'auto' for the full automorphism group "
+                             "(at most 20000 elements) or a generator file"),
+        "--out": dict(default=".", help="output directory"),
+    }
 
-    p_check = sub.add_parser("check", help="run the full invariant suite")
-    common(p_check)
+    def command(name, fn, help, *flags):
+        # allow_abbrev=False: --tol.ident must not stand for --tol.identity
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(fn=fn)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
+
+    p_check = command("check", _cmd_check, "run the full invariant suite",
+                      "--tree", "--group", "--out")
+    p_check.add_argument("--seed", type=int, default=CND_SEED)
     p_check.add_argument("--t", default=",".join(f"{t:g}" for t in DEFAULT_T_GRID))
     p_check.add_argument(
         "--z", default=",".join(str(z.real) for z in DEFAULT_Z_GRID)
     )
-    p_check.set_defaults(fn=_cmd_check)
+    for name, value in TOLERANCES.items():
+        p_check.add_argument(f"--tol.{name}", type=float, metavar="TOL",
+                             help=f"override the tolerance (default {value:g})")
 
-    p_curve = sub.add_parser(
-        "curve", help="distance-to-limit curve for one group element"
-    )
-    common(p_curve)
+    p_curve = command("curve", _cmd_curve,
+                      "distance-to-limit curve for one group element",
+                      "--tree", "--group", "--out")
     p_curve.add_argument("--g", type=int, required=True,
                          help="element index in the sorted closure")
     p_curve.add_argument(
@@ -284,48 +257,38 @@ def _build_parser() -> argparse.ArgumentParser:
         default=",".join(f"{t:g}" for t in DEFAULT_T_GRID) + ",0.999",
         help="grid for the limit comparison (1.0 denotes the limit itself)",
     )
-    p_curve.set_defaults(fn=_cmd_curve)
 
-    p_kernel = sub.add_parser("kernel", help="emit a kernel matrix as CSV")
-    common(p_kernel)
+    p_kernel = command("kernel", _cmd_kernel, "emit a kernel matrix as CSV",
+                       "--tree", "--out")
     p_kernel.add_argument("--kind", choices=("distance", "exp", "gram"),
                           required=True)
-    p_kernel.add_argument("--t", default=None)
-    p_kernel.set_defaults(fn=_cmd_kernel)
+    p_kernel.add_argument("--t", type=float, help="decay parameter for exp / gram")
 
-    p_op = sub.add_parser("operator", help="materialize a named operator as CSV")
-    common(p_op)
+    p_op = command("operator", _cmd_operator, "materialize a named operator as CSV",
+                   "--tree", "--out")
     p_op.add_argument("--name", choices=OPERATOR_NAMES, required=True)
-    p_op.add_argument("--t", default=None,
+    p_op.add_argument("--t", type=float,
                       help="deformation parameter for T / Tinv")
-    p_op.add_argument("--z", default=None,
-                      help="resolvent parameter")
-    p_op.set_defaults(fn=_cmd_operator)
+    p_op.add_argument("--z", type=parse_complex, help="resolvent parameter")
 
-    p_coc = sub.add_parser("cocycle", help="print the signed geodesic edge list")
-    common(p_coc)
+    p_coc = command("cocycle", _cmd_cocycle, "print the signed geodesic edge list",
+                    "--tree")
     p_coc.add_argument("--x", type=int, required=True)
     p_coc.add_argument("--y", type=int, required=True)
-    p_coc.set_defaults(fn=_cmd_cocycle)
 
-    p_rep = sub.add_parser("report", help="summarize an existing report.json")
+    p_rep = command("report", _cmd_report, "summarize an existing report.json")
     p_rep.add_argument("path")
-    p_rep.set_defaults(fn=_cmd_report)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv, tolerances = _split_tolerance_flags(argv)
-        parser = _build_parser()
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            # argparse exits 2 on usage errors and 0 on --help
-            return int(exc.code or 0)
-        return args.fn(args, tolerances)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors and 0 on --help
+        return int(exc.code or 0)
+    try:
+        return args.fn(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

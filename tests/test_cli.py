@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from treelab.checks import report_from_json
+from treelab.checks import TOLERANCES, ConfigError, SuiteConfig, report_from_json
 from treelab.cli import main
 from treelab.trees import make_star, serialize_tree
 
@@ -86,6 +86,7 @@ class TestCocycleCommand:
 
     def test_bad_vertex(self, capsys):
         assert run_cli("cocycle", "--tree", "path:3", "--x", "0", "--y", "9") == 2
+        assert "vertex id 9 out of range" in capsys.readouterr().err
 
 
 class TestCurveCommand:
@@ -184,7 +185,27 @@ class TestCheckCommand:
     def test_unknown_tolerance_name(self, tmp_path, capsys):
         assert run_cli("check", "--tree", "path:2", "--group", "auto",
                        "--tol.bogus=1e-9", "--out", str(tmp_path)) == 2
-        assert "unknown tolerance" in capsys.readouterr().err
+        assert "--tol.bogus" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_unknown_tolerance_name_in_the_library(self):
+        config = SuiteConfig("path:2", tolerances={"bogus": 1e-9})
+        with pytest.raises(ConfigError, match="unknown tolerance"):
+            config.validate()
+
+    def test_tolerance_flags_are_not_abbreviated(self, tmp_path, capsys):
+        # a prefix must not silently set --tol.identity
+        assert run_cli("check", "--tree", "path:2", "--tol.ident=1e-30",
+                       "--out", str(tmp_path)) == 2
+        assert "--tol.ident=1e-30" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_help_lists_every_tolerance(self, capsys):
+        assert run_cli("check", "--help") == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        for name, value in TOLERANCES.items():
+            line = f"--tol.{name} TOL override the tolerance (default {value:g})"
+            assert line in help_text
 
     def test_infinite_tolerance_rejected(self, tmp_path, capsys):
         assert run_cli("check", "--tree", "path:3", "--group", "auto",
@@ -273,6 +294,39 @@ class TestReportCommand:
         path.write_text(json.dumps(payload))
         assert run_cli("report", str(path)) == 2  # not an uncaught exception
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["curve", "--tree", "path:3", "--g", "1", "--seed", "-5", "--out", "{out}"],
+         "--seed"),
+        (["cocycle", "--tree", "path:3", "--x", "0", "--y", "2",
+          "--group", "nofile", "--out", "{out}"], "--group"),
+        (["kernel", "--tree", "path:3", "--kind", "distance", "--group", "nofile",
+          "--t", "0.5", "--out", "{out}"], "--group"),
+        (["kernel", "--tree", "path:3", "--kind", "distance", "--t", "0.5",
+          "--out", "{out}"], "--t"),
+        (["report", "{report}", "--tol.identity=-1"], "--tol.identity"),
+        (["--tol.identity=1e-3", "kernel", "--tree", "path:3", "--kind", "distance",
+          "--out", "{out}"], "--tol.identity"),
+        (["operator", "--tree", "path:3", "--name", "S", "--t", "0.5", "--z", "9",
+          "--out", "{out}"], "--t"),
+        (["operator", "--tree", "path:3", "--name", "T", "--t", "0.5", "--z", "9",
+          "--out", "{out}"], "--z"),
+        (["operator", "--tree", "path:3", "--name", "resolvent", "--t", "0.5",
+          "--z", "0.5", "--out", "{out}"], "--t"),
+    ],
+)
+def test_a_flag_the_command_does_not_read_is_refused(tmp_path, capsys, argv, flag):
+    report = tmp_path / "ref" / "report.json"
+    assert run_cli("check", "--tree", "path:2", "--t", "0.5",
+                   "--out", str(report.parent)) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cli(*(a.format(out=out, report=report) for a in argv)) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_module_entry_point(tmp_path):

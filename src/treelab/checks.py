@@ -282,7 +282,8 @@ def _check_shift_factorization(ctx: _Context) -> list[CheckRecord]:
 
 
 def _check_deformation_identity(ctx: _Context) -> list[CheckRecord]:
-    """T T* = 1 - t S + t^2 Q, and T T* commutes with the vertex action."""
+    """T T* = 1 - t S + t^2 Q and T T^-1 = 1 (the sparse T on the members'
+    dense T^-1), and T T* commutes with the vertex action."""
     tol = ctx.tol["identity"]
     s, q = kernels_mod.dense_s_q(ctx.tree)
     n = ctx.tree.n
@@ -292,15 +293,19 @@ def _check_deformation_identity(ctx: _Context) -> list[CheckRecord]:
             tmat = reps_mod._dense_context(rooted, deformation_operator, t)
             prod = tmat @ tmat.T  # T(t) is real
             target = np.eye(n) - t * s + t * t * q
+            inverse = reps_mod._dense_context(rooted, deformation_inverse, t)
+            gap = np.maximum(_max_entry(prod - target), _max_entry(
+                deformation_operator(rooted, t) @ inverse - np.eye(n)
+            ))
             out.append(
                 _record(
-                    ctx, "deformation-product", rooted.origin,
-                    _max_entry(prod - target), tol, parameter=f"t={t:g}",
+                    ctx, "deformation-product", rooted.origin, gap, tol,
+                    parameter=f"t={t:g}",
                 )
             )
             # [prod, pi0(g)] holds the entries prod[g x, g y] - prod[x, y]
             worst, worst_g = worst_of(_per_element(ctx, lambda images: _max_entry(
-                prod[images[:, :, None], images[:, None, :]] - prod
+                prod.take(images[:, :, None] * n + images[:, None, :]) - prod
             )))
             out.append(
                 _record(

@@ -408,11 +408,15 @@ def operator_norm(op: Union[LinearOperator, np.ndarray]):
 
     The square root of the largest eigenvalue of the Gram matrix a* a,
     clamped at 0: one symmetric eigensolve, cheaper than an SVD on real
-    matrices. A stack holding a NaN or inf goes to the SVD instead, so a
-    NaN raises LinAlgError and an inf gives NaN.
+    matrices, over the columns that some matrix of the stack uses (the rest
+    add exact zeros to the Gram). A stack holding a NaN or inf goes to the
+    SVD instead, so a NaN raises LinAlgError and an inf gives NaN.
     """
     a = op if isinstance(op, np.ndarray) else materialize(op)
     if np.isfinite(a).all():
+        keep = a.any(axis=tuple(range(a.ndim - 1)))
+        if not keep.all():  # a mask that keeps every column would still copy a
+            a = a[..., keep]
         gram = a.conj().swapaxes(-2, -1) @ a
         norms = np.sqrt(np.linalg.eigvalsh(gram).max(axis=-1, initial=0.0))
     else:

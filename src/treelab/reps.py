@@ -16,12 +16,13 @@ Two families are built by conjugating the vertex permutation action:
 One member is built as a composition of the operator module's block
 appliers. The dense route maps a block of elements, a (k, n) int array of
 vertex images such as GroupClosure.images, to the (k, n, n) stack of its
-members: the operators materialized, one row gather and one matrix
-product; nothing here restates an operator in closed form, and every
-dense measurement returns one value per element. The materialized
-operators are memoized per rooted tree, and each tree's memo dies with
-it: a configuration's matrices are freed with its rooted trees. The
-test-suite checks both routes against oracles of its own.
+members: the operators materialized, gathers and one matrix product (a
+unitary member is pi0(g) plus T^-1 times the difference of two gathers of
+T); nothing here restates an operator in closed form, and every dense
+measurement returns one value per element. The materialized operators
+are memoized per rooted tree, and each tree's memo dies with it: a
+configuration's matrices are freed with its rooted trees. The test-suite
+checks both routes against oracles of its own.
 
 The reports here carry measurements only; the checks module compares
 them with its tolerances.
@@ -143,7 +144,7 @@ def limit_rep_operator(rooted: RootedTree, g: Automorphism) -> LinearOperator:
 # images, one row per element; GroupClosure.images is the block of a whole
 # closure. Every dense matrix is an operator materialized (memoized per
 # rooted tree, constructor and parameters); a family maps a block to its
-# (k, n, n) stack of members by one row gather and one matrix product.
+# (k, n, n) stack of members by gathers and one matrix product.
 # ----------------------------------------------------------------------
 
 STACK_BYTES = 1 << 17  # the byte budget of one (k, n, n) complex stack
@@ -196,7 +197,7 @@ _dense_context = _TreeMemo()
 
 def _gathered(mat: np.ndarray, images: np.ndarray) -> np.ndarray:
     """The stack (vertex action of g) @ mat: row x of mat moves to row g(x)."""
-    return mat[np.argsort(images, axis=1)]
+    return mat.take(np.argsort(images, axis=1), axis=0)
 
 
 def dense_pi0(n: int, images: np.ndarray) -> np.ndarray:
@@ -211,10 +212,15 @@ def dense_bounded_rep(rooted: RootedTree, images: np.ndarray, z: complex) -> np.
 
 
 def dense_unitary_rep(rooted: RootedTree, images: np.ndarray, t: float) -> np.ndarray:
+    """pi0(g) + T^-1 (pi0(g) T - T pi0(g)) at T = T_t: the difference of two
+    gathers of T is exactly 0 in the columns that the defect leaves alone."""
     t = _check_t(t)
-    return _dense_context(rooted, deformation_inverse, t) @ _gathered(
-        _dense_context(rooted, deformation_operator, t), images
-    )
+    tmat = _dense_context(rooted, deformation_operator, t)
+    defect = _gathered(tmat, images)
+    defect -= np.take(tmat, images, axis=1).swapaxes(0, 1)
+    member = _dense_context(rooted, deformation_inverse, t) @ defect
+    member[np.arange(len(images))[:, None], images, np.arange(rooted.n)] += 1.0
+    return member
 
 
 def dense_limit_rep(rooted: RootedTree, images: np.ndarray) -> np.ndarray:
@@ -307,7 +313,7 @@ def finite_rank_defect(
     if kind == "bounded":
         z = complex(parameter)
         shift = _dense_context(rooted, parent_shift_operator)
-        image_shift = shift[inv[:, :, None], inv[:, None, :]]
+        image_shift = shift.take(inv[:, :, None] * rooted.n + inv[:, None, :])
         resolvent = _dense_context(rooted, resolvent_operator, z)
         predicted = z * (resolvent @ (shift - image_shift))
         cross = np.abs(mult_defect - predicted).max(axis=(1, 2))

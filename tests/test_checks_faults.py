@@ -1,8 +1,9 @@
 """Fault injection: a NaN or inf planted in one dense route, block
 application or residual, or a finite wrong input (one wrong member of a
-family, a non-nilpotent shift, a short series), must fail the records
-built on it (a numerical breakdown fails its whole check), make
-`treelab check` exit 1, and leave report.json standard JSON."""
+family, a wrong inverse deformation, a non-nilpotent shift, a short
+series), must fail the records built on it (a numerical breakdown fails
+its whole check), make `treelab check` exit 1, and leave report.json
+standard JSON."""
 
 import json
 import math
@@ -17,7 +18,7 @@ from treelab.cli import main
 from treelab.groups import full_automorphism_group
 from treelab.operators import LinearOperator
 from treelab.spaces import VertexVector
-from treelab.trees import make_path, make_star, root_at
+from treelab.trees import make_path, make_star, root_at, tree_from_spec
 
 
 def _nan_unitary_at_half(original):
@@ -95,6 +96,26 @@ def _sphere_offset(original):
     # every origin-sphere residual 1e-9 too large: 10^3 times its tolerance
     def patched(rooted, member):
         return original(rooted, member) + 1e-9
+
+    return patched
+
+
+def _wrong_inverse(original):
+    # T_t^-1 with its origin row scaled by 1 + 1e-9: 10^3 times the identity
+    # tolerance; its adjoint scales the same coordinate, so the pair stays
+    # consistent
+    def patched(rooted, t):
+        op = original(rooted, t)
+
+        def scaled(block):
+            block = block.copy()
+            block[rooted.origin] *= 1.0 + 1e-9
+            return block
+
+        return LinearOperator(
+            op.domain, op.codomain,
+            lambda b: scaled(op @ b), lambda b: op.adjoint() @ scaled(b),
+        )
 
     return patched
 
@@ -212,6 +233,24 @@ def test_sphere_offset_fails_origin_sphere_at_both_origins(monkeypatch):
     report = checks.run_check_suite(checks.SuiteConfig("star:4"))
     failed = [(r.check, r.origin) for r in report.records if not r.passed]
     assert failed == [("origin-sphere", 0), ("origin-sphere", 3)]
+
+
+def test_wrong_inverse_fails_deformation_product_where_members_are_permutations(
+    monkeypatch,
+):
+    # every element of random:5,3 fixes both origins, so each unitary member
+    # is pi0(g) exactly, whatever T^-1 is; T T^-1 = 1 still reads the inverse
+    tree = tree_from_spec("random:5,3")
+    images = full_automorphism_group(tree).images
+    assert len(images) == 2 and (images[:, [0, 4]] == [0, 4]).all()
+    for module in (reps, checks):
+        monkeypatch.setattr(
+            module, "deformation_inverse", _wrong_inverse(module.deformation_inverse)
+        )
+    report = checks.run_check_suite(checks.SuiteConfig("random:5,3"))
+    failed = {(r.check, r.origin) for r in report.records if not r.passed}
+    assert failed == {("deformation-product", 0), ("deformation-product", 4)}
+    assert not any(r.passed for r in report.records if r.check == "deformation-product")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -397,6 +397,27 @@ class TestMaterializeAndNorm:
         assert operator_norm(np.zeros((0, 3))) == 0.0
         assert operator_norm(np.zeros((3, 0))) == 0.0
         assert operator_norm(np.zeros((2, 4, 4), dtype=complex)).tolist() == [0.0, 0.0]
+        assert operator_norm(np.zeros((2, 4, 0))).tolist() == [0.0, 0.0]
+
+    def test_norm_skips_zero_columns_exactly(self):
+        # columns that are zero in every matrix of the stack are dropped
+        # before the Gram; a column zero in one matrix only is kept
+        rng = np.random.default_rng(3)
+        real = rng.standard_normal((4, 9, 9))
+        real[:, :, [0, 3, 4, 8]] = 0.0
+        real[1, :, 5] = 0.0
+        for stack in (real, real + 1j * rng.standard_normal((4, 9, 9)) * (real != 0)):
+            norms = operator_norm(stack)
+            for mat, norm in zip(stack, norms):
+                assert abs(norm - np.linalg.norm(mat, 2)) <= 1e-15 * norm
+                assert operator_norm(mat) == pytest.approx(norm, rel=1e-15)
+        # a NaN or inf beside zero columns still goes to the SVD
+        stack = real.copy()
+        stack[2, 0, 1] = math.inf
+        assert math.isnan(operator_norm(stack)[2])
+        stack[2, 0, 1] = math.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            operator_norm(stack)
 
     def test_norm_of_a_non_finite_matrix(self):
         # the SVD's contract: a NaN raises, an inf gives NaN

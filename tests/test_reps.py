@@ -34,7 +34,7 @@ from treelab.reps import (
     unitary_step_bound,
 )
 from treelab.spaces import VertexVector, delta_vertex
-from treelab.trees import make_path, make_random, make_star, root_at
+from treelab.trees import make_path, make_random, make_star, root_at, tree_from_spec
 
 T_GRID = (0.0, 0.3, 0.6, 0.9, 0.99)
 
@@ -240,6 +240,27 @@ class TestUnitaryFamily:
         for t in (1.0, -0.1, 2.0):
             with pytest.raises(ValueError):
                 unitary_rep_operator(rooted, g, t)
+
+    @pytest.mark.parametrize(
+        "spec, origin",
+        [("star:4", 0), ("star:4", 1), ("random:5,3", 0), ("random:5,3", 4),
+         ("random:14,4", 9)],
+    )
+    def test_member_equals_pi0_off_the_geodesic_columns(self, spec, origin):
+        # member - pi0(g) is exactly 0 in every column j whose image g(j)
+        # is off the geodesic from the origin o to g(o); when g fixes o the
+        # member is pi0(g) bit for bit
+        tree = tree_from_spec(spec)
+        rooted, images = root_at(tree, origin), full_automorphism_group(tree).images
+        dist = tree.distance_matrix()
+        for t in T_GRID + (0.999,):
+            stack = dense_unitary_rep(rooted, images, t)
+            for member, pi0, g in zip(stack, dense_pi0(tree.n, images), images):
+                if g[origin] == origin:
+                    assert member.dtype == pi0.dtype
+                    assert member.tobytes() == pi0.tobytes()
+                on_geodesic = dist[origin, g] + dist[g, g[origin]] == dist[origin, g[origin]]
+                assert not (member - pi0)[:, ~on_geodesic].any()
 
     def test_conjugation_equivalence(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted

@@ -291,7 +291,7 @@ def _check_deformation_identity(ctx: _Context) -> list[CheckRecord]:
     for rooted in ctx.rooted_list:
         for t in ctx.config.t_grid:
             tmat = reps_mod._dense_context(rooted, deformation_operator, t)
-            prod = tmat @ tmat.T  # T(t) is real
+            prod = tmat @ tmat.T
             target = np.eye(n) - t * s + t * t * q
             inverse = reps_mod._dense_context(rooted, deformation_inverse, t)
             gap = np.maximum(_max_entry(prod - target), _max_entry(

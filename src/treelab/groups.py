@@ -192,14 +192,14 @@ def _centre_generators(tree: Tree) -> tuple[list[list[int]], int]:
     return generators, order
 
 
-def full_automorphism_group(tree: Tree, cap: int = DEFAULT_GROUP_CAP) -> GroupClosure:
-    """All edge-preserving permutations, closed from _centre_generators.
-    A group over cap elements is refused before any element is built."""
+def full_automorphism_group(tree: Tree) -> GroupClosure:
+    """All edge-preserving permutations, closed from _centre_generators; a
+    group over DEFAULT_GROUP_CAP elements is refused before any is built."""
     generators, order = _centre_generators(tree)
-    if order > cap:
-        raise ValueError(f"automorphism group has {order} elements, which "
-                         f"exceeds the cap of {cap}; supply a generator file")
-    return close_group(tree, generators, cap)
+    if order > DEFAULT_GROUP_CAP:
+        raise ValueError(f"automorphism group has {order} elements, which exceeds "
+                         f"the cap of {DEFAULT_GROUP_CAP}; supply a generator file")
+    return close_group(tree, generators, DEFAULT_GROUP_CAP)
 
 
 # ----------------------------------------------------------------------

@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 CND_SEED = 0xA11CE
+CND_SAMPLES = 1000  # random mean-zero vectors per conditional-negativity check
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def gram_kernel(rooted: RootedTree, t: float) -> KernelMatrix:
     """
     t = _check_decay(t)
     inv = materialize(deformation_inverse(rooted, t))
-    gram = (1.0 - t * t) * (inv.conj().T @ inv).real
+    gram = (1.0 - t * t) * (inv.T @ inv)
     # symmetrize away the last-bit asymmetry of the matrix product
     gram = (gram + gram.T) / 2.0
     return KernelMatrix("gram", gram, t=t)
@@ -132,7 +133,6 @@ class CndReport:
     max_basis_form: float
     max_random_form: float
     max_centered_eigenvalue: float
-    n_random: int
     seed: int
 
     @property
@@ -143,19 +143,17 @@ class CndReport:
         ))
 
 
-def cnd_check(
-    kernel: KernelMatrix, n_random: int = 1000, seed: int = CND_SEED
-) -> CndReport:
+def cnd_check(kernel: KernelMatrix, seed: int = CND_SEED) -> CndReport:
     k = kernel.matrix
     n = kernel.n
     if n == 1:
-        return CndReport(0.0, 0.0, 0.0, n_random, seed)
+        return CndReport(0.0, 0.0, 0.0, seed)
 
     # deterministic basis of mean-zero vectors: e_i - e_0
     max_basis = float((k.diagonal()[1:] + k[0, 0] - k[1:, 0] - k[0, 1:]).max())
 
     rng = np.random.default_rng(seed)
-    xi = rng.standard_normal((n_random, n))
+    xi = rng.standard_normal((CND_SAMPLES, n))
     xi -= xi.mean(axis=1, keepdims=True)
     max_random = float(((xi @ k) * xi).sum(axis=1).max())
 
@@ -166,7 +164,6 @@ def cnd_check(
         max_basis_form=max_basis,
         max_random_form=max_random,
         max_centered_eigenvalue=max_eig,
-        n_random=n_random,
         seed=seed,
     )
 
@@ -193,8 +190,8 @@ class GramIdentityReport:
 def dense_s_q(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
     """Dense adjacency S and diagonal branching Q = diag(deg - 1)."""
     return (
-        materialize(adjacency_operator(tree)).real,
-        materialize(branching_operator(tree)).real,
+        materialize(adjacency_operator(tree)),
+        materialize(branching_operator(tree)),
     )
 
 

@@ -6,9 +6,9 @@ to the array of their images, by gathers, scatters and level sweeps over
 index arrays that each Tree and RootedTree builds once. `op @ block` is
 the shape-checked entry point; `apply` and `adjoint_apply` convert the
 sparse VertexVector/EdgeVector at the boundary. `materialize` applies an
-operator to the identity block, that is to every basis vector: the dense
-matrices built that way are the brute-force oracle against which the
-identities are verified.
+operator to the identity block, that is to every basis vector, in the
+applier's dtype: the dense matrices built that way are the brute-force
+oracle against which the identities are verified.
 
 Conventions fixed here and used everywhere downstream:
 
@@ -386,8 +386,9 @@ def coboundary_operator(tree: Tree) -> LinearOperator:
 
 
 def materialize(op: LinearOperator) -> np.ndarray:
-    """Dense complex matrix of the operator: its applier on the identity
-    block, that is on every basis vector at once.
+    """Dense matrix of the operator: its applier on the identity block,
+    that is on every basis vector at once, in the applier's dtype (float64
+    unless a parameter is complex).
 
     This is the brute-force oracle. Adding +0.0 stores every zero entry as
     +0.0, whatever the sign of the product it came from. Guarded against
@@ -399,7 +400,7 @@ def materialize(op: LinearOperator) -> np.ndarray:
             f"refusing to materialize a {m} x {n} matrix "
             f"(limit {MATERIALIZE_DIM_LIMIT})"
         )
-    return np.add(op._apply(np.eye(n)), 0.0, dtype=complex)
+    return np.add(op._apply(np.eye(n)), 0.0)
 
 
 def operator_norm(op: Union[LinearOperator, np.ndarray]):

@@ -164,11 +164,11 @@ class _TreeMemo:
     """_dense_context(rooted, make, *args): materialize(make(rooted, *args)),
     shared and therefore read-only.
 
-    Stored as float64 when its imaginary part is exactly zero. The memo is
-    one dict per rooted tree, held by a weak reference to the tree, so it
-    dies with the tree: a finished configuration keeps no matrices.
-    cache_info() counts the hits and misses of the process's lifetime and
-    the matrices held now; perfbench reads it under the name _dense_context.
+    The memo is one dict per rooted tree, held by a weak reference to the
+    tree, so it dies with the tree: a finished configuration keeps no
+    matrices. cache_info() counts the hits and misses of the process's
+    lifetime and the matrices held now; perfbench reads it under the name
+    _dense_context.
     """
 
     def __init__(self):
@@ -182,8 +182,6 @@ class _TreeMemo:
             return memo[key]
         self.misses += 1
         mat = materialize(make(rooted, *args))
-        if not mat.imag.any():
-            mat = mat.real.copy()
         mat.flags.writeable = False
         memo[key] = mat
         return mat
@@ -275,7 +273,6 @@ def finite_rank_defect(
     kind: str,
     parameter=None,
     rank_threshold: float = RANK_THRESHOLD,
-    support_tol: float = SUPPORT_TOLERANCE,
 ) -> DefectReport:
     """Measure the defect of a deformed representation on a block of
     group elements.
@@ -303,7 +300,7 @@ def finite_rank_defect(
     size = np.abs(mult_defect)
     off_segment = ~(segment[:, :, None] & segment[:, None, :])
     outside_residual = np.where(off_segment, size, 0.0).max(axis=(1, 2))
-    support = np.maximum(size.max(axis=2), size.max(axis=1)) > support_tol
+    support = np.maximum(size.max(axis=2), size.max(axis=1)) > SUPPORT_TOLERANCE
 
     singular = np.linalg.svd(mult_defect, compute_uv=False)
     rank = np.count_nonzero(singular > rank_threshold, axis=1)

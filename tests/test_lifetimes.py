@@ -4,8 +4,10 @@ trees, and a finished check suite leaves none of them behind."""
 import gc
 import weakref
 
+import numpy as np
+
 from treelab import checks, reps
-from treelab.operators import deformation_operator
+from treelab.operators import deformation_operator, resolvent_operator
 from treelab.trees import make_path, root_at
 
 
@@ -57,6 +59,10 @@ def test_the_memo_holds_a_tree_s_matrices_while_it_lives():
     first = reps._dense_context(rooted, deformation_operator, 0.5)
     assert reps._dense_context(rooted, deformation_operator, 0.5) is first
     assert not first.flags.writeable and first.dtype.kind == "f"
-    assert reps._dense_context.cache_info().currsize == held + 1
+    resolvent = reps._dense_context(rooted, resolvent_operator, 0.5)
+    assert resolvent.dtype == np.float64
+    resolvent = reps._dense_context(rooted, resolvent_operator, 0.3 + 0.4j)
+    assert resolvent.dtype == np.complex128
+    assert reps._dense_context.cache_info().currsize == held + 3
     del rooted
     assert reps._dense_context.cache_info().currsize == held

@@ -572,3 +572,15 @@ class TestBlockAppliers:
         assert (resolvent_operator(rooted, 0.5) @ block).dtype == np.float64
         assert (deformation_inverse(rooted, 0.5) @ block).dtype == np.float64
         assert (resolvent_operator(rooted, 0.5j) @ block).dtype == np.complex128
+        # materialize keeps the applier's dtype and entries, with every zero +0.0
+        ops = _named_operators(rooted, _leaf_swap(rooted))
+        # the resolvent at 0.37+0.21j, the scale by 0.4-1.1j and their adjoints
+        complex_ops = {4, 14, 19, 29}
+        for i, op in enumerate(ops):
+            mat = materialize(op)
+            images = op @ np.eye(op.domain.dim)
+            assert mat.dtype == images.dtype, op
+            assert np.array_equal(mat, images), op
+            assert mat.dtype == (np.complex128 if i in complex_ops else np.float64), op
+            for part in (mat.real, mat.imag):
+                assert not np.signbit(part[part == 0]).any(), op

@@ -4,8 +4,10 @@ Builds the parent-shift calculus of a rooted tree (shift, adjacency,
 deformations, resolvents, the vertex-to-edge map and coboundary), the
 permutation representations of the tree's automorphism group and their
 bounded and unitary deformations, and the distance/decay kernels with
-their negativity and positivity certificates. Every identity is checked
-two ways: block appliers against a dense brute-force oracle.
+their negativity and positivity certificates. A vector is a column of a
+(dim, k) numpy block, and an operator maps a block with `op @ block`.
+Every identity is checked two ways: block appliers against a dense
+brute-force oracle.
 """
 
 from .trees import (
@@ -21,14 +23,6 @@ from .trees import (
     make_regular,
     make_random,
 )
-from .spaces import (
-    VertexVector,
-    EdgeVector,
-    delta_vertex,
-    delta_edge,
-    parse_complex,
-    format_complex,
-)
 from .operators import (
     LinearOperator,
     adjacency_operator,
@@ -43,6 +37,8 @@ from .operators import (
     coboundary_operator,
     materialize,
     operator_norm,
+    parse_complex,
+    format_complex,
 )
 from .groups import (
     Automorphism,

@@ -35,6 +35,7 @@ from .operators import (
     coboundary_operator,
     deformation_inverse,
     deformation_operator,
+    format_complex,
     identity_operator,
     materialize,
     operator_norm,
@@ -45,7 +46,6 @@ from .operators import (
     vertex_space,
     worst_of,
 )
-from .spaces import format_complex
 from .trees import RootedTree, Tree, is_tree_spec, parse_tree, root_at, tree_from_spec
 
 __all__ = [
@@ -115,15 +115,13 @@ class SuiteConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        for t in self.t_grid:
-            if not 0.0 <= t < 1.0:
-                raise ConfigError(
-                    f"t grid values must lie in the half-open interval [0, 1) of "
-                    f"the unitary family; got {t} (t = 1 is the limit, not a member)"
-                )
-        for z in self.z_grid:
-            if abs(z) >= 1.0:
-                raise ConfigError(f"z grid values need |z| < 1, got {z}")
+        try:
+            for t in self.t_grid:
+                reps_mod._check_t(t)
+            for z in self.z_grid:
+                reps_mod._check_z(z)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for name, grid in (("t", self.t_grid), ("z", self.z_grid)):
             if len(set(grid)) != len(grid):
                 raise ConfigError(f"{name} grid values must be distinct: {list(grid)}")

@@ -41,10 +41,10 @@ from .operators import (
     origin_projection,
     parent_edge_operator,
     parent_shift_operator,
+    parse_complex,
     resolvent_operator,
 )
 from .reps import curve_to_csv, homotopy_curve
-from .spaces import parse_complex
 from .trees import root_at
 
 __all__ = ["main"]

@@ -36,7 +36,6 @@ from .operators import (
     resolvent_operator,
     worst_of,
 )
-from .spaces import EdgeVector
 from .trees import RootedTree, Tree
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "cocycle_report",
     "cocycle_equivariance_residual",
     "chasles_residual",
-    "max_abs",
     "CND_SEED",
 ]
 
@@ -105,6 +103,15 @@ def exp_kernel(tree: Tree, t: float) -> KernelMatrix:
     return KernelMatrix("exp", t ** tree.distance_matrix().astype(np.float64), t=t)
 
 
+def _scaled_gram(rooted: RootedTree, t: float) -> np.ndarray:
+    """(1 - t^2) times the Gram matrix of the inverse-deformed vertex basis,
+    unvalidated, so a wrong inverse reaches the check that measures it."""
+    inv = materialize(deformation_inverse(rooted, t))
+    gram = (1.0 - t * t) * (inv.T @ inv)
+    # symmetrize away the last-bit asymmetry of the matrix product
+    return (gram + gram.T) / 2.0
+
+
 def gram_kernel(rooted: RootedTree, t: float) -> KernelMatrix:
     """(1 - t^2) times the Gram matrix of the inverse-deformed vertex basis.
 
@@ -113,11 +120,7 @@ def gram_kernel(rooted: RootedTree, t: float) -> KernelMatrix:
     (within KernelMatrix's 1e-12); origin choice does not affect the result.
     """
     t = _check_decay(t)
-    inv = materialize(deformation_inverse(rooted, t))
-    gram = (1.0 - t * t) * (inv.T @ inv)
-    # symmetrize away the last-bit asymmetry of the matrix product
-    gram = (gram + gram.T) / 2.0
-    return KernelMatrix("gram", gram, t=t)
+    return KernelMatrix("gram", _scaled_gram(rooted, t), t=t)
 
 
 @dataclass(frozen=True)
@@ -204,7 +207,7 @@ def gram_identity_check(rooted: RootedTree, t: float) -> GramIdentityReport:
     algebraic = float(
         np.abs((np.eye(n) - t * s + t * t * q) @ k_exp - (1 - t * t) * np.eye(n)).max()
     )
-    gram = float(np.abs(gram_kernel(rooted, t).matrix - k_exp).max())
+    gram = float(np.abs(_scaled_gram(rooted, t) - k_exp).max())
     return GramIdentityReport(t=t, algebraic_residual=algebraic, gram_residual=gram)
 
 
@@ -224,7 +227,6 @@ class Cocycle:
     source: int
     target: int
     steps: tuple[tuple[int, tuple[int, int]], ...]
-    vector: EdgeVector
 
     @property
     def squared_norm(self) -> int:
@@ -237,16 +239,7 @@ def geodesic_cocycle(tree: Tree, x: int, y: int) -> Cocycle:
     steps = tuple(
         (1 if u < v else -1, (min(u, v), max(u, v))) for u, v in zip(walk, walk[1:])
     )
-    # path edges are distinct, so each basis vector is set once
-    vector = EdgeVector(
-        tree.edge_count, {tree.edge_index[e]: sign for sign, e in steps}
-    )
-    return Cocycle(source=x, target=y, steps=steps, vector=vector)
-
-
-def max_abs(v) -> float:
-    """Largest coefficient modulus of a sparse vector; 0.0 when empty."""
-    return worst_of([abs(c) for c in v._data().values()])[0]
+    return Cocycle(source=x, target=y, steps=steps)
 
 
 def _cocycle_block(tree: Tree, pairs) -> np.ndarray:
@@ -337,6 +330,7 @@ def cocycle_equivariance_residual(tree: Tree, g: Automorphism, pairs) -> np.ndar
 
 def chasles_residual(tree: Tree, x: int, y: int, z: int) -> float:
     """Gap in c(x, z) = c(x, y) + c(y, z); exact when y lies on path(x, z)."""
-    lhs = geodesic_cocycle(tree, x, z).vector
-    rhs = geodesic_cocycle(tree, x, y).vector.add(geodesic_cocycle(tree, y, z).vector)
-    return max_abs(lhs.sub(rhs))
+    for v in (x, y, z):
+        tree.check_vertex(v)
+    xz, xy, yz = _cocycle_block(tree, [(x, z), (x, y), (y, z)]).T
+    return worst_of(np.abs(xz - (xy + yz)))[0]

@@ -4,11 +4,10 @@ Every named operator is a pair of block appliers, forward and adjoint. An
 applier maps a (dim, k) array, whose columns are vectors of the domain,
 to the array of their images, by gathers, scatters and level sweeps over
 index arrays that each Tree and RootedTree builds once. `op @ block` is
-the shape-checked entry point; `apply` and `adjoint_apply` convert the
-sparse VertexVector/EdgeVector at the boundary. `materialize` applies an
-operator to the identity block, that is to every basis vector, in the
-applier's dtype: the dense matrices built that way are the brute-force
-oracle against which the identities are verified.
+the shape-checked entry point, and a single vector is a (dim, 1) block.
+`materialize` applies an operator to the identity block, that is to every
+basis vector, in the applier's dtype: the dense matrices built that way
+are the brute-force oracle against which the identities are verified.
 
 Conventions fixed here and used everywhere downstream:
 
@@ -25,12 +24,12 @@ Conventions fixed here and used everywhere downstream:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
-from .spaces import EdgeVector, VertexVector
 from .trees import Fanin, RootedTree, Tree
 
 __all__ = [
@@ -53,6 +52,8 @@ __all__ = [
     "operator_norm",
     "worst_of",
     "matrix_to_csv",
+    "parse_complex",
+    "format_complex",
 ]
 
 MATERIALIZE_DIM_LIMIT = 10000
@@ -64,13 +65,6 @@ class Space:
 
     kind: str  # "vertex" | "edge"
     dim: int
-
-    @property
-    def vector_type(self) -> type:
-        return VertexVector if self.kind == "vertex" else EdgeVector
-
-    def zero(self):
-        return self.vector_type(self.dim)
 
 
 def vertex_space(tree: Tree) -> Space:
@@ -113,12 +107,6 @@ class LinearOperator:
                 f"operator expects a ({self.domain.dim}, k) block, got {block.shape}"
             )
         return self._apply(block)
-
-    def apply(self, v):
-        return _vector(self.codomain, self._apply(_column(v, self.domain)))
-
-    def adjoint_apply(self, w):
-        return _vector(self.domain, self._adjoint(_column(w, self.codomain)))
 
     def adjoint(self) -> "LinearOperator":
         return LinearOperator(
@@ -168,26 +156,6 @@ class LinearOperator:
             f"{self.domain.kind}[{self.domain.dim}] -> "
             f"{self.codomain.kind}[{self.codomain.dim}])"
         )
-
-
-def _column(v, space: Space) -> np.ndarray:
-    """A sparse vector of space as a complex (dim, 1) block."""
-    if type(v) is not space.vector_type or v.dim != space.dim:
-        raise ValueError(
-            f"operator expects a {space.kind} vector of dimension {space.dim}"
-        )
-    col = np.zeros((v.dim, 1), dtype=complex)
-    data = v._data()
-    col[list(data), 0] = list(data.values())
-    return col
-
-
-def _vector(space: Space, col: np.ndarray):
-    """The sparse vector of space held by a (dim, 1) block."""
-    (nonzero,) = np.nonzero(col[:, 0])
-    return space.vector_type(
-        space.dim, dict(zip(nonzero.tolist(), col[nonzero, 0].tolist()))
-    )
 
 
 def _times(a: complex, block: np.ndarray) -> np.ndarray:
@@ -287,9 +255,9 @@ def deformation_operator(rooted: RootedTree, t: float) -> LinearOperator:
     return op
 
 
-def resolvent_apply(rooted: RootedTree, z: complex, v: VertexVector) -> VertexVector:
-    """(1 - z * parent shift)^(-1) applied to v."""
-    return resolvent_operator(rooted, z).apply(v)
+def resolvent_apply(rooted: RootedTree, z: complex, block: np.ndarray) -> np.ndarray:
+    """(1 - z * parent shift)^(-1) applied to the columns of a block."""
+    return resolvent_operator(rooted, z) @ block
 
 
 def resolvent_operator(rooted: RootedTree, z: complex) -> LinearOperator:
@@ -441,9 +409,40 @@ def worst_of(values) -> tuple[float, int]:
 
 def matrix_to_csv(matrix: np.ndarray) -> str:
     """CSV export, one row per line, complex entries in 're+imi' form."""
-    from .spaces import format_complex
-
     lines = []
     for row in np.atleast_2d(matrix):
         lines.append(",".join(format_complex(complex(z)) for z in row))
     return "\n".join(lines) + "\n"
+
+
+# Complex scalars as text: 're', 're+imi', 're-imi' or 'imi'.
+_COMPLEX_RE = re.compile(
+    r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?:(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i)?$"
+)
+_PURE_IM_RE = re.compile(r"^(?P<im>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i$")
+
+
+def parse_complex(text: str) -> complex:
+    text = text.strip()
+    m = _COMPLEX_RE.match(text)
+    if m:
+        return complex(float(m.group("re")), float(m.group("im") or 0))
+    m = _PURE_IM_RE.match(text)
+    if m:
+        return complex(0, float(m.group("im")))
+    raise ValueError(f"cannot parse complex scalar {text!r}")
+
+
+def _format_real(x: float) -> str:
+    if x == int(x) and abs(x) < 1e16:
+        return str(int(x))
+    return repr(x)
+
+
+def format_complex(z: complex) -> str:
+    z = complex(z)
+    if z.imag == 0:
+        return _format_real(z.real)
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{_format_real(z.real)}{sign}{_format_real(abs(z.imag))}i"

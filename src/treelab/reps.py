@@ -88,14 +88,17 @@ def displacement(rooted: RootedTree, images: np.ndarray) -> np.ndarray:
 
 def _check_z(z: complex) -> complex:
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise ValueError(f"bounded family needs |z| < 1, got |{z}| = {abs(z)}")
     return z
 
 
 def _check_t(t: float) -> float:
     if not 0.0 <= t < 1.0:
-        raise ValueError(f"unitary family needs t in [0, 1), got {t}")
+        raise ValueError(
+            f"unitary family needs t in the half-open interval [0, 1) "
+            f"(t = 1 is its limit), got {t}"
+        )
     return float(t)
 
 

@@ -3,9 +3,10 @@
 A tree is stored with dense vertex ids 0..N-1. Every edge has a canonical
 orientation (min id, max id); the canonical edge list is sorted
 lexicographically and indexed, and every sign convention downstream refers
-to that orientation. Trees and rooted trees are immutable after
-construction and safe to share between threads; each caches, on first
-use, the index arrays that the operator appliers gather and scatter along.
+to that orientation. Trees and rooted trees are not changed after
+construction. Each caches, on first use and without a lock, the index
+arrays that the operator appliers gather and scatter along; evaluation is
+single-threaded, so share a tree within one thread only.
 """
 
 from __future__ import annotations

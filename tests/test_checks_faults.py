@@ -17,7 +17,6 @@ from treelab.checks import _record
 from treelab.cli import main
 from treelab.groups import full_automorphism_group
 from treelab.operators import LinearOperator
-from treelab.spaces import VertexVector
 from treelab.trees import make_path, make_star, root_at, tree_from_spec
 
 
@@ -120,6 +119,24 @@ def _wrong_inverse(original):
     return patched
 
 
+def _nan_inverse(original):
+    # T_t^-1 with a NaN in the first entry of every image block
+    def patched(rooted, t):
+        op = original(rooted, t)
+
+        def planted(block):
+            block = block.copy()
+            block.flat[:1] = np.nan
+            return block
+
+        return LinearOperator(
+            op.domain, op.codomain,
+            lambda b: planted(op @ b), lambda b: planted(op.adjoint() @ b),
+        )
+
+    return patched
+
+
 def _looping_shift(original):
     # a loop at vertex 0 makes the shift's matrix non-nilpotent: the loop's
     # entry survives every power
@@ -180,13 +197,21 @@ FAULTS = {
     "short-series": (
         checks, "_geometric_series", _short_series, {"resolvent-series"}, set(),
     ),
+    # the kernels route's own inverse: the scaled Gram of a wrong T_t^-1 is
+    # measured, not refused by KernelMatrix's unit-diagonal check
+    "gram-inverse": (
+        kernels, "deformation_inverse", _wrong_inverse, {"gram-identity"}, set(),
+    ),
+    "gram-nan": (
+        kernels, "deformation_inverse", _nan_inverse, {"gram-identity"}, set(),
+    ),
 }
 
 
 # faults that plant no NaN or inf: each fails exactly the records it names
 FINITE_FAULTS = {
     "flipped-member", "inverse-members", "rising-curve", "sphere-offset",
-    "looping-shift", "short-series",
+    "looping-shift", "short-series", "gram-inverse",
 }
 
 
@@ -235,6 +260,19 @@ def test_sphere_offset_fails_origin_sphere_at_both_origins(monkeypatch):
     assert failed == [("origin-sphere", 0), ("origin-sphere", 3)]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gram_nan_fails_gram_identity_with_a_null_measurement(
+    monkeypatch, tmp_path
+):
+    module, attr, wrap, _, _ = FAULTS["gram-nan"]
+    monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    assert main(["check", "--tree", "star:4", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    failed = [r for r in report["records"] if not r["passed"]]
+    assert {r["check"] for r in failed} == {"gram-identity"}
+    assert all(r["measured"] is None for r in failed)
+
+
 def test_wrong_inverse_fails_deformation_product_where_members_are_permutations(
     monkeypatch,
 ):
@@ -274,10 +312,13 @@ def test_record_rule_requires_a_finite_measured_value():
         assert _record(ctx, "c", 0, bad, 1.0).to_dict()["measured"] is None
 
 
-def test_max_abs_keeps_a_nan_coefficient():
-    for coeffs in ({0: 1.0, 2: math.nan}, {0: math.nan, 2: 1.0}):
-        assert math.isnan(kernels.max_abs(VertexVector(3, coeffs)))
-    assert kernels.max_abs(VertexVector(3, {})) == 0.0
+def test_gaps_keep_a_nan_entry():
+    # each column's largest |lhs - rhs| is NaN where the column holds one
+    lhs = np.array([[1.0, math.nan, 0.0], [math.nan, 2.0, 0.5]])
+    gaps = kernels._gaps(lhs, np.zeros((2, 3)))
+    assert math.isnan(gaps[0]) and math.isnan(gaps[1]) and gaps[2] == 0.5
+    assert kernels._gaps(np.zeros((3, 0)), np.zeros((3, 0))).shape == (0,)
+    assert kernels._gaps(np.zeros((0, 2)), np.zeros((0, 2))).tolist() == [0.0, 0.0]
 
 
 def test_limit_monotone_counts_the_broken_curves(monkeypatch, tmp_path):

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from treelab.checks import TOLERANCES, ConfigError, SuiteConfig, report_from_json
+from treelab.checks import (
+    TOLERANCES, ConfigError, SuiteConfig, report_from_json, run_check_suite,
+)
 from treelab.cli import main
 from treelab.trees import make_star, serialize_tree
 
@@ -192,6 +194,12 @@ class TestCheckCommand:
         config = SuiteConfig("path:2", tolerances={"bogus": 1e-9})
         with pytest.raises(ConfigError, match="unknown tolerance"):
             config.validate()
+
+    def test_nan_z_in_the_library(self):
+        # abs(nan) >= 1 is False, so the rule is written as not abs(z) < 1
+        config = SuiteConfig("path:2", z_grid=(complex("nan"),))
+        with pytest.raises(ConfigError, match=r"\|z\| < 1"):
+            run_check_suite(config)
 
     def test_tolerance_flags_are_not_abbreviated(self, tmp_path, capsys):
         # a prefix must not silently set --tol.identity

@@ -23,7 +23,6 @@ from treelab.operators import (
     materialize,
     parent_edge_operator,
 )
-from treelab.spaces import EdgeVector, VertexVector, delta_edge, delta_vertex
 from treelab.trees import (
     make_path,
     make_random,
@@ -217,21 +216,21 @@ class TestVertexAction:
     def test_swap_on_p2(self):
         tree = make_path(2)
         g = verify_automorphism(tree, [1, 0])
-        image = pi0_operator(tree, g).apply(delta_vertex(tree, 0))
-        assert image == delta_vertex(tree, 1)
+        image = pi0_operator(tree, g) @ np.eye(2)[:, [0]]
+        assert np.array_equal(image, np.eye(2)[:, [1]])
 
     def test_identity_action(self):
         tree = make_path(3)
-        v = VertexVector(3, {0: 1j, 2: -2})
-        assert pi0_operator(tree, identity_automorphism(3)).apply(v) == v
+        v = np.array([[1j], [0], [-2]])
+        assert np.array_equal(pi0_operator(tree, identity_automorphism(3)) @ v, v)
 
     def test_norm_preserved(self):
         tree = make_star(4)
         rng = np.random.default_rng(3)
-        v = VertexVector(4, {i: complex(*rng.standard_normal(2)) for i in range(4)})
+        v = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
         for g in full_automorphism_group(tree):
-            image = pi0_operator(tree, g).apply(v)
-            assert image.norm() == pytest.approx(v.norm(), rel=1e-15)
+            image = pi0_operator(tree, g) @ v
+            assert np.linalg.norm(image) == pytest.approx(np.linalg.norm(v), rel=1e-15)
 
     def test_unitary_and_homomorphism_dense(self):
         tree = make_star(4)
@@ -243,24 +242,32 @@ class TestVertexAction:
                 assert np.abs(mats[g.compose(h)] - mats[g] @ mats[h]).max() == 0.0
 
 
+def signed_edge(tree, x, y):
+    """The signed class of the oriented edge (x, y) as an edge column: +1
+    at the edge's index when x < y (its canonical orientation), else -1."""
+    column = np.zeros((tree.edge_count, 1))
+    column[tree.edge_index[min(x, y), max(x, y)]] = 1.0 if x < y else -1.0
+    return column
+
+
 class TestEdgeAction:
     def test_swap_on_p2_picks_up_sign(self):
         tree = make_path(2)
         g = verify_automorphism(tree, [1, 0])
-        out = pi1_operator(tree, g).apply(EdgeVector(1, {0: 1}))
-        assert out == EdgeVector(1, {0: -1})
+        out = pi1_operator(tree, g) @ np.array([[1.0]])
+        assert np.array_equal(out, [[-1.0]])
 
     def test_identity(self):
         tree = make_path(3)
-        w = EdgeVector(2, {0: 1j, 1: 2})
-        assert pi1_operator(tree, identity_automorphism(3)).apply(w) == w
+        w = np.array([[1j], [2]])
+        assert np.array_equal(pi1_operator(tree, identity_automorphism(3)) @ w, w)
 
     def test_matches_delta_edge_transport(self):
         tree = make_random(12, seed=6)
         for g in full_automorphism_group(tree):
             for u, v in tree.edges:
-                image = pi1_operator(tree, g).apply(delta_edge(tree, u, v))
-                assert image == delta_edge(tree, g(u), g(v))
+                image = pi1_operator(tree, g) @ signed_edge(tree, u, v)
+                assert np.array_equal(image, signed_edge(tree, g(u), g(v)))
 
     def test_unitary_and_homomorphism_dense(self):
         tree = make_star(5)

@@ -15,6 +15,7 @@ from treelab.operators import (
     coboundary_operator,
     deformation_inverse,
     deformation_operator,
+    format_complex,
     identity_operator,
     materialize,
     matrix_to_csv,
@@ -22,12 +23,12 @@ from treelab.operators import (
     origin_projection,
     parent_edge_operator,
     parent_shift_operator,
+    parse_complex,
     resolvent_apply,
     resolvent_operator,
     vertex_space,
     worst_of,
 )
-from treelab.spaces import EdgeVector, VertexVector, delta_edge, delta_vertex
 from treelab.trees import make_path, make_random, make_star, root_at
 
 
@@ -39,6 +40,19 @@ def dense_shift(rooted):
         if rooted.parent[x] is not None:
             mat[rooted.parent[x], x] = 1.0
     return mat
+
+
+def delta(n, x):
+    """The basis vector at x, as an (n, 1) block."""
+    return np.eye(n)[:, [x]]
+
+
+def column(n, entries):
+    """The (n, 1) block with the given {index: value} entries."""
+    out = np.zeros((n, 1), dtype=complex)
+    for i, value in entries.items():
+        out[i, 0] = value
+    return out
 
 
 def random_trees(count=8, max_n=60):
@@ -54,38 +68,36 @@ def random_trees(count=8, max_n=60):
 class TestAdjacencyAndBranching:
     def test_adjacency_on_small_trees(self):
         p2 = make_path(2)
-        assert adjacency_operator(p2).apply(delta_vertex(p2, 0)) == delta_vertex(p2, 1)
+        assert np.array_equal(adjacency_operator(p2) @ delta(2, 0), delta(2, 1))
         p3 = make_path(3)
-        out = adjacency_operator(p3).apply(delta_vertex(p3, 1))
-        assert out == VertexVector(3, {0: 1, 2: 1})
+        out = adjacency_operator(p3) @ delta(3, 1)
+        assert np.array_equal(out, column(3, {0: 1, 2: 1}))
         star = make_star(4)
-        out = adjacency_operator(star).apply(delta_vertex(star, 0))
-        assert out == VertexVector(4, {1: 1, 2: 1, 3: 1})
+        out = adjacency_operator(star) @ delta(4, 0)
+        assert np.array_equal(out, column(4, {1: 1, 2: 1, 3: 1}))
 
     def test_branching_diagonal(self):
         p3 = make_path(3)
         q = branching_operator(p3)
-        assert q.apply(delta_vertex(p3, 1)) == delta_vertex(p3, 1)
-        assert len(q.apply(delta_vertex(p3, 0))) == 0  # leaf
+        assert np.array_equal(q @ delta(3, 1), delta(3, 1))
+        assert not (q @ delta(3, 0)).any()  # leaf
         star = make_star(4)
-        out = branching_operator(star).apply(delta_vertex(star, 0))
-        assert out == VertexVector(4, {0: 2})
+        out = branching_operator(star) @ delta(4, 0)
+        assert np.array_equal(out, column(4, {0: 2}))
 
 
 class TestParentShift:
     def test_examples(self):
         rooted = root_at(make_path(3), 0)
         shift = parent_shift_operator(rooted)
-        assert shift.apply(delta_vertex(rooted.tree, 2)) == delta_vertex(rooted.tree, 1)
-        assert len(shift.apply(delta_vertex(rooted.tree, 0))) == 0
+        assert np.array_equal(shift @ delta(3, 2), delta(3, 1))
+        assert not (shift @ delta(3, 0)).any()
 
     def test_adjoint_against_dense_transpose(self):
         rooted = root_at(make_path(3), 0)
         shift = parent_shift_operator(rooted)
         # frozen expectation derived from the conjugate-transpose oracle
-        assert shift.adjoint_apply(delta_vertex(rooted.tree, 1)) == delta_vertex(
-            rooted.tree, 2
-        )
+        assert np.array_equal(shift.adjoint() @ delta(3, 1), delta(3, 2))
         for r in random_trees(4):
             mat = materialize(parent_shift_operator(r))
             adj = materialize(parent_shift_operator(r).adjoint())
@@ -112,11 +124,11 @@ class TestOriginProjection:
     def test_examples(self):
         rooted = root_at(make_path(3), 0)
         p0 = origin_projection(rooted)
-        d0 = delta_vertex(rooted.tree, 0)
-        assert p0.apply(d0) == d0
-        assert len(p0.apply(delta_vertex(rooted.tree, 1))) == 0
-        mixed = VertexVector(3, {0: 1, 1: 1})
-        assert p0.apply(mixed) == d0
+        d0 = delta(3, 0)
+        assert np.array_equal(p0 @ d0, d0)
+        assert not (p0 @ delta(3, 1)).any()
+        mixed = column(3, {0: 1, 1: 1})
+        assert np.array_equal(p0 @ mixed, d0)
 
     def test_idempotent_rank_one(self):
         rooted = root_at(make_star(5), 2)
@@ -130,9 +142,7 @@ class TestDeformation:
         rooted = root_at(make_path(4), 0)
         t0 = deformation_operator(rooted, 0.0)
         for x in range(4):
-            assert t0.apply(delta_vertex(rooted.tree, x)) == delta_vertex(
-                rooted.tree, x
-            )
+            assert np.array_equal(t0 @ delta(4, x), delta(4, x))
 
     def test_p2_values_against_formula_oracle(self):
         rooted = root_at(make_path(2), 0)
@@ -144,10 +154,10 @@ class TestDeformation:
             + (math.sqrt(1 - t * t) - 1) * np.diag([1.0, 0.0])
         )
         assert np.abs(materialize(deformation_operator(rooted, t)) - dense).max() == 0.0
-        out = deformation_operator(rooted, t).apply(delta_vertex(rooted.tree, 0))
-        assert out.coeff(0) == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
-        out = deformation_operator(rooted, t).apply(delta_vertex(rooted.tree, 1))
-        assert out == VertexVector(2, {1: 1, 0: -0.5})
+        out = deformation_operator(rooted, t) @ delta(2, 0)
+        assert out[0, 0] == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
+        out = deformation_operator(rooted, t) @ delta(2, 1)
+        assert np.array_equal(out, column(2, {1: 1, 0: -0.5}))
 
     def test_product_identity(self):
         for rooted in random_trees(5):
@@ -201,15 +211,15 @@ class TestResolvent:
     def test_path_sum_structure(self):
         rooted = root_at(make_path(3), 0)
         z = 0.37 + 0.21j
-        out = resolvent_apply(rooted, z, delta_vertex(rooted.tree, 2))
-        assert out == VertexVector(3, {2: 1, 1: z, 0: z * z})
+        out = resolvent_apply(rooted, z, delta(3, 2))
+        assert np.array_equal(out, column(3, {2: 1, 1: z, 0: z * z}))
 
     def test_degenerate_cases(self):
         rooted = root_at(make_path(3), 0)
-        v = VertexVector(3, {0: 1, 2: -2j})
-        assert resolvent_apply(rooted, 0.0, v) == v
-        d0 = delta_vertex(rooted.tree, 0)
-        assert resolvent_apply(rooted, 0.8, d0) == d0
+        v = column(3, {0: 1, 2: -2j})
+        assert np.array_equal(resolvent_apply(rooted, 0.0, v), v)
+        d0 = delta(3, 0)
+        assert np.array_equal(resolvent_apply(rooted, 0.8, d0), d0)
 
     def test_inverse_relation(self):
         for rooted in random_trees(4):
@@ -258,12 +268,12 @@ class TestParentEdgeMap:
     def test_p2_signed_value(self):
         rooted = root_at(make_path(2), 0)
         f = parent_edge_operator(rooted)
-        out = f.apply(delta_vertex(rooted.tree, 1))
+        out = f @ delta(2, 1)
         # the parent edge of vertex 1 is traversed against its canonical
-        # orientation, hence the sign
-        assert out == EdgeVector(1, {0: -1})
-        assert out == delta_edge(rooted.tree, 1, 0)
-        assert len(f.apply(delta_vertex(rooted.tree, 0))) == 0
+        # orientation, hence the sign: the class of (1, 0) is -1 times the
+        # canonical edge vector
+        assert np.array_equal(out, [[-1.0]])
+        assert not (f @ delta(2, 0)).any()
 
     def test_isometry_relations(self):
         for rooted in random_trees(5):
@@ -276,25 +286,28 @@ class TestParentEdgeMap:
     def test_fstarf_on_p3(self):
         rooted = root_at(make_path(3), 0)
         f = parent_edge_operator(rooted)
-        d2 = delta_vertex(rooted.tree, 2)
-        assert f.adjoint_apply(f.apply(d2)) == d2
+        d2 = delta(3, 2)
+        assert np.array_equal(f.adjoint() @ (f @ d2), d2)
 
 
 class TestCoboundary:
     def test_orientation(self):
         tree = make_path(2)
         b = coboundary_operator(tree)
-        assert b.apply(EdgeVector(1, {0: 1})) == VertexVector(2, {0: 1, 1: -1})
-        assert b.apply(EdgeVector(1, {0: -1})) == VertexVector(2, {0: -1, 1: 1})
+        assert np.array_equal(b @ [[1.0]], column(2, {0: 1, 1: -1}))
+        assert np.array_equal(b @ [[-1.0]], column(2, {0: -1, 1: 1}))
 
     def test_well_defined_on_signed_classes(self):
         tree = make_random(15, seed=1)
         b = coboundary_operator(tree)
         for u, v in tree.edges:
-            image = b.apply(delta_edge(tree, u, v))
-            assert image == VertexVector(tree.n, {u: 1, v: -1})
-            reverse = b.apply(delta_edge(tree, v, u))
-            assert reverse == VertexVector(tree.n, {u: -1, v: 1})
+            # the classes of (u, v) and (v, u): the canonical edge vector
+            # and its negative
+            edge = delta(tree.edge_count, tree.edge_index[u, v])
+            image = b @ edge
+            assert np.array_equal(image, column(tree.n, {u: 1, v: -1}))
+            reverse = b @ -edge
+            assert np.array_equal(reverse, column(tree.n, {u: -1, v: 1}))
 
     def test_injective_on_p3(self):
         tree = make_path(3)
@@ -318,9 +331,9 @@ class TestCoboundary:
             b = coboundary_operator(tree)
             fstar = parent_edge_operator(rooted).adjoint()
             for j in range(tree.edge_count):
-                e = EdgeVector(tree.edge_count, {j: 1})
-                lhs = resolvent_apply(rooted, 1.0, b.apply(e))
-                assert lhs == fstar.apply(e)
+                e = delta(tree.edge_count, j)
+                lhs = resolvent_apply(rooted, 1.0, b @ e)
+                assert np.array_equal(lhs, fstar @ e)
 
 
 class TestAdjointContract:
@@ -345,16 +358,11 @@ class TestAdjointContract:
                 for _ in range(3):
                     u_data = rng.standard_normal((op.codomain.dim, 2))
                     v_data = rng.standard_normal((op.domain.dim, 2))
-                    u = op.codomain.zero().__class__(
-                        op.codomain.dim,
-                        {i: complex(*row) for i, row in enumerate(u_data)},
-                    )
-                    v = op.domain.zero().__class__(
-                        op.domain.dim,
-                        {i: complex(*row) for i, row in enumerate(v_data)},
-                    )
-                    lhs = op.adjoint_apply(u).inner(v)
-                    rhs = u.inner(op.apply(v))
+                    u = (u_data[:, 0] + 1j * u_data[:, 1])[:, None]
+                    v = (v_data[:, 0] + 1j * v_data[:, 1])[:, None]
+                    # np.vdot conjugates its first argument
+                    lhs = np.vdot(op.adjoint() @ u, v)
+                    rhs = np.vdot(u, op @ v)
                     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
@@ -459,14 +467,46 @@ class TestMaterializeAndNorm:
         assert matrix_to_csv(mat) == "0.3+0.4i\n"
 
 
+class TestComplexLiterals:
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("1", 1 + 0j),
+            ("-0.5", -0.5 + 0j),
+            ("0.3+0.4i", 0.3 + 0.4j),
+            ("1-2i", 1 - 2j),
+            ("0.4i", 0.4j),
+            ("-2i", -2j),
+            ("2e-3", 0.002 + 0j),
+        ],
+    )
+    def test_parse(self, text, value):
+        assert parse_complex(text) == value
+
+    def test_parse_rejects_garbage(self):
+        for bad in ("", "i+1", "1+2", "one"):
+            with pytest.raises(ValueError):
+                parse_complex(bad)
+
+    @pytest.mark.parametrize("z", [1, -0.5, 0.3 + 0.4j, 1 - 2j, 0.4j, 0, 2.25])
+    def test_round_trip(self, z):
+        assert parse_complex(format_complex(complex(z))) == complex(z)
+
+    def test_format_examples(self):
+        assert format_complex(1 + 0j) == "1"
+        assert format_complex(-0.5 + 0j) == "-0.5"
+        assert format_complex(0.3 + 0.4j) == "0.3+0.4i"
+        assert format_complex(1 - 2j) == "1-2i"
+
+
 class TestOperatorPlumbing:
     def test_apply_type_checks(self):
         tree = make_path(3)
         s = adjacency_operator(tree)
         with pytest.raises(ValueError):
-            s.apply(EdgeVector(2, {0: 1}))
+            s @ np.eye(tree.edge_count)[:, [0]]  # an edge vector
         with pytest.raises(ValueError):
-            s.apply(VertexVector(4, {0: 1}))
+            s @ np.eye(4)[:, [0]]
 
     def test_compose_dimension_check(self):
         tree = make_path(3)
@@ -529,18 +569,6 @@ def _leaf_swap(rooted):
     return verify_automorphism(rooted.tree, images)
 
 
-def _columns(space, block):
-    return [
-        space.vector_type(space.dim, {i: c for i, c in enumerate(column)})
-        for column in block.T
-    ]
-
-
-def _dense(space, vectors):
-    rows = [[w.coeff(i) for w in vectors] for i in range(space.dim)]
-    return np.array(rows, dtype=complex).reshape(space.dim, len(vectors))
-
-
 class TestBlockAppliers:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -559,8 +587,9 @@ class TestBlockAppliers:
                 block = block + 1j * rng.standard_normal(block.shape)
             images = op @ block
             assert images.shape == (op.codomain.dim, k)
-            expected = _dense(op.codomain, [op.apply(v) for v in _columns(op.domain, block)])
-            assert np.abs(images - expected).max(initial=0.0) <= 1e-12, op
+            for j in range(k):
+                gap = np.abs(images[:, [j]] - op @ block[:, [j]]).max(initial=0.0)
+                assert gap <= 1e-12, op
             with pytest.raises(ValueError, match="block"):
                 op @ np.zeros((op.domain.dim + 1, k))
             with pytest.raises(ValueError, match="block"):

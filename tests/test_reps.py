@@ -33,7 +33,6 @@ from treelab.reps import (
     unitary_rep_operator,
     unitary_step_bound,
 )
-from treelab.spaces import VertexVector, delta_vertex
 from treelab.trees import make_path, make_random, make_star, root_at, tree_from_spec
 
 T_GRID = (0.0, 0.3, 0.6, 0.9, 0.99)
@@ -163,8 +162,8 @@ class TestBoundedFamily:
         # value pinned by the dense-inversion oracle
         rooted = root_at(make_path(3), 0)
         g = verify_automorphism(rooted.tree, [2, 1, 0])
-        out = bounded_rep_operator(rooted, g, 0.5).apply(delta_vertex(rooted.tree, 1))
-        assert out == VertexVector(3, {0: 0.375, 1: 0.75, 2: -0.5})
+        out = bounded_rep_operator(rooted, g, 0.5) @ np.eye(3)[:, [1]]
+        assert np.array_equal(out, [[0.375], [0.75], [-0.5]])
         oracle = oracle_bounded(rooted, g, 0.5)
         assert np.abs(oracle[:, 1] - np.array([0.375, 0.75, -0.5])).max() <= 1e-15
 
@@ -199,12 +198,12 @@ class TestUnitaryFamily:
         g = verify_automorphism(rooted.tree, [1, 0])
         for t in (0.25, 0.5, 0.9):
             s = math.sqrt(1 - t * t)
-            out0 = unitary_rep_operator(rooted, g, t).apply(delta_vertex(rooted.tree, 0))
-            assert abs(out0.coeff(0) - t) <= 1e-15
-            assert abs(out0.coeff(1) - s) <= 1e-15
-            out1 = unitary_rep_operator(rooted, g, t).apply(delta_vertex(rooted.tree, 1))
-            assert abs(out1.coeff(0) - s) <= 1e-15
-            assert abs(out1.coeff(1) + t) <= 1e-15
+            out0 = unitary_rep_operator(rooted, g, t) @ np.eye(2)[:, [0]]
+            assert abs(out0[0, 0] - t) <= 1e-15
+            assert abs(out0[1, 0] - s) <= 1e-15
+            out1 = unitary_rep_operator(rooted, g, t) @ np.eye(2)[:, [1]]
+            assert abs(out1[0, 0] - s) <= 1e-15
+            assert abs(out1[1, 0] + t) <= 1e-15
 
     def test_unitary_on_grid(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
@@ -294,10 +293,10 @@ class TestLimitRep:
 
     def test_origin_always_fixed(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        d_origin = delta_vertex(rooted.tree, rooted.origin)
+        d_origin = np.eye(rooted.n)[:, [rooted.origin]]
         for g in group:
             op = limit_rep_operator(rooted, g)
-            assert op.apply(d_origin) == d_origin
+            assert np.array_equal(op @ d_origin, d_origin)
 
     def test_unitary_and_homomorphism(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
@@ -490,8 +489,8 @@ class TestOriginSphere:
         g = verify_automorphism(rooted.tree, [4, 3, 2, 1, 0])
         (d,) = displacement(rooted, block(g))
         for t in (0.3, 0.9, 0.99):
-            v = unitary_rep_operator(rooted, g, t).apply(delta_vertex(rooted.tree, 0))
-            norm_sq = sum(abs(c) ** 2 for _, c in v.items())
+            v = unitary_rep_operator(rooted, g, t) @ np.eye(rooted.n)[:, [0]]
+            norm_sq = np.vdot(v, v).real
             closed = t ** (2 * d) + (1 - t * t) * sum(
                 t ** (2 * k) for k in range(d)
             )

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .operators import LinearOperator, edge_space, vertex_space
+from .operators import LinearOperator
 from .trees import Tree, root_at
 
 __all__ = [
@@ -162,7 +162,7 @@ def _centre_generators(tree: Tree) -> tuple[list[list[int]], int]:
     move whole subtrees, pairing children in label order.
     """
     far = root_at(tree, root_at(tree, 0).order[-1])
-    path = far.path_to_origin(far.order[-1])
+    path = tree.path(far.order[-1], far.origin)
     centre, other = path[(len(path) - 1) // 2], path[len(path) // 2]
     rooted = root_at(tree, centre)
     # a bicentral tree is cut at its central edge; the halves are siblings
@@ -233,16 +233,14 @@ def serialize_automorphisms(autos: Iterable[Automorphism]) -> str:
 
 def pi0_operator(tree: Tree, g: Automorphism) -> LinearOperator:
     """A scatter along the images of g; the adjoint gathers along them."""
-    sp, images = vertex_space(tree), np.array(g.images, dtype=np.intp)
+    images = np.array(g.images, dtype=np.intp)
 
     def apply(b: np.ndarray) -> np.ndarray:
         out = np.empty_like(b)
         out[images] = b
         return out
 
-    return LinearOperator(
-        sp, sp, apply, lambda b: b[images], name=f"pi0[{list(g.images)}]"
-    )
+    return LinearOperator((tree.n, tree.n), apply, lambda b: b[images])
 
 
 def edge_images(tree: Tree, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +258,7 @@ def pi1_operator(tree: Tree, g: Automorphism) -> LinearOperator:
     """Permute signed edge classes along g: a signed scatter onto the
     image edges (edge_images), whose adjoint is the matching signed gather.
     """
-    sp, (target, sign) = edge_space(tree), edge_images(tree, np.array(g.images))
+    target, sign = edge_images(tree, np.array(g.images))
     sign = sign.reshape(-1, 1)
 
     def apply(w: np.ndarray) -> np.ndarray:
@@ -268,6 +266,4 @@ def pi1_operator(tree: Tree, g: Automorphism) -> LinearOperator:
         out[target] = sign * w
         return out
 
-    return LinearOperator(
-        sp, sp, apply, lambda w: sign * w[target], name=f"pi1[{list(g.images)}]"
-    )
+    return LinearOperator((tree.edge_count,) * 2, apply, lambda w: sign * w[target])

@@ -244,7 +244,7 @@ def geodesic_cocycle(tree: Tree, x: int, y: int) -> Cocycle:
 
 def _cocycle_block(tree: Tree, pairs) -> np.ndarray:
     """The geodesic cocycles of the vertex pairs, as the columns of a real
-    edge block.
+    edge block; a ValueError for a vertex id outside 0..n-1.
 
     Tree.path's walk on every pair at once: both ends climb toward vertex 0,
     deeper end first, until they meet. A step up from v crosses the edge
@@ -259,6 +259,9 @@ def _cocycle_block(tree: Tree, pairs) -> np.ndarray:
     up_sign = np.zeros(tree.n)
     up_sign[child] = sign
     ends = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+    bad = ends[(ends < 0) | (ends >= tree.n)]
+    if bad.size:
+        tree.check_vertex(int(bad[0]))
     block = np.zeros((tree.edge_count, ends.shape[1]))
     while True:
         (cols,) = np.nonzero(ends[0] != ends[1])
@@ -330,7 +333,5 @@ def cocycle_equivariance_residual(tree: Tree, g: Automorphism, pairs) -> np.ndar
 
 def chasles_residual(tree: Tree, x: int, y: int, z: int) -> float:
     """Gap in c(x, z) = c(x, y) + c(y, z); exact when y lies on path(x, z)."""
-    for v in (x, y, z):
-        tree.check_vertex(v)
     xz, xy, yz = _cocycle_block(tree, [(x, z), (x, y), (y, z)]).T
     return worst_of(np.abs(xz - (xy + yz)))[0]

@@ -1,13 +1,17 @@
 """Operators on the vertex and signed-edge spaces of a finite tree.
 
-Every named operator is a pair of block appliers, forward and adjoint. An
-applier maps a (dim, k) array, whose columns are vectors of the domain,
-to the array of their images, by gathers, scatters and level sweeps over
-index arrays that each Tree and RootedTree builds once. `op @ block` is
-the shape-checked entry point, and a single vector is a (dim, 1) block.
-`materialize` applies an operator to the identity block, that is to every
-basis vector, in the applier's dtype: the dense matrices built that way
-are the brute-force oracle against which the identities are verified.
+An operator is its shape and a pair of block appliers, forward and
+adjoint. The shape (m, n) is that of its matrix. A tree with N vertices
+has N - 1 edges, so the vertex space and the edge space never share a
+dimension, and the shape alone says which space a block lives in. The
+forward applier maps an (n, k) array, whose columns are vectors of the
+domain, to the (m, k) array of their images, by gathers, scatters and
+level sweeps over index arrays that each Tree and RootedTree builds once.
+`op @ block` is the shape-checked entry point, and a single vector is an
+(n, 1) block. `materialize` applies an operator to the identity block,
+that is to every basis vector, in the applier's dtype: the dense matrices
+built that way are the brute-force oracle against which the identities
+are verified.
 
 Conventions fixed here and used everywhere downstream:
 
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -33,10 +36,7 @@ import numpy as np
 from .trees import Fanin, RootedTree, Tree
 
 __all__ = [
-    "Space",
     "LinearOperator",
-    "vertex_space",
-    "edge_space",
     "identity_operator",
     "adjacency_operator",
     "branching_operator",
@@ -59,26 +59,12 @@ __all__ = [
 MATERIALIZE_DIM_LIMIT = 10000
 
 
-@dataclass(frozen=True)
-class Space:
-    """Tag for an operator's domain or codomain: basis kind plus dimension."""
-
-    kind: str  # "vertex" | "edge"
-    dim: int
-
-
-def vertex_space(tree: Tree) -> Space:
-    return Space("vertex", tree.n)
-
-
-def edge_space(tree: Tree) -> Space:
-    return Space("edge", tree.edge_count)
-
-
 class LinearOperator:
-    """A linear map given by a forward and an adjoint block applier. Each
-    maps a (dim, k) array to the images of its columns, never writes to its
-    input, and keeps a real block real unless a parameter is complex.
+    """A linear map given by its shape (m, n), the shape of its matrix, and
+    a forward and an adjoint block applier. The forward applier maps an
+    (n, k) array to the images of its columns, the adjoint an (m, k) one;
+    neither writes to its input, and each keeps a real block real unless a
+    parameter is complex.
 
     The adjoint contract <A* u, v> == <u, A v> is not enforced at
     construction; it is what the test-suite verifies on random vectors.
@@ -86,76 +72,61 @@ class LinearOperator:
 
     def __init__(
         self,
-        domain: Space,
-        codomain: Space,
+        shape: tuple[int, int],
         apply_fn: Callable[[np.ndarray], np.ndarray],
         adjoint_fn: Callable[[np.ndarray], np.ndarray],
-        name: str = "",
     ):
-        self.domain = domain
-        self.codomain = codomain
+        self.shape = shape
         self._apply = apply_fn
         self._adjoint = adjoint_fn
-        self.name = name
 
     def __matmul__(self, block) -> np.ndarray:
-        """The images of the columns of a (domain.dim, k) block."""
+        """The images of the columns of an (n, k) block."""
         block = np.asarray(block)
         block = block.astype(np.result_type(block, float), copy=False)
-        if block.ndim != 2 or block.shape[0] != self.domain.dim:
+        if block.ndim != 2 or block.shape[0] != self.shape[1]:
             raise ValueError(
-                f"operator expects a ({self.domain.dim}, k) block, got {block.shape}"
+                f"operator expects a ({self.shape[1]}, k) block, got {block.shape}"
             )
         return self._apply(block)
 
     def adjoint(self) -> "LinearOperator":
-        return LinearOperator(
-            self.codomain, self.domain, self._adjoint, self._apply,
-            name=f"{self.name}*" if self.name else "",
-        )
+        return LinearOperator(self.shape[::-1], self._adjoint, self._apply)
 
     def compose(self, other: "LinearOperator") -> "LinearOperator":
         """self after other."""
-        if other.codomain != self.domain:
+        if other.shape[0] != self.shape[1]:
             raise ValueError(
-                f"cannot compose: {other.codomain} feeds into {self.domain}"
+                f"cannot compose: a {other.shape} operator feeds a {self.shape} one"
             )
         return LinearOperator(
-            other.domain,
-            self.codomain,
+            (self.shape[0], other.shape[1]),
             lambda b: self._apply(other._apply(b)),
             lambda b: other._adjoint(self._adjoint(b)),
-            name=f"{self.name}.{other.name}",
         )
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        if other.domain != self.domain or other.codomain != self.codomain:
-            raise ValueError("summands act between different spaces")
+        if other.shape != self.shape:
+            raise ValueError(
+                f"summands have different shapes: {self.shape} and {other.shape}"
+            )
         return LinearOperator(
-            self.domain,
-            self.codomain,
+            self.shape,
             lambda b: self._apply(b) + other._apply(b),
             lambda b: self._adjoint(b) + other._adjoint(b),
-            name=f"{self.name}+{other.name}",
         )
 
     def scale(self, a: complex) -> "LinearOperator":
         """a times self; the adjoint scales by conj(a)."""
         ac = complex(a).conjugate()
         return LinearOperator(
-            self.domain,
-            self.codomain,
+            self.shape,
             lambda b: _times(a, self._apply(b)),
             lambda b: _times(ac, self._adjoint(b)),
-            name=f"({a}){self.name}",
         )
 
     def __repr__(self) -> str:
-        return (
-            f"LinearOperator({self.name or '?'}: "
-            f"{self.domain.kind}[{self.domain.dim}] -> "
-            f"{self.codomain.kind}[{self.codomain.dim}])"
-        )
+        return f"LinearOperator(shape={self.shape})"
 
 
 def _times(a: complex, block: np.ndarray) -> np.ndarray:
@@ -175,13 +146,12 @@ def _fan_in(fanin: Fanin, rows: np.ndarray) -> np.ndarray:
     return np.add.reduceat(rows[fanin.sources], fanin.starts, axis=0)
 
 
-def identity_operator(space: Space) -> LinearOperator:
-    return LinearOperator(space, space, lambda b: b, lambda b: b, name="1")
+def identity_operator(dim: int) -> LinearOperator:
+    return LinearOperator((dim, dim), lambda b: b, lambda b: b)
 
 
 def adjacency_operator(tree: Tree) -> LinearOperator:
     """Sum over neighbours; self-adjoint."""
-    sp = vertex_space(tree)
     low, high = tree.edge_ends
     into_low, into_high = tree.edge_fanins
 
@@ -191,19 +161,17 @@ def adjacency_operator(tree: Tree) -> LinearOperator:
         out[into_high.heads] += _fan_in(into_high, b[low])
         return out
 
-    return LinearOperator(sp, sp, apply, apply, name="S")
+    return LinearOperator((tree.n, tree.n), apply, apply)
 
 
 def branching_operator(tree: Tree) -> LinearOperator:
     """Diagonal map x -> (degree(x) - 1) * x; self-adjoint."""
-    sp = vertex_space(tree)
     q = np.array([tree.q(x) for x in range(tree.n)], dtype=float)[:, None]
-    return LinearOperator(sp, sp, lambda b: q * b, lambda b: q * b, name="Q")
+    return LinearOperator((tree.n, tree.n), lambda b: q * b, lambda b: q * b)
 
 
 def origin_projection(rooted: RootedTree) -> LinearOperator:
     """Rank-one orthogonal projection onto the origin's basis vector."""
-    sp = vertex_space(rooted.tree)
     x0 = rooted.origin
 
     def apply(b: np.ndarray) -> np.ndarray:
@@ -211,7 +179,7 @@ def origin_projection(rooted: RootedTree) -> LinearOperator:
         out[x0] = b[x0]
         return out
 
-    return LinearOperator(sp, sp, apply, apply, name="p0")
+    return LinearOperator((rooted.n, rooted.n), apply, apply)
 
 
 def parent_shift_operator(rooted: RootedTree) -> LinearOperator:
@@ -221,7 +189,6 @@ def parent_shift_operator(rooted: RootedTree) -> LinearOperator:
     The adjoint, a gather from parents, fans a vertex out to the sum of its
     children (for the origin, that is the sum of all its neighbours).
     """
-    sp = vertex_space(rooted.tree)
     kids = rooted.parent_fanin
     parent = rooted.parent_array
 
@@ -235,7 +202,7 @@ def parent_shift_operator(rooted: RootedTree) -> LinearOperator:
         out[kids.sources] = b[parent[kids.sources]]
         return out
 
-    return LinearOperator(sp, sp, apply, adjoint, name="P")
+    return LinearOperator((rooted.n, rooted.n), apply, adjoint)
 
 
 def deformation_operator(rooted: RootedTree, t: float) -> LinearOperator:
@@ -246,13 +213,11 @@ def deformation_operator(rooted: RootedTree, t: float) -> LinearOperator:
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"deformation parameter must lie in [0, 1], got {t}")
     alpha = math.sqrt(1.0 - t * t) - 1.0
-    op = (
-        identity_operator(vertex_space(rooted.tree))
+    return (
+        identity_operator(rooted.n)
         + parent_shift_operator(rooted).scale(-t)
         + origin_projection(rooted).scale(alpha)
     )
-    op.name = f"T[{t}]"
-    return op
 
 
 def resolvent_apply(rooted: RootedTree, z: complex, block: np.ndarray) -> np.ndarray:
@@ -269,7 +234,6 @@ def resolvent_operator(rooted: RootedTree, z: complex) -> LinearOperator:
     The applier sweeps the BFS levels deepest first, adding z times each
     family's sum to its parent; the adjoint sweeps down from the origin.
     """
-    sp = vertex_space(rooted.tree)
     levels = rooted.level_fanins
     parent = rooted.parent_array
     zc = complex(z).conjugate()
@@ -287,7 +251,7 @@ def resolvent_operator(rooted: RootedTree, z: complex) -> LinearOperator:
             out[level.sources] += _times(zc, out[parent[level.sources]])
         return out
 
-    return LinearOperator(sp, sp, apply, adjoint, name=f"R[{z}]")
+    return LinearOperator((rooted.n, rooted.n), apply, adjoint)
 
 
 def deformation_inverse(rooted: RootedTree, t: float) -> LinearOperator:
@@ -301,11 +265,8 @@ def deformation_inverse(rooted: RootedTree, t: float) -> LinearOperator:
     if not 0.0 <= t < 1.0:
         raise ValueError(f"deformation inverse needs t in [0, 1), got {t}")
     beta = 1.0 / math.sqrt(1.0 - t * t) - 1.0
-    sp = vertex_space(rooted.tree)
-    rescale = identity_operator(sp) + origin_projection(rooted).scale(beta)
-    op = rescale.compose(resolvent_operator(rooted, t))
-    op.name = f"Tinv[{t}]"
-    return op
+    rescale = identity_operator(rooted.n) + origin_projection(rooted).scale(beta)
+    return rescale.compose(resolvent_operator(rooted, t))
 
 
 def parent_edge_operator(rooted: RootedTree) -> LinearOperator:
@@ -324,10 +285,7 @@ def parent_edge_operator(rooted: RootedTree) -> LinearOperator:
         out[child] = sign * w
         return out
 
-    return LinearOperator(
-        vertex_space(tree), edge_space(tree), lambda b: sign * b[child], adjoint,
-        name="F",
-    )
+    return LinearOperator((tree.edge_count, tree.n), lambda b: sign * b[child], adjoint)
 
 
 def coboundary_operator(tree: Tree) -> LinearOperator:
@@ -347,10 +305,7 @@ def coboundary_operator(tree: Tree) -> LinearOperator:
         out[into_high.heads] -= _fan_in(into_high, w)
         return out
 
-    return LinearOperator(
-        edge_space(tree), vertex_space(tree), apply, lambda b: b[low] - b[high],
-        name="b",
-    )
+    return LinearOperator((tree.n, tree.edge_count), apply, lambda b: b[low] - b[high])
 
 
 def materialize(op: LinearOperator) -> np.ndarray:
@@ -362,7 +317,7 @@ def materialize(op: LinearOperator) -> np.ndarray:
     +0.0, whatever the sign of the product it came from. Guarded against
     dimensions above MATERIALIZE_DIM_LIMIT.
     """
-    m, n = op.codomain.dim, op.domain.dim
+    m, n = op.shape
     if max(m, n) > MATERIALIZE_DIM_LIMIT:
         raise ValueError(
             f"refusing to materialize a {m} x {n} matrix "

@@ -50,7 +50,6 @@ from .operators import (
     parent_edge_operator,
     parent_shift_operator,
     resolvent_operator,
-    vertex_space,
     worst_of,
 )
 from .trees import RootedTree
@@ -103,10 +102,7 @@ def _check_t(t: float) -> float:
 
 
 def _one_minus_shift(rooted: RootedTree, z: complex) -> LinearOperator:
-    sp = vertex_space(rooted.tree)
-    op = identity_operator(sp) + parent_shift_operator(rooted).scale(-z)
-    op.name = f"1-{z}P"
-    return op
+    return identity_operator(rooted.n) + parent_shift_operator(rooted).scale(-z)
 
 
 def bounded_rep_operator(
@@ -114,11 +110,9 @@ def bounded_rep_operator(
 ) -> LinearOperator:
     """resolvent(z) o (vertex action of g) o (1 - z * shift)."""
     z = _check_z(z)
-    op = resolvent_operator(rooted, z).compose(
+    return resolvent_operator(rooted, z).compose(
         pi0_operator(rooted.tree, g).compose(_one_minus_shift(rooted, z))
     )
-    op.name = f"rho[z={z}]"
-    return op
 
 
 def unitary_rep_operator(
@@ -126,20 +120,16 @@ def unitary_rep_operator(
 ) -> LinearOperator:
     """deformation_inverse(t) o (vertex action of g) o deformation(t)."""
     t = _check_t(t)
-    op = deformation_inverse(rooted, t).compose(
+    return deformation_inverse(rooted, t).compose(
         pi0_operator(rooted.tree, g).compose(deformation_operator(rooted, t))
     )
-    op.name = f"rho~[t={t}]"
-    return op
 
 
 def limit_rep_operator(rooted: RootedTree, g: Automorphism) -> LinearOperator:
     """F* o (edge action of g) o F + origin projection; the t -> 1 limit."""
     f = parent_edge_operator(rooted)
     core = f.adjoint().compose(pi1_operator(rooted.tree, g).compose(f))
-    op = core + origin_projection(rooted)
-    op.name = "rho~[t=1]"
-    return op
+    return core + origin_projection(rooted)
 
 
 # ----------------------------------------------------------------------

@@ -290,14 +290,6 @@ class RootedTree:
         low_is_child = self.parent_array[low] == high
         return np.where(low_is_child, low, high), np.where(low_is_child, 1.0, -1.0)
 
-    def path_to_origin(self, x: int) -> list[int]:
-        """Vertices from x up to the origin, inclusive."""
-        self.tree.check_vertex(x)
-        walk = [x]
-        while walk[-1] != self.origin:
-            walk.append(self.parent[walk[-1]])
-        return walk
-
     def __repr__(self) -> str:
         return f"RootedTree(n={self.n}, origin={self.origin})"
 

@@ -112,7 +112,7 @@ def _wrong_inverse(original):
             return block
 
         return LinearOperator(
-            op.domain, op.codomain,
+            op.shape,
             lambda b: scaled(op @ b), lambda b: op.adjoint() @ scaled(b),
         )
 
@@ -130,7 +130,7 @@ def _nan_inverse(original):
             return block
 
         return LinearOperator(
-            op.domain, op.codomain,
+            op.shape,
             lambda b: planted(op @ b), lambda b: planted(op.adjoint() @ b),
         )
 

@@ -228,9 +228,14 @@ class TestCocycle:
         x, z = 0, 24
         for y in tree.path(x, z):
             assert chasles_residual(tree, x, y, z) == 0.0
+        rooted, g = root_at(tree, 0), verify_automorphism(tree, list(range(tree.n)))
         for y in (-1, tree.n):
             with pytest.raises(ValueError, match="out of range"):
                 chasles_residual(tree, x, y, z)
+            with pytest.raises(ValueError, match="out of range"):
+                cocycle_report(rooted, [(y, x)])
+            with pytest.raises(ValueError, match="out of range"):
+                cocycle_equivariance_residual(tree, g, [(x, y)])
 
     def test_equivariance(self):
         tree = make_star(5)

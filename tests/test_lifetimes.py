@@ -66,3 +66,18 @@ def test_the_memo_holds_a_tree_s_matrices_while_it_lives():
     assert reps._dense_context.cache_info().currsize == held + 3
     del rooted
     assert reps._dense_context.cache_info().currsize == held
+
+
+def test_the_suite_frees_its_matrices_after_the_last_dense_check(monkeypatch):
+    # kernels and cocycles run after limit-family and read no memoized matrix
+    held = reps._dense_context.cache_info().currsize
+    seen = []
+
+    def cnd_check(*args, **kwargs):
+        seen.append(reps._dense_context.cache_info().currsize)
+        return original(*args, **kwargs)
+
+    original = checks.kernels_mod.cnd_check
+    monkeypatch.setattr(checks.kernels_mod, "cnd_check", cnd_check)
+    report = checks.run_check_suite(checks.SuiteConfig("star:4"))
+    assert report.aggregate_pass and seen == [held]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from treelab.checks import _geometric_series
 from treelab.groups import pi0_operator, pi1_operator, verify_automorphism
 from treelab.operators import (
-    Space,
     adjacency_operator,
     branching_operator,
     coboundary_operator,
@@ -26,7 +25,6 @@ from treelab.operators import (
     parse_complex,
     resolvent_apply,
     resolvent_operator,
-    vertex_space,
     worst_of,
 )
 from treelab.trees import make_path, make_random, make_star, root_at
@@ -356,8 +354,8 @@ class TestAdjointContract:
             ]
             for op in ops:
                 for _ in range(3):
-                    u_data = rng.standard_normal((op.codomain.dim, 2))
-                    v_data = rng.standard_normal((op.domain.dim, 2))
+                    u_data = rng.standard_normal((op.shape[0], 2))
+                    v_data = rng.standard_normal((op.shape[1], 2))
                     u = (u_data[:, 0] + 1j * u_data[:, 1])[:, None]
                     v = (v_data[:, 0] + 1j * v_data[:, 1])[:, None]
                     # np.vdot conjugates its first argument
@@ -368,14 +366,13 @@ class TestAdjointContract:
 
 class TestMaterializeAndNorm:
     def test_materialize_guard(self):
-        big = Space("vertex", 10001)
         with pytest.raises(ValueError, match="refusing"):
-            materialize(identity_operator(big))
+            materialize(identity_operator(10001))
 
     def test_norm_examples(self):
         tree = make_path(2)
         rooted = root_at(tree, 0)
-        assert operator_norm(identity_operator(vertex_space(tree))) == pytest.approx(
+        assert operator_norm(identity_operator(tree.n)) == pytest.approx(
             1.0, abs=1e-10
         )
         assert operator_norm(origin_projection(rooted)) == pytest.approx(1.0, abs=1e-10)
@@ -512,9 +509,9 @@ class TestOperatorPlumbing:
         tree = make_path(3)
         rooted = root_at(tree, 0)
         f = parent_edge_operator(rooted)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot compose"):
             f.compose(coboundary_operator(make_path(4)))
-        with pytest.raises(ValueError, match="different spaces"):
+        with pytest.raises(ValueError, match="different shapes"):
             f + coboundary_operator(tree)
 
     def test_compose_matches_matrix_product(self):
@@ -582,18 +579,20 @@ class TestBlockAppliers:
         tree = make_random(n, seed)
         rooted = root_at(tree, int(rng.integers(0, n)))
         for op in _named_operators(rooted, _leaf_swap(rooted)):
-            block = rng.standard_normal((op.domain.dim, k))
+            assert materialize(op).shape == op.shape, op
+            assert op.adjoint().shape == op.shape[::-1], op
+            block = rng.standard_normal((op.shape[1], k))
             if complex_block:
                 block = block + 1j * rng.standard_normal(block.shape)
             images = op @ block
-            assert images.shape == (op.codomain.dim, k)
+            assert images.shape == (op.shape[0], k)
             for j in range(k):
                 gap = np.abs(images[:, [j]] - op @ block[:, [j]]).max(initial=0.0)
                 assert gap <= 1e-12, op
             with pytest.raises(ValueError, match="block"):
-                op @ np.zeros((op.domain.dim + 1, k))
+                op @ np.zeros((op.shape[1] + 1, k))
             with pytest.raises(ValueError, match="block"):
-                op @ np.zeros(op.domain.dim)
+                op @ np.zeros(op.shape[1])
 
     def test_real_block_stays_real_for_real_parameters(self):
         rooted = root_at(make_random(9, 2), 4)
@@ -607,7 +606,7 @@ class TestBlockAppliers:
         complex_ops = {4, 14, 19, 29}
         for i, op in enumerate(ops):
             mat = materialize(op)
-            images = op @ np.eye(op.domain.dim)
+            images = op @ np.eye(op.shape[1])
             assert mat.dtype == images.dtype, op
             assert np.array_equal(mat, images), op
             assert mat.dtype == (np.complex128 if i in complex_ops else np.float64), op

@@ -107,9 +107,9 @@ class TestRooting:
             assert rooted.depth[x] == len(walk) - 1
 
     def test_path_to_origin(self):
-        rooted = root_at(make_path(4), 0)
-        assert rooted.path_to_origin(3) == [3, 2, 1, 0]
-        assert rooted.path_to_origin(0) == [0]
+        tree = make_path(4)
+        assert tree.path(3, 0) == [3, 2, 1, 0]
+        assert tree.path(0, 0) == [0]
 
 
 class TestQueries:

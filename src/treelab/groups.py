@@ -1,18 +1,19 @@
 """Tree automorphisms, group closure, and the two permutation representations.
 
-A group element is a vertex permutation that preserves the edge set. The
-vertex representation permutes vertex basis vectors; the edge
-representation permutes signed edge classes, picking up a sign whenever
-the image of a canonical orientation is reversed.
+A group element is its image row (images[x] is where x goes), a vertex
+permutation that preserves the edge set. The vertex representation
+permutes vertex basis vectors; the edge representation permutes signed
+edge classes, picking up a sign whenever the image of a canonical
+orientation is reversed.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,9 +21,7 @@ from .operators import LinearOperator
 from .trees import Tree, root_at
 
 __all__ = [
-    "Automorphism",
     "GroupClosure",
-    "identity_automorphism",
     "verify_automorphism",
     "close_group",
     "full_automorphism_group",
@@ -38,12 +37,10 @@ DEFAULT_GROUP_CAP = 20000
 
 @dataclass(frozen=True)
 class Automorphism:
-    """A vertex permutation; images[x] is where x goes."""
+    """Nothing in treelab uses this: rows compose by gathers (g[h] is g
+    after h). perfbench's tracer wraps compose and inverse by name."""
 
     images: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: x -> self(other(x))."""
@@ -55,21 +52,13 @@ class Automorphism:
             inv[y] = x
         return Automorphism(tuple(inv))
 
-    @property
-    def is_identity(self) -> bool:
-        return all(i == x for x, i in enumerate(self.images))
 
-    def __repr__(self) -> str:
-        return f"Automorphism({list(self.images)})"
-
-
-def identity_automorphism(n: int) -> Automorphism:
-    return Automorphism(tuple(range(n)))
-
-
-def verify_automorphism(tree: Tree, images: Sequence[int]) -> Automorphism:
-    """Validate a candidate permutation; errors name the first violation."""
-    images = tuple(int(i) for i in images)
+def verify_automorphism(tree: Tree, images: Sequence[int]) -> tuple[int, ...]:
+    """The image row as a tuple of ints; errors name the first violation."""
+    try:
+        images = tuple(map(operator.index, images))
+    except TypeError:
+        raise ValueError("images are not integers") from None
     if len(images) != tree.n:
         raise ValueError(f"expected {tree.n} images, got {len(images)}")
     if sorted(images) != list(range(tree.n)):
@@ -80,46 +69,31 @@ def verify_automorphism(tree: Tree, images: Sequence[int]) -> Automorphism:
             raise ValueError(
                 f"edge {{{u}, {v}}} maps to {{{gu}, {gv}}}, which is not an edge"
             )
-    return Automorphism(images)
+    return images
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupClosure:
-    """A deduplicated list of automorphisms, sorted by image tuple.
+    """Deduplicated automorphisms: images is the read-only, sorted (len, n)
+    block of their image rows, the form the representation stacks take.
+    When complete is True the rows are closed under composition and
+    inverses and include the identity (which sorts first).
+    generator_indices locate the generating rows inside images."""
 
-    When complete is True the list is closed under composition and inverses
-    and contains the identity (which sorts first). generator_indices locate
-    the generating elements inside elements; images holds their image
-    arrays as one (len, n) block, the form the representation stacks take.
-    """
-
-    elements: tuple[Automorphism, ...]
+    images: np.ndarray
     generator_indices: tuple[int, ...]
     complete: bool
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[Automorphism]:
-        return iter(self.elements)
-
-    def __getitem__(self, i: int) -> Automorphism:
-        return self.elements[i]
-
-    @cached_property
-    def images(self) -> np.ndarray:
-        """Row i is the image array of element i; read-only."""
-        images = np.array([g.images for g in self.elements], dtype=np.intp)
-        images.flags.writeable = False
-        return images
+        return len(self.images)
 
 
 def close_group(
     tree: Tree,
-    generators: Sequence[Automorphism | Sequence[int]],
+    generators: Iterable[Sequence[int]],
     cap: int = DEFAULT_GROUP_CAP,
 ) -> GroupClosure:
-    """Breadth-first closure of the generators under composition.
+    """Breadth-first closure of the generator rows under composition.
 
     Every generator is validated against the tree first. The identity is
     always included. In a finite group inverses are positive powers, so
@@ -129,11 +103,8 @@ def close_group(
     Each frontier row is composed with every generator in one gather, a
     row at a time; the products are taken in (g, h) order.
     """
-    gens = [
-        verify_automorphism(tree, g.images if isinstance(g, Automorphism) else g)
-        for g in generators
-    ]
-    gen_block = np.array([g.images for g in gens], dtype=np.intp).reshape(-1, tree.n)
+    gens = [verify_automorphism(tree, g) for g in generators]
+    gen_block = np.array(gens, dtype=np.intp).reshape(-1, tree.n)
     frontier = np.arange(tree.n)[None, :]
     found = {tuple(range(tree.n))}  # image tuples
     complete = True
@@ -148,9 +119,12 @@ def close_group(
                 found.add(images)
                 fresh.append(images)
         frontier = np.array(fresh, dtype=np.intp).reshape(-1, tree.n)
-    elements = tuple(map(Automorphism, sorted(found)))
-    gen_indices = tuple(elements.index(g) for g in gens if g in elements)
-    return GroupClosure(elements, gen_indices, complete)
+    rows = sorted(found)
+    position = {row: i for i, row in enumerate(rows)}
+    gen_indices = tuple(position[g] for g in gens if g in position)
+    images = np.array(rows, dtype=np.intp)
+    images.flags.writeable = False
+    return GroupClosure(images, gen_indices, complete)
 
 
 def _centre_generators(tree: Tree) -> tuple[list[list[int]], int]:
@@ -208,22 +182,22 @@ def full_automorphism_group(tree: Tree) -> GroupClosure:
 # ----------------------------------------------------------------------
 
 
-def parse_automorphisms(tree: Tree, text: str) -> list[Automorphism]:
-    out = []
+def parse_automorphisms(tree: Tree, text: str) -> np.ndarray:
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
             images = [int(tok) for tok in line.split()]
-            out.append(verify_automorphism(tree, images))
+            rows.append(verify_automorphism(tree, images))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return out
+    return np.array(rows, dtype=np.intp).reshape(-1, tree.n)
 
 
-def serialize_automorphisms(autos: Iterable[Automorphism]) -> str:
-    return "\n".join(" ".join(str(i) for i in g.images) for g in autos) + "\n"
+def serialize_automorphisms(rows: Iterable[Sequence[int]]) -> str:
+    return "\n".join(" ".join(str(i) for i in row) for row in rows) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -231,16 +205,12 @@ def serialize_automorphisms(autos: Iterable[Automorphism]) -> str:
 # ----------------------------------------------------------------------
 
 
-def pi0_operator(tree: Tree, g: Automorphism) -> LinearOperator:
-    """A scatter along the images of g; the adjoint gathers along them."""
-    images = np.array(g.images, dtype=np.intp)
-
-    def apply(b: np.ndarray) -> np.ndarray:
-        out = np.empty_like(b)
-        out[images] = b
-        return out
-
-    return LinearOperator((tree.n, tree.n), apply, lambda b: b[images])
+def pi0_operator(tree: Tree, g: Sequence[int]) -> LinearOperator:
+    """Move entry x to g[x] along the verified image row g: a gather along
+    the inverse row; the adjoint gathers along g."""
+    images = np.array(verify_automorphism(tree, g), dtype=np.intp)
+    inverse = np.argsort(images)
+    return LinearOperator((tree.n, tree.n), lambda b: b[inverse], lambda b: b[images])
 
 
 def edge_images(tree: Tree, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,16 +224,12 @@ def edge_images(tree: Tree, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return target, np.where(a < b, 1.0, -1.0)
 
 
-def pi1_operator(tree: Tree, g: Automorphism) -> LinearOperator:
-    """Permute signed edge classes along g: a signed scatter onto the
-    image edges (edge_images), whose adjoint is the matching signed gather.
-    """
-    target, sign = edge_images(tree, np.array(g.images))
-    sign = sign.reshape(-1, 1)
-
-    def apply(w: np.ndarray) -> np.ndarray:
-        out = np.empty_like(w)
-        out[target] = sign * w
-        return out
-
-    return LinearOperator((tree.edge_count,) * 2, apply, lambda w: sign * w[target])
+def pi1_operator(tree: Tree, g: Sequence[int]) -> LinearOperator:
+    """Permute signed edge classes along the verified image row g: a signed
+    gather that takes edge j to edge target[j] with its sign (edge_images);
+    the adjoint is the signed gather along target."""
+    target, sign = edge_images(tree, np.array(verify_automorphism(tree, g)))
+    sign, source = sign.reshape(-1, 1), np.argsort(target)
+    return LinearOperator(
+        (tree.edge_count,) * 2, lambda w: (sign * w)[source], lambda w: sign * w[target]
+    )

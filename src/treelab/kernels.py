@@ -21,11 +21,11 @@ its coboundary telescopes to the difference of the endpoint vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import Automorphism, pi1_operator
+from .groups import pi1_operator
 from .operators import (
     adjacency_operator,
     branching_operator,
@@ -322,12 +322,12 @@ def cocycle_report(rooted: RootedTree, pairs) -> CocycleReport:
     )
 
 
-def cocycle_equivariance_residual(tree: Tree, g: Automorphism, pairs) -> np.ndarray:
+def cocycle_equivariance_residual(tree: Tree, g: Sequence[int], pairs) -> np.ndarray:
     """Per vertex pair (x, y), the gap between c(g x, g y) and the edge
-    action of g applied to c(x, y)."""
+    action of the image row g (checked by pi1_operator) applied to c(x, y)."""
     return _gaps(
         pi1_operator(tree, g) @ _cocycle_block(tree, pairs),
-        _cocycle_block(tree, np.asarray(g.images)[np.asarray(pairs, dtype=np.intp)]),
+        _cocycle_block(tree, np.asarray(g)[np.asarray(pairs, dtype=np.intp)]),
     )
 
 

@@ -14,12 +14,16 @@ Two families are built by conjugating the vertex permutation action:
   plus the origin projection.
 
 One member is built as a composition of the operator module's block
-appliers. The dense route maps a block of elements, a (k, n) int array of
-vertex images such as GroupClosure.images, to the (k, n, n) stack of its
-members: the operators materialized, gathers and one matrix product (a
-unitary member is pi0(g) plus T^-1 times the difference of two gathers of
-T); nothing here restates an operator in closed form, and every dense
-measurement returns one value per element. The materialized operators
+appliers, from an image row that verify_automorphism checks. The dense
+route maps a block of elements, (k, n) image rows of a closure such as
+GroupClosure.images, to the (k, n, n) stack of its members: the operators
+materialized, gathers and one matrix product (a unitary member is pi0(g)
+plus T^-1 times the difference of two gathers of T); nothing here
+restates an operator in closed form, and every dense measurement returns
+one value per element. The dense functions (dense_*, displacement,
+finite_rank_defect, homomorphism_residual, homotopy_curve, and
+groups.edge_images) take their rows unchecked, since a check per call
+costs over half a member's build. The materialized operators
 are memoized per rooted tree, and each tree's memo dies with it: a
 configuration's matrices are freed with its rooted trees. The test-suite
 checks both routes against oracles of its own.
@@ -38,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import Automorphism, GroupClosure, edge_images, pi0_operator, pi1_operator
+from .groups import GroupClosure, edge_images, pi0_operator, pi1_operator
 from .operators import (
     LinearOperator,
     deformation_inverse,
@@ -106,7 +110,7 @@ def _one_minus_shift(rooted: RootedTree, z: complex) -> LinearOperator:
 
 
 def bounded_rep_operator(
-    rooted: RootedTree, g: Automorphism, z: complex
+    rooted: RootedTree, g: Sequence[int], z: complex
 ) -> LinearOperator:
     """resolvent(z) o (vertex action of g) o (1 - z * shift)."""
     z = _check_z(z)
@@ -116,7 +120,7 @@ def bounded_rep_operator(
 
 
 def unitary_rep_operator(
-    rooted: RootedTree, g: Automorphism, t: float
+    rooted: RootedTree, g: Sequence[int], t: float
 ) -> LinearOperator:
     """deformation_inverse(t) o (vertex action of g) o deformation(t)."""
     t = _check_t(t)
@@ -125,7 +129,7 @@ def unitary_rep_operator(
     )
 
 
-def limit_rep_operator(rooted: RootedTree, g: Automorphism) -> LinearOperator:
+def limit_rep_operator(rooted: RootedTree, g: Sequence[int]) -> LinearOperator:
     """F* o (edge action of g) o F + origin projection; the t -> 1 limit."""
     f = parent_edge_operator(rooted)
     core = f.adjoint().compose(pi1_operator(rooted.tree, g).compose(f))

@@ -122,7 +122,7 @@ def test_criterion_02_deformation_product_and_commutant(
     for _, tree, closure in corpus:
         s, q = dense_s_q(tree)
         n = tree.n
-        gathers = [(list(g.inverse().images), list(g.images)) for g in closure]
+        gathers = [(np.argsort(g), g) for g in closure.images]
         for rooted in rooted_pairs(tree):
             for t in DEFAULT_T_GRID:
                 tm = materialize(deformation_operator(rooted, t))
@@ -410,13 +410,12 @@ def test_criterion_09_cocycles(record_criterion):
             rep.closed_form_residual.max(),
             rep.antisymmetry_residual.max(),
         )
-        group = full_automorphism_group(tree)
-        elements = list(group)
-        if len(elements) > 64:
+        images = full_automorphism_group(tree).images
+        if len(images) > 64:
             rng = np.random.default_rng(0xA11CE)
-            elements = [elements[int(i)] for i in rng.integers(0, len(elements), 64)]
+            images = images[rng.integers(0, len(images), 64)]
         pairs = [(x, y) for x in range(0, tree.n, 2) for y in range(1, tree.n, 3)]
-        for g in elements:
+        for g in images:
             gap = cocycle_equivariance_residual(tree, g, pairs)
             equivariance_ok = equivariance_ok and bool((gap == 0.0).all())
     passed = norms_ok and equivariance_ok and worst <= IDENTITY_TOL
@@ -447,7 +446,7 @@ def test_criterion_10_endpoints_and_continuity(closure_corpus, record_criterion)
                 # the limit member, sparse-applier route vs dense route,
                 # plus its unitarity
                 limits = dense_limit_rep(rooted, images)
-                for dense, g in zip(limits, closure.elements[block]):
+                for dense, g in zip(limits, images):
                     sparse = materialize(limit_rep_operator(rooted, g))
                     worst_limit = max(worst_limit, np.abs(dense - sparse).max())
                 gram = limits.conj().swapaxes(1, 2) @ limits

@@ -9,13 +9,13 @@ from treelab.groups import (
     _centre_generators,
     close_group,
     full_automorphism_group,
-    identity_automorphism,
     parse_automorphisms,
     pi0_operator,
     pi1_operator,
     serialize_automorphisms,
     verify_automorphism,
 )
+from treelab.kernels import cocycle_equivariance_residual
 from treelab.operators import (
     adjacency_operator,
     branching_operator,
@@ -23,6 +23,7 @@ from treelab.operators import (
     materialize,
     parent_edge_operator,
 )
+from treelab.reps import unitary_rep_operator
 from treelab.trees import (
     make_path,
     make_random,
@@ -45,7 +46,18 @@ def brute_force_group(tree):
 class TestVerify:
     def test_path_end_swap(self):
         g = verify_automorphism(make_path(3), [2, 1, 0])
-        assert g(0) == 2
+        assert g == (2, 1, 0) and all(type(x) is int for x in g)
+
+    def test_numpy_integer_row(self):
+        g = verify_automorphism(make_path(3), np.array([2, 1, 0], dtype=np.int32))
+        assert g == (2, 1, 0) and all(type(x) is int for x in g)
+
+    def test_non_integer_images_refused(self):
+        # a float row would truncate to the reflection (3, 2, 1, 0)
+        with pytest.raises(ValueError, match="not integers"):
+            verify_automorphism(make_path(4), [3.9, 2.2, 1.7, 0.5])
+        with pytest.raises(ValueError, match="not integers"):
+            close_group(make_path(4), [[3.9, 2.2, 1.7, 0.5]])
 
     def test_identity(self):
         verify_automorphism(make_path(3), [0, 1, 2])
@@ -68,13 +80,9 @@ class TestAutomorphismAlgebra:
         g = Automorphism((1, 2, 3, 0))
         h = Automorphism((0, 2, 1, 3))
         gh = g.compose(h)
-        assert gh.images == tuple(g(h(x)) for x in range(4))
-        assert g.compose(g.inverse()) == identity_automorphism(4)
-        assert g.inverse().compose(g) == identity_automorphism(4)
-
-    def test_identity_flag(self):
-        assert identity_automorphism(3).is_identity
-        assert not Automorphism((1, 0, 2)).is_identity
+        assert gh.images == tuple(g.images[h.images[x]] for x in range(4))
+        assert g.compose(g.inverse()) == Automorphism((0, 1, 2, 3))
+        assert g.inverse().compose(g) == Automorphism((0, 1, 2, 3))
 
 
 class TestClosure:
@@ -88,12 +96,11 @@ class TestClosure:
         tree = make_star(4)
         closure = close_group(tree, [[0, 2, 1, 3], [0, 1, 3, 2]])
         assert len(closure) == 6
-        assert {g.images for g in closure} == set(brute_force_group(tree))
+        assert sorted(map(tuple, closure.images.tolist())) == brute_force_group(tree)
 
     def test_empty_generators(self):
         closure = close_group(make_path(3), [])
-        assert len(closure) == 1
-        assert closure[0].is_identity
+        assert closure.images.tolist() == [[0, 1, 2]]
 
     def test_cap_flags_incomplete(self):
         closure = close_group(make_star(4), [[0, 2, 1, 3], [0, 1, 3, 2]], cap=3)
@@ -105,11 +112,11 @@ class TestClosure:
         # at-a-time breadth-first search finds, taking products g h in
         # (frontier element g, generator h) order
         tree = make_star(5)
-        gens = [Automorphism((0, 2, 1, 3, 4)), Automorphism((0, 2, 3, 4, 1))]
-        found = frontier = [identity_automorphism(5)]
+        gens = [(0, 2, 1, 3, 4), (0, 2, 3, 4, 1)]
+        found = frontier = [(0, 1, 2, 3, 4)]
         while frontier:
             fresh = []
-            for gh in (g.compose(h) for g in frontier for h in gens):
+            for gh in (tuple(g[x] for x in h) for g in frontier for h in gens):
                 if gh not in found and gh not in fresh:
                     fresh.append(gh)
             found, frontier = found + fresh, fresh
@@ -117,21 +124,20 @@ class TestClosure:
         for cap in range(1, 26):
             closure = close_group(tree, gens, cap=cap)
             assert closure.complete == (cap >= 24)
-            assert set(closure) == set(found[:cap])
+            assert sorted(map(tuple, closure.images.tolist())) == sorted(found[:cap])
 
     def test_sorted_with_identity_first(self):
         closure = close_group(make_star(4), [[0, 2, 3, 1]])
-        assert closure[0].is_identity
-        assert list(closure.elements) == sorted(closure.elements, key=lambda g: g.images)
-        # the same elements as one read-only block of image arrays
-        assert closure.images.tolist() == [list(g.images) for g in closure]
+        assert closure.images.tolist() == [[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+        assert closure.images.dtype == np.intp
         assert not closure.images.flags.writeable
 
     def test_generator_indices(self):
         gen = [0, 2, 3, 1]
         closure = close_group(make_star(4), [gen])
+        assert closure.generator_indices == (1,)
         for i in closure.generator_indices:
-            assert closure[i].images == tuple(gen)
+            assert closure.images[i].tolist() == gen
 
     def test_invalid_generator_rejected(self):
         with pytest.raises(ValueError):
@@ -156,8 +162,8 @@ class TestFullGroup:
         trees = [make_path(4), make_star(5), make_random(6, seed=0),
                  make_random(7, seed=4)]
         for tree in trees:
-            found = [g.images for g in full_automorphism_group(tree)]
-            assert found == brute_force_group(tree)
+            found = full_automorphism_group(tree).images.tolist()
+            assert found == [list(g) for g in brute_force_group(tree)]
 
     @pytest.mark.parametrize(
         "spec",
@@ -169,7 +175,7 @@ class TestFullGroup:
         # bicentral ones with unequal halves
         tree = tree_from_spec(spec)
         group = full_automorphism_group(tree)
-        assert [g.images for g in group] == brute_force_group(tree)
+        assert group.images.tolist() == [list(g) for g in brute_force_group(tree)]
         assert len(group) == _centre_generators(tree)[1]
 
     def test_refused_before_enumerating(self):
@@ -189,25 +195,25 @@ class TestFullGroup:
 
     def test_closed_under_composition(self):
         group = full_automorphism_group(make_star(4))
-        elements = set(group.elements)
-        for g in group:
-            assert g.inverse() in elements
-            for h in group:
-                assert g.compose(h) in elements
+        elements = set(map(tuple, group.images.tolist()))
+        for g in group.images:
+            assert tuple(np.argsort(g).tolist()) in elements
+            for h in group.images:
+                assert tuple(g[h].tolist()) in elements
 
 
 class TestAutomorphismFiles:
     def test_round_trip(self):
         tree = make_star(4)
-        autos = list(full_automorphism_group(tree))
-        text = serialize_automorphisms(autos)
-        assert parse_automorphisms(tree, text) == autos
+        images = full_automorphism_group(tree).images
+        text = serialize_automorphisms(images)
+        parsed = parse_automorphisms(tree, text)
+        assert parsed.dtype == np.intp and np.array_equal(parsed, images)
 
     def test_comments_and_errors(self):
         tree = make_path(3)
-        assert parse_automorphisms(tree, "# nothing\n2 1 0\n") == [
-            Automorphism((2, 1, 0))
-        ]
+        assert parse_automorphisms(tree, "# nothing\n2 1 0\n").tolist() == [[2, 1, 0]]
+        assert parse_automorphisms(tree, "# nothing\n").shape == (0, 3)
         with pytest.raises(ValueError, match="line 2"):
             parse_automorphisms(tree, "2 1 0\n1 0 2\n")
 
@@ -222,24 +228,26 @@ class TestVertexAction:
     def test_identity_action(self):
         tree = make_path(3)
         v = np.array([[1j], [0], [-2]])
-        assert np.array_equal(pi0_operator(tree, identity_automorphism(3)) @ v, v)
+        assert np.array_equal(pi0_operator(tree, [0, 1, 2]) @ v, v)
 
     def test_norm_preserved(self):
         tree = make_star(4)
         rng = np.random.default_rng(3)
         v = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-        for g in full_automorphism_group(tree):
+        for g in full_automorphism_group(tree).images:
             image = pi0_operator(tree, g) @ v
             assert np.linalg.norm(image) == pytest.approx(np.linalg.norm(v), rel=1e-15)
 
     def test_unitary_and_homomorphism_dense(self):
         tree = make_star(4)
-        group = full_automorphism_group(tree)
-        mats = {g: materialize(pi0_operator(tree, g)) for g in group}
-        for g in group:
-            assert np.abs(mats[g].conj().T @ mats[g] - np.eye(4)).max() == 0.0
-            for h in group:
-                assert np.abs(mats[g.compose(h)] - mats[g] @ mats[h]).max() == 0.0
+        images = full_automorphism_group(tree).images
+        mats = {tuple(g): materialize(pi0_operator(tree, g)) for g in images.tolist()}
+        for g in images:
+            mg = mats[tuple(g.tolist())]
+            assert np.abs(mg.conj().T @ mg - np.eye(4)).max() == 0.0
+            for h in images:
+                gh = mats[tuple(g[h].tolist())]
+                assert np.abs(gh - mg @ mats[tuple(h.tolist())]).max() == 0.0
 
 
 def signed_edge(tree, x, y):
@@ -260,32 +268,34 @@ class TestEdgeAction:
     def test_identity(self):
         tree = make_path(3)
         w = np.array([[1j], [2]])
-        assert np.array_equal(pi1_operator(tree, identity_automorphism(3)) @ w, w)
+        assert np.array_equal(pi1_operator(tree, [0, 1, 2]) @ w, w)
 
     def test_matches_delta_edge_transport(self):
         tree = make_random(12, seed=6)
-        for g in full_automorphism_group(tree):
+        for g in full_automorphism_group(tree).images:
             for u, v in tree.edges:
                 image = pi1_operator(tree, g) @ signed_edge(tree, u, v)
-                assert np.array_equal(image, signed_edge(tree, g(u), g(v)))
+                assert np.array_equal(image, signed_edge(tree, g[u], g[v]))
 
     def test_unitary_and_homomorphism_dense(self):
         tree = make_star(5)
-        group = full_automorphism_group(tree)
+        images = full_automorphism_group(tree).images
         m = tree.edge_count
-        mats = {g: materialize(pi1_operator(tree, g)) for g in group}
-        for g in group:
-            assert np.abs(mats[g].conj().T @ mats[g] - np.eye(m)).max() == 0.0
-        for g in list(group)[:6]:
-            for h in list(group)[:6]:
-                assert np.abs(mats[g.compose(h)] - mats[g] @ mats[h]).max() == 0.0
+        mats = {tuple(g): materialize(pi1_operator(tree, g)) for g in images.tolist()}
+        for mg in mats.values():
+            assert np.abs(mg.conj().T @ mg - np.eye(m)).max() == 0.0
+        for g in images[:6]:
+            for h in images[:6]:
+                gh = mats[tuple(g[h].tolist())]
+                mg, mh = mats[tuple(g.tolist())], mats[tuple(h.tolist())]
+                assert np.abs(gh - mg @ mh).max() == 0.0
 
 
 class TestIntertwining:
     def test_coboundary_equivariance(self):
         tree = make_random(10, seed=12)
         b = materialize(coboundary_operator(tree))
-        for g in full_automorphism_group(tree):
+        for g in full_automorphism_group(tree).images:
             pi0 = materialize(pi0_operator(tree, g))
             pi1 = materialize(pi1_operator(tree, g))
             assert np.abs(b @ pi1 - pi0 @ b).max() == 0.0
@@ -294,7 +304,7 @@ class TestIntertwining:
         tree = make_star(5)
         s = materialize(adjacency_operator(tree))
         q = materialize(branching_operator(tree))
-        for g in full_automorphism_group(tree):
+        for g in full_automorphism_group(tree).images:
             pi0 = materialize(pi0_operator(tree, g))
             assert np.abs(s @ pi0 - pi0 @ s).max() == 0.0
             assert np.abs(q @ pi0 - pi0 @ q).max() == 0.0
@@ -309,3 +319,21 @@ class TestIntertwining:
         pi0 = materialize(pi0_operator(tree, g))
         pi1 = materialize(pi1_operator(tree, g))
         assert np.abs(f @ pi0 - pi1 @ f).max() > 0.5
+
+
+@pytest.mark.parametrize("row", [[0, 0, 1, 2], [1, 0, 2, 3]],
+                         ids=["not-a-permutation", "not-an-automorphism"])
+@pytest.mark.parametrize("build", [
+    pi0_operator,
+    pi1_operator,
+    lambda tree, g: unitary_rep_operator(root_at(tree, 0), g, 0.5),
+    lambda tree, g: cocycle_equivariance_residual(tree, g, [(0, 3), (1, 2)]),
+], ids=["pi0", "pi1", "unitary-rep", "cocycle-equivariance"])
+def test_operator_route_refuses_a_row_that_is_not_an_automorphism(build, row):
+    # a scatter along a non-permutation would leave rows of its output unwritten
+    tree = make_path(4)
+    with pytest.raises(ValueError) as rule:
+        verify_automorphism(tree, row)
+    with pytest.raises(ValueError) as refused:
+        build(tree, row)
+    assert str(refused.value) == str(rule.value)

@@ -59,7 +59,6 @@ from .reps import (
     displacement,
 )
 from .kernels import (
-    KernelMatrix,
     distance_kernel,
     exp_kernel,
     gram_kernel,

@@ -725,6 +725,9 @@ def report_from_json(text: str) -> dict:
     for i, r in enumerate(records):
         if not (isinstance(r, dict) and keys <= r.keys()
                 and isinstance(r["bound"], (int, float))
-                and isinstance(r["measured"], (int, float, type(None)))):
-            raise ValueError(f"report record {i} lacks a key or a number")
+                and isinstance(r["measured"], (int, float, type(None)))
+                and isinstance(r["passed"], bool)):
+            raise ValueError(f"report record {i} lacks a key, a number or a bool")
+    if payload["aggregate_pass"] is not all(r["passed"] for r in records):
+        raise ValueError("report aggregate_pass disagrees with its records")
     return payload

@@ -27,9 +27,7 @@ from .checks import (
     resolve_tree,
     run_check_suite,
 )
-from .kernels import (
-    CND_SEED, distance_kernel, exp_kernel, geodesic_cocycle, gram_kernel,
-)
+from .kernels import CND_SEED, distance_kernel, exp_kernel, gram_kernel
 from .operators import (
     adjacency_operator,
     branching_operator,
@@ -136,7 +134,7 @@ def _cmd_kernel(args) -> int:
         kernel = exp_kernel(tree, args.t)
     else:
         kernel = gram_kernel(root_at(tree, 0), args.t)
-    csv_text = matrix_to_csv(kernel.matrix)
+    csv_text = matrix_to_csv(kernel)
     out = _out_dir(args.out) / f"kernel_{args.kind}.csv"
     out.write_text(csv_text, encoding="utf-8")
     sys.stdout.write(csv_text)
@@ -187,9 +185,9 @@ def _cmd_operator(args) -> int:
 
 
 def _cmd_cocycle(args) -> int:
-    cocycle = geodesic_cocycle(resolve_tree(args.tree), args.x, args.y)
-    for sign, (u, v) in cocycle.steps:
-        print(f"{'+' if sign > 0 else '-'} {u}-{v}")
+    walk = resolve_tree(args.tree).path(args.x, args.y)
+    for u, v in zip(walk, walk[1:]):
+        print(f"{'+' if u < v else '-'} {min(u, v)}-{max(u, v)}")
     return 0
 
 

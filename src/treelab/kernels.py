@@ -13,15 +13,21 @@ so (1 - t*S + t^2*Q) [t^d(x,y)] = (1 - t^2) Id on every finite tree. The
 two-vertex tree the diagonal Gram entry is 1/(1 - t^2)) and the residuals
 here measure the factored identity.
 
+A kernel is a float (n, n) array. cnd_check and psd_check refuse one that
+is not square and symmetric; they judge nothing else about it.
+
 The geodesic cocycle attaches to a vertex pair the signed sum of edge
 classes along their path; its squared norm is exactly the distance, and
-its coboundary telescopes to the difference of the endpoint vectors.
+its coboundary telescopes to the difference of the endpoint vectors. The
+cocycles of k pairs are the columns of an (edge_count, k) block, read off
+the tree's distance matrix through Tree.segment: every function here that
+takes vertex pairs builds that O(n^2) matrix on a tree that lacks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +45,6 @@ from .operators import (
 from .trees import RootedTree, Tree
 
 __all__ = [
-    "KernelMatrix",
     "distance_kernel",
     "exp_kernel",
     "gram_kernel",
@@ -49,7 +54,6 @@ __all__ = [
     "GramIdentityReport",
     "dense_s_q",
     "gram_identity_check",
-    "Cocycle",
     "geodesic_cocycle",
     "CocycleReport",
     "cocycle_report",
@@ -62,33 +66,9 @@ CND_SEED = 0xA11CE
 CND_SAMPLES = 1000  # random mean-zero vectors per conditional-negativity check
 
 
-@dataclass(frozen=True)
-class KernelMatrix:
-    """A real symmetric kernel on the vertex set, tagged by kind."""
-
-    kind: str  # "distance" | "exp" | "gram"
-    matrix: np.ndarray
-    t: Optional[float] = None
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"kernel matrix must be square, got {m.shape}")
-        if not np.array_equal(m, m.T):
-            raise ValueError("kernel matrix must be symmetric")
-        diag = np.diag(m)
-        if self.kind == "distance" and np.any(diag != 0):
-            raise ValueError("distance kernel must have zero diagonal")
-        if self.kind in ("exp", "gram") and np.abs(diag - 1.0).max() > 1e-12:
-            raise ValueError(f"{self.kind} kernel must have unit diagonal")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-def distance_kernel(tree: Tree) -> KernelMatrix:
-    return KernelMatrix("distance", tree.distance_matrix().astype(np.float64))
+def distance_kernel(tree: Tree) -> np.ndarray:
+    """Entries d(x,y) as floats; conditionally negative."""
+    return tree.distance_matrix().astype(np.float64)
 
 
 def _check_decay(t: float) -> float:
@@ -97,30 +77,33 @@ def _check_decay(t: float) -> float:
     return float(t)
 
 
-def exp_kernel(tree: Tree, t: float) -> KernelMatrix:
+def exp_kernel(tree: Tree, t: float) -> np.ndarray:
     """Entries t^d(x,y); positive semidefinite for 0 < t < 1."""
+    return _check_decay(t) ** tree.distance_matrix().astype(np.float64)
+
+
+def gram_kernel(rooted: RootedTree, t: float) -> np.ndarray:
+    """(1 - t^2) times the Gram matrix of the inverse-deformed vertex basis.
+
+    Computed through the inverse-deformation applier: an independent route
+    to exp_kernel's matrix, left unvalidated so that a wrong inverse reaches
+    the check that measures it. Origin choice does not affect the result.
+    """
     t = _check_decay(t)
-    return KernelMatrix("exp", t ** tree.distance_matrix().astype(np.float64), t=t)
-
-
-def _scaled_gram(rooted: RootedTree, t: float) -> np.ndarray:
-    """(1 - t^2) times the Gram matrix of the inverse-deformed vertex basis,
-    unvalidated, so a wrong inverse reaches the check that measures it."""
     inv = materialize(deformation_inverse(rooted, t))
     gram = (1.0 - t * t) * (inv.T @ inv)
     # symmetrize away the last-bit asymmetry of the matrix product
     return (gram + gram.T) / 2.0
 
 
-def gram_kernel(rooted: RootedTree, t: float) -> KernelMatrix:
-    """(1 - t^2) times the Gram matrix of the inverse-deformed vertex basis.
-
-    Computed through the inverse-deformation applier: an independent route
-    to exp_kernel's matrix. The scaling makes the diagonal one up to rounding
-    (within KernelMatrix's 1e-12); origin choice does not affect the result.
-    """
-    t = _check_decay(t)
-    return KernelMatrix("gram", _scaled_gram(rooted, t), t=t)
+def _symmetric(matrix) -> np.ndarray:
+    """matrix as an array; a ValueError unless it is square and symmetric."""
+    m = np.asarray(matrix)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"kernel matrix must be square, got {m.shape}")
+    if not np.array_equal(m, m.T):
+        raise ValueError("kernel matrix must be symmetric")
+    return m
 
 
 @dataclass(frozen=True)
@@ -146,9 +129,9 @@ class CndReport:
         ))
 
 
-def cnd_check(kernel: KernelMatrix, seed: int = CND_SEED) -> CndReport:
-    k = kernel.matrix
-    n = kernel.n
+def cnd_check(matrix, seed: int = CND_SEED) -> CndReport:
+    k = _symmetric(matrix)
+    n = k.shape[0]
     if n == 1:
         return CndReport(0.0, 0.0, 0.0, seed)
 
@@ -171,10 +154,10 @@ def cnd_check(kernel: KernelMatrix, seed: int = CND_SEED) -> CndReport:
     )
 
 
-def psd_check(kernel: KernelMatrix) -> float:
+def psd_check(matrix) -> float:
     """Smallest eigenvalue, from the dense symmetric eigensolver; positive
     semidefiniteness means it is at least zero up to rounding."""
-    return float(np.linalg.eigvalsh(kernel.matrix).min())
+    return float(np.linalg.eigvalsh(_symmetric(matrix)).min())
 
 
 @dataclass(frozen=True)
@@ -202,12 +185,12 @@ def gram_identity_check(rooted: RootedTree, t: float) -> GramIdentityReport:
     t = _check_decay(t)
     tree = rooted.tree
     n = tree.n
-    k_exp = exp_kernel(tree, t).matrix
+    k_exp = exp_kernel(tree, t)
     s, q = dense_s_q(tree)
     algebraic = float(
         np.abs((np.eye(n) - t * s + t * t * q) @ k_exp - (1 - t * t) * np.eye(n)).max()
     )
-    gram = float(np.abs(_scaled_gram(rooted, t) - k_exp).max())
+    gram = float(np.abs(gram_kernel(rooted, t) - k_exp).max())
     return GramIdentityReport(t=t, algebraic_residual=algebraic, gram_residual=gram)
 
 
@@ -216,61 +199,20 @@ def gram_identity_check(rooted: RootedTree, t: float) -> GramIdentityReport:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cocycle:
-    """Signed sum of edge classes along the geodesic from source to target.
+def geodesic_cocycle(tree: Tree, pairs) -> np.ndarray:
+    """The geodesic cocycles c(x, y) of the vertex pairs, as the columns of
+    an (edge_count, k) block; a ValueError for a vertex id outside 0..n-1.
 
-    steps lists (sign, canonical_edge) in path order, where sign is +1
-    when the path traverses the edge in its canonical orientation.
+    An edge is on the path when both its ends lie in the segment [x, y],
+    and its sign is d(x, high) - d(x, low): +1 when the path crosses it in
+    its canonical orientation. Both are read off Tree.distance_matrix, so
+    the first call on a tree builds that n x n matrix.
     """
-
-    source: int
-    target: int
-    steps: tuple[tuple[int, tuple[int, int]], ...]
-
-    @property
-    def squared_norm(self) -> int:
-        # path edges are distinct and carry coefficient +/-1
-        return len(self.steps)
-
-
-def geodesic_cocycle(tree: Tree, x: int, y: int) -> Cocycle:
-    walk = tree.path(x, y)
-    steps = tuple(
-        (1 if u < v else -1, (min(u, v), max(u, v))) for u, v in zip(walk, walk[1:])
-    )
-    return Cocycle(source=x, target=y, steps=steps)
-
-
-def _cocycle_block(tree: Tree, pairs) -> np.ndarray:
-    """The geodesic cocycles of the vertex pairs, as the columns of a real
-    edge block; a ValueError for a vertex id outside 0..n-1.
-
-    Tree.path's walk on every pair at once: both ends climb toward vertex 0,
-    deeper end first, until they meet. A step up from v crosses the edge
-    to v's parent, with its canonical sign on the first end's climb and
-    the opposite sign on the second's.
-    """
-    rooting = tree._rooting
-    parent, depth = rooting.parent_array, np.asarray(rooting.depth)
-    child, sign = rooting.edge_child_sign
-    up_edge = np.zeros(tree.n, dtype=np.intp)
-    up_edge[child] = np.arange(tree.edge_count)
-    up_sign = np.zeros(tree.n)
-    up_sign[child] = sign
-    ends = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
-    bad = ends[(ends < 0) | (ends >= tree.n)]
-    if bad.size:
-        tree.check_vertex(int(bad[0]))
-    block = np.zeros((tree.edge_count, ends.shape[1]))
-    while True:
-        (cols,) = np.nonzero(ends[0] != ends[1])
-        if not len(cols):
-            return block
-        side = (depth[ends[0, cols]] < depth[ends[1, cols]]).astype(np.intp)
-        v = ends[side, cols]
-        block[up_edge[v], cols] = np.where(side == 0, up_sign[v], -up_sign[v])
-        ends[side, cols] = parent[v]
+    xs, ys = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    on_path = tree.segment(xs, ys).T
+    from_x = tree.distance_matrix()[xs].T
+    low, high = tree.edge_ends
+    return np.where(on_path[low] & on_path[high], from_x[high] - from_x[low], 0.0)
 
 
 def _gaps(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -305,7 +247,7 @@ def cocycle_report(rooted: RootedTree, pairs) -> CocycleReport:
     tree = rooted.tree
     pairs = tuple((int(x), int(y)) for x, y in pairs)
     xs, ys = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    cocycles = _cocycle_block(tree, pairs)
+    cocycles = geodesic_cocycle(tree, pairs)
     deltas = np.zeros((tree.n, len(pairs)))  # delta_x - delta_y per column
     deltas[xs, np.arange(len(pairs))] = 1.0
     deltas[ys, np.arange(len(pairs))] -= 1.0
@@ -317,7 +259,7 @@ def cocycle_report(rooted: RootedTree, pairs) -> CocycleReport:
         coboundary_residual=_gaps(coboundary_operator(tree) @ cocycles, deltas),
         closed_form_residual=_gaps(parent_edge_operator(rooted) @ resolved, cocycles),
         antisymmetry_residual=_gaps(
-            _cocycle_block(tree, [(y, x) for x, y in pairs]), -cocycles
+            geodesic_cocycle(tree, [(y, x) for x, y in pairs]), -cocycles
         ),
     )
 
@@ -326,12 +268,12 @@ def cocycle_equivariance_residual(tree: Tree, g: Sequence[int], pairs) -> np.nda
     """Per vertex pair (x, y), the gap between c(g x, g y) and the edge
     action of the image row g (checked by pi1_operator) applied to c(x, y)."""
     return _gaps(
-        pi1_operator(tree, g) @ _cocycle_block(tree, pairs),
-        _cocycle_block(tree, np.asarray(g)[np.asarray(pairs, dtype=np.intp)]),
+        pi1_operator(tree, g) @ geodesic_cocycle(tree, pairs),
+        geodesic_cocycle(tree, np.asarray(g)[np.asarray(pairs, dtype=np.intp)]),
     )
 
 
 def chasles_residual(tree: Tree, x: int, y: int, z: int) -> float:
     """Gap in c(x, z) = c(x, y) + c(y, z); exact when y lies on path(x, z)."""
-    xz, xy, yz = _cocycle_block(tree, [(x, z), (x, y), (y, z)]).T
+    xz, xy, yz = geodesic_cocycle(tree, [(x, z), (x, y), (y, z)]).T
     return worst_of(np.abs(xz - (xy + yz)))[0]

@@ -380,17 +380,19 @@ _PURE_IM_RE = re.compile(r"^(?P<im>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i$"
 
 def parse_complex(text: str) -> complex:
     text = text.strip()
-    m = _COMPLEX_RE.match(text)
-    if m:
-        return complex(float(m.group("re")), float(m.group("im") or 0))
-    m = _PURE_IM_RE.match(text)
-    if m:
-        return complex(0, float(m.group("im")))
-    raise ValueError(f"cannot parse complex scalar {text!r}")
+    if m := _COMPLEX_RE.match(text):
+        z = complex(float(m.group("re")), float(m.group("im") or 0))
+    elif m := _PURE_IM_RE.match(text):
+        z = complex(0, float(m.group("im")))
+    else:
+        raise ValueError(f"cannot parse complex scalar {text!r}")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"complex scalar {text!r} overflows a float")
+    return z
 
 
 def _format_real(x: float) -> str:
-    if x == int(x) and abs(x) < 1e16:
+    if math.isfinite(x) and x == int(x) and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
 

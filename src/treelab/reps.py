@@ -289,10 +289,8 @@ def finite_rank_defect(
     rep = _dense_rep(rooted, images, kind, parameter)
     mult_defect = moved_columns(rep) - np.eye(rooted.n)
 
-    # x lies on the segment from the origin o to y when d(o,x) + d(x,y) = d(o,y)
     shift_of_origin = displacement(rooted, images)
-    distance = rooted.tree.distance_matrix()[images[:, rooted.origin]]
-    segment = np.asarray(rooted.depth) + distance == shift_of_origin[:, None]
+    segment = rooted.tree.segment(rooted.origin, images[:, rooted.origin])
 
     size = np.abs(mult_defect)
     off_segment = ~(segment[:, :, None] & segment[:, None, :])

@@ -197,6 +197,19 @@ class Tree:
         """All-pairs edge distances, computed once per tree; read-only."""
         return self._distances
 
+    def segment(self, xs, ys) -> np.ndarray:
+        """Row i masks the segment [xs[i], ys[i]]: the vertices z with
+        d(x, z) + d(z, y) = d(x, y), which on a tree are those on the path
+        from x to y. xs and ys broadcast; the rows are read off
+        distance_matrix, so the first call builds it."""
+        xs, ys = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)
+        ends = np.concatenate((xs.ravel(), ys.ravel()))
+        bad = ends[(ends < 0) | (ends >= self.n)]
+        if bad.size:
+            self.check_vertex(int(bad[0]))
+        d = self.distance_matrix()
+        return d[xs] + d[ys] == d[xs, ys][..., None]
+
     @cached_property
     def _distances(self) -> np.ndarray:
         """distance_matrix, filled row by row in BFS order from 0.

@@ -1,9 +1,9 @@
 """Fault injection: a NaN or inf planted in one dense route, block
 application or residual, or a finite wrong input (one wrong member of a
 family, a wrong inverse deformation, a non-nilpotent shift, a short
-series), must fail the records built on it (a numerical breakdown fails
-its whole check), make `treelab check` exit 1, and leave report.json
-standard JSON."""
+series, a wrong distance), must fail the records built on it (a numerical
+breakdown fails its whole check), make `treelab check` exit 1, and leave
+report.json standard JSON."""
 
 import json
 import math
@@ -17,7 +17,7 @@ from treelab.checks import _record
 from treelab.cli import main
 from treelab.groups import full_automorphism_group
 from treelab.operators import LinearOperator
-from treelab.trees import make_path, make_star, root_at, tree_from_spec
+from treelab.trees import Tree, make_path, make_star, root_at, tree_from_spec
 
 
 def _nan_unitary_at_half(original):
@@ -156,6 +156,22 @@ def _short_series(original):
     return patched
 
 
+def _wrong_distance(original):
+    # d(1, 3) on star:4 read as 3, not 2, on both sides of the diagonal: the
+    # cocycle block, the exp kernel and the defect segments read the wrong
+    # entry, while the coboundary and closed-form residuals of
+    # cocycle-identities still read the sparse operators; the perturbed
+    # distance kernel stays conditionally negative and its decay kernels
+    # positive, so distance-cnd and decay-psd pass
+    def patched(tree):
+        d = original(tree).copy()
+        d[1, 3] += 1
+        d[3, 1] += 1
+        return d
+
+    return patched
+
+
 # (module, attribute, wrapper, checks whose records must fail, checks that
 # must break down into one failed `error=` record)
 FAULTS = {
@@ -198,12 +214,18 @@ FAULTS = {
         checks, "_geometric_series", _short_series, {"resolvent-series"}, set(),
     ),
     # the kernels route's own inverse: the scaled Gram of a wrong T_t^-1 is
-    # measured, not refused by KernelMatrix's unit-diagonal check
+    # measured, not refused by a check of its diagonal
     "gram-inverse": (
         kernels, "deformation_inverse", _wrong_inverse, {"gram-identity"}, set(),
     ),
     "gram-nan": (
         kernels, "deformation_inverse", _nan_inverse, {"gram-identity"}, set(),
+    ),
+    "wrong-distance": (
+        Tree, "distance_matrix", _wrong_distance,
+        {"cocycle-identities", "cocycle-equivariance", "gram-identity",
+         "defect-locality"},
+        set(),
     ),
 }
 
@@ -211,7 +233,7 @@ FAULTS = {
 # faults that plant no NaN or inf: each fails exactly the records it names
 FINITE_FAULTS = {
     "flipped-member", "inverse-members", "rising-curve", "sphere-offset",
-    "looping-shift", "short-series", "gram-inverse",
+    "looping-shift", "short-series", "gram-inverse", "wrong-distance",
 }
 
 

@@ -70,6 +70,20 @@ class TestOperatorCommand:
         assert run_cli("operator", "--tree", "path:2", "--name", "Tinv",
                        "--t", "0.5", "--out", str(tmp_path)) == 0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_resolvent_is_written_as_inf(self, tmp_path, capsys):
+        # z^2 overflows on path:3; the entry is written, not a traceback
+        assert run_cli("operator", "--tree", "path:3", "--name", "resolvent",
+                       "--z", "1e200", "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "1,1e+200,inf"
+
+    def test_non_finite_z_is_refused(self, tmp_path, capsys):
+        assert run_cli("operator", "--tree", "path:3", "--name", "resolvent",
+                       "--z", "1e400", "--out", str(tmp_path)) == 2
+        assert "'1e400'" in capsys.readouterr().err
+        assert run_cli("check", "--tree", "path:3", "--z", "1e400",
+                       "--out", str(tmp_path)) == 2
+
     def test_remaining_names(self, tmp_path, capsys):
         for name in ("Q", "p0", "F", "Fstar", "b"):
             assert run_cli("operator", "--tree", "star:4", "--name", name,
@@ -302,6 +316,25 @@ class TestReportCommand:
         path.write_text(json.dumps(payload))
         assert run_cli("report", str(path)) == 2  # not an uncaught exception
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("passed", False), ("aggregate_pass", "no"), ("passed", "false")],
+    )
+    def test_report_whose_verdicts_disagree_is_refused(
+        self, tmp_path, capsys, field, value
+    ):
+        # aggregate_pass must be the JSON boolean all(passed), and each
+        # passed a JSON boolean, or the summary could print pass on a failure
+        assert run_cli("check", "--tree", "path:3", "--out", str(tmp_path)) == 0
+        path = tmp_path / "report.json"
+        payload = json.loads(path.read_text())
+        target = payload["records"][0] if field == "passed" else payload
+        target[field] = value
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("report", str(path)) == 2
+        assert capsys.readouterr().err.startswith("error: report ")
 
 
 @pytest.mark.parametrize(

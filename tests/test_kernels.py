@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from treelab.groups import full_automorphism_group, verify_automorphism
 from treelab.kernels import (
-    KernelMatrix,
-    _cocycle_block,
     chasles_residual,
     cnd_check,
     cocycle_equivariance_residual,
@@ -32,35 +30,35 @@ def quadratic_form(matrix, xi):
 
 class TestDistanceKernel:
     def test_examples(self):
+        assert distance_kernel(make_path(2)).dtype == np.float64
+        assert np.array_equal(distance_kernel(make_path(2)), [[0, 1], [1, 0]])
         assert np.array_equal(
-            distance_kernel(make_path(2)).matrix, [[0, 1], [1, 0]]
-        )
-        assert np.array_equal(
-            distance_kernel(make_path(3)).matrix,
+            distance_kernel(make_path(3)),
             [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
         )
-        assert np.array_equal(distance_kernel(Tree(1, [])).matrix, [[0]])
+        assert np.array_equal(distance_kernel(Tree(1, [])), [[0]])
 
-    def test_kind_validation(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            KernelMatrix("distance", np.array([[0.0, 1.0], [2.0, 0.0]]))
-        with pytest.raises(ValueError, match="zero diagonal"):
-            KernelMatrix("distance", np.eye(2))
-        with pytest.raises(ValueError, match="unit diagonal"):
-            KernelMatrix("exp", np.zeros((2, 2)))
+    def test_checks_refuse_a_non_square_or_asymmetric_matrix(self):
+        for check in (cnd_check, psd_check):
+            with pytest.raises(ValueError, match="square"):
+                check(np.zeros((2, 3)))
+            with pytest.raises(ValueError, match="square"):
+                check(np.zeros(4))
+            with pytest.raises(ValueError, match="symmetric"):
+                check(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 class TestConditionalNegativity:
     def test_p2_hand_value(self):
-        k = distance_kernel(make_path(2)).matrix
+        k = distance_kernel(make_path(2))
         assert quadratic_form(k, [1, -1]) == -2
 
     def test_p3_hand_value(self):
-        k = distance_kernel(make_path(3)).matrix
+        k = distance_kernel(make_path(3))
         assert quadratic_form(k, [1, -2, 1]) == -4
 
     def test_zero_vector(self):
-        k = distance_kernel(make_path(3)).matrix
+        k = distance_kernel(make_path(3))
         assert quadratic_form(k, [0, 0, 0]) == 0
 
     def test_reports(self):
@@ -83,19 +81,19 @@ class TestConditionalNegativity:
 class TestDecayKernel:
     def test_p2_closed_form(self):
         kernel = exp_kernel(make_path(2), 0.5)
-        assert np.array_equal(kernel.matrix, [[1.0, 0.5], [0.5, 1.0]])
-        eigs = np.linalg.eigvalsh(kernel.matrix)
+        assert np.array_equal(kernel, [[1.0, 0.5], [0.5, 1.0]])
+        eigs = np.linalg.eigvalsh(kernel)
         assert eigs == pytest.approx([0.5, 1.5])
 
     def test_unit_diagonal(self):
         kernel = exp_kernel(make_random(30, seed=1), 0.7)
-        assert np.array_equal(np.diag(kernel.matrix), np.ones(30))
+        assert np.array_equal(np.diag(kernel), np.ones(30))
 
     def test_exponential_parameterization(self):
         tree = make_path(4)
         d = tree.distance_matrix()
         kernel = exp_kernel(tree, math.exp(-1.0))
-        assert np.abs(kernel.matrix - np.exp(-d)).max() <= 1e-15
+        assert np.abs(kernel - np.exp(-d)).max() <= 1e-15
 
     def test_parameter_range(self):
         for t in (0.0, 1.0, -0.5, 2.0):
@@ -124,13 +122,13 @@ class TestGramIdentity:
         prod = materialize(deformation_operator(rooted, t))
         prod = prod @ prod.conj().T
         oracle = (1 - t * t) * np.linalg.inv(prod).real
-        assert np.abs(oracle - exp_kernel(rooted.tree, t).matrix).max() <= 1e-14
-        assert np.abs(gram_kernel(rooted, t).matrix - oracle).max() <= 1e-14
+        assert np.abs(oracle - exp_kernel(rooted.tree, t)).max() <= 1e-14
+        assert np.abs(gram_kernel(rooted, t) - oracle).max() <= 1e-14
 
     def test_p3_product_oracle(self):
         tree = make_path(3)
         t = 0.5
-        k = exp_kernel(tree, t).matrix
+        k = exp_kernel(tree, t)
         s = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
         q = np.diag([0.0, 1.0, 0.0])
         product = (np.eye(3) - t * s + t * t * q) @ k
@@ -147,15 +145,15 @@ class TestGramIdentity:
 
     def test_origin_independence(self):
         tree = make_random(20, seed=9)
-        a = gram_kernel(root_at(tree, 0), 0.6).matrix
-        b = gram_kernel(root_at(tree, 13), 0.6).matrix
+        a = gram_kernel(root_at(tree, 0), 0.6)
+        b = gram_kernel(root_at(tree, 13), 0.6)
         assert np.abs(a - b).max() <= 1e-12
 
     def test_small_t_approaches_identity(self):
         tree = make_path(4)
         t = 1e-8
-        assert np.abs(exp_kernel(tree, t).matrix - np.eye(4)).max() <= 2 * t
-        assert np.abs(gram_kernel(root_at(tree, 0), t).matrix - np.eye(4)).max() <= 2 * t
+        assert np.abs(exp_kernel(tree, t) - np.eye(4)).max() <= 2 * t
+        assert np.abs(gram_kernel(root_at(tree, 0), t) - np.eye(4)).max() <= 2 * t
 
     def test_leaves_absorbed(self):
         # heavy-leaf trees exercise the boundary term in the identity
@@ -166,26 +164,25 @@ class TestGramIdentity:
 
 
 def cocycle_column(tree, x, y):
-    """geodesic_cocycle's signed steps as an edge column."""
+    """Oracle: Tree.path's climb, one signed canonical edge per step."""
     column = np.zeros(tree.edge_count)
-    for sign, edge in geodesic_cocycle(tree, x, y).steps:
-        column[tree.edge_index[edge]] = sign
+    walk = tree.path(x, y)
+    for u, v in zip(walk, walk[1:]):
+        column[tree.edge_index[min(u, v), max(u, v)]] = 1.0 if u < v else -1.0
     return column
 
 
 class TestCocycle:
     def test_p3_example(self):
         tree = make_path(3)
-        c = geodesic_cocycle(tree, 0, 2)
-        assert c.steps == ((1, (0, 1)), (1, (1, 2)))
         assert np.array_equal(cocycle_column(tree, 0, 2), [1.0, 1.0])
-        assert c.squared_norm == 2
+        block = geodesic_cocycle(tree, [(0, 2), (2, 0)])
+        assert np.array_equal(block, [[1.0, -1.0], [1.0, -1.0]])
 
     def test_trivial_cocycle(self):
         tree = make_path(3)
-        c = geodesic_cocycle(tree, 1, 1)
-        assert c.steps == ()
         assert np.array_equal(cocycle_column(tree, 1, 1), np.zeros(2))
+        assert np.array_equal(geodesic_cocycle(tree, [(1, 1)]), np.zeros((2, 1)))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -196,11 +193,11 @@ class TestCocycle:
     @example(n=1, seed=0, raw=[])
     @example(n=2, seed=0, raw=[(0, 1), (1, 0)])
     def test_block_matches_per_pair_cocycles(self, n, seed, raw):
-        # the vectorized walk against one geodesic_cocycle per pair,
-        # including x == y, whose column is zero
+        # the block read off the distance matrix against Tree.path's climb,
+        # one pair at a time, including x == y, whose column is zero
         tree = make_random(n, seed)
         pairs = [(x % n, y % n) for x, y in raw] + [(0, 0), (n - 1, n - 1)]
-        block = _cocycle_block(tree, pairs)
+        block = geodesic_cocycle(tree, pairs)
         assert block.shape == (tree.edge_count, len(pairs))
         for column, (x, y) in zip(block.T, pairs):
             assert np.array_equal(column, cocycle_column(tree, x, y))

@@ -285,3 +285,26 @@ def test_queries_match_plain_bfs(tree):
                 walk.append(prev[walk[-1]])
             assert tree.path(x, y) == walk[::-1]
             assert tree.distance(x, y) == dist[y] == d[x, y]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    tree=_trees,
+    raw=st.lists(st.tuples(st.integers(0, 999), st.integers(0, 999)), max_size=20),
+)
+@example(tree=Tree(1, []), raw=[])
+def test_segment_is_the_path_vertex_set(tree, raw):
+    # the segment read off d against Tree.path's climb, x == y included
+    n = tree.n
+    pairs = [(x % n, y % n) for x, y in raw] + [(0, 0), (n - 1, n - 1), (0, n - 1)]
+    xs, ys = np.array(pairs).T
+    mask = tree.segment(xs, ys)
+    assert mask.shape == (len(pairs), n) and mask.dtype == bool
+    for row, (x, y) in zip(mask, pairs):
+        assert set(np.flatnonzero(row)) == set(tree.path(x, y))
+    # an id of -1 or n at either end is refused with check_vertex's message
+    for out in (-1, n):
+        for bad_xs, bad_ys in ((np.append(xs, out), np.append(ys, 0)),
+                               (np.append(xs, 0), np.append(ys, out))):
+            with pytest.raises(ValueError, match=rf"vertex id {out} out of range"):
+                tree.segment(bad_xs, bad_ys)

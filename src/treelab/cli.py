@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .checks import (
+    DEFAULT_SEED,
     DEFAULT_T_GRID,
     DEFAULT_Z_GRID,
     TOLERANCES,
@@ -27,7 +28,7 @@ from .checks import (
     resolve_tree,
     run_check_suite,
 )
-from .kernels import CND_SEED, distance_kernel, exp_kernel, gram_kernel
+from .kernels import distance_kernel, exp_kernel, gram_kernel
 from .operators import (
     adjacency_operator,
     branching_operator,
@@ -236,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = command("check", _cmd_check, "run the full invariant suite",
                       "--tree", "--group", "--out")
-    p_check.add_argument("--seed", type=int, default=CND_SEED)
+    p_check.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_check.add_argument("--t", default=",".join(f"{t:g}" for t in DEFAULT_T_GRID))
     p_check.add_argument(
         "--z", default=",".join(str(z.real) for z in DEFAULT_Z_GRID)

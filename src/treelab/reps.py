@@ -19,14 +19,15 @@ route maps a block of elements, (k, n) image rows of a closure such as
 GroupClosure.images, to the (k, n, n) stack of its members: the operators
 materialized, gathers and one matrix product (a unitary member is pi0(g)
 plus T^-1 times the difference of two gathers of T); nothing here
-restates an operator in closed form, and every dense measurement returns
-one value per element. The dense functions (dense_*, displacement,
-finite_rank_defect, homomorphism_residual, homotopy_curve, and
-groups.edge_images) take their rows unchecked, since a check per call
-costs over half a member's build. The materialized operators
-are memoized per rooted tree, and each tree's memo dies with it: a
-configuration's matrices are freed with its rooted trees. The test-suite
-checks both routes against oracles of its own.
+restates an operator in closed form. Every dense measurement returns one
+value per element, and a measurement of members takes the stack that the
+caller built. The dense functions (dense_*, displacement,
+finite_rank_defect, defect_identity_residual, homomorphism_residual,
+homotopy_curve, and groups.edge_images) take their rows unchecked, since
+a check per call costs over half a member's build. The materialized
+operators are memoized per rooted tree, and each tree's memo dies with
+it: a configuration's matrices are freed with its rooted trees. The
+test-suite checks both routes against oracles of its own.
 
 The reports here carry measurements only; the checks module compares
 them with its tolerances.
@@ -38,11 +39,11 @@ import math
 import weakref
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .groups import GroupClosure, edge_images, pi0_operator, pi1_operator
+from .groups import edge_images, pi0_operator, pi1_operator
 from .operators import (
     LinearOperator,
     deformation_inverse,
@@ -73,6 +74,7 @@ __all__ = [
     "BoundCertificate",
     "uniform_bound_certificate",
     "conjugation_equivalence_residual",
+    "defect_identity_residual",
     "homomorphism_residual",
     "homotopy_curve",
     "curve_to_csv",
@@ -81,7 +83,6 @@ __all__ = [
 ]
 
 RANK_THRESHOLD = 1e-9
-SUPPORT_TOLERANCE = 1e-11
 
 
 def displacement(rooted: RootedTree, images: np.ndarray) -> np.ndarray:
@@ -227,97 +228,59 @@ def dense_limit_rep(rooted: RootedTree, images: np.ndarray) -> np.ndarray:
     return f.T @ moved + _dense_context(rooted, origin_projection)
 
 
-def _dense_rep(rooted: RootedTree, images, kind: str, parameter) -> np.ndarray:
-    if kind == "bounded":
-        return dense_bounded_rep(rooted, images, parameter)
-    if kind == "unitary":
-        return dense_unitary_rep(rooted, images, parameter)
-    if kind == "limit":
-        return dense_limit_rep(rooted, images)
-    raise ValueError(f"unknown representation kind {kind!r}")
-
-
 # ----------------------------------------------------------------------
 # Finite-rank defect analysis.
 # ----------------------------------------------------------------------
 
 
+def _multiplicative_defect(images: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """member @ (action of g)^(-1) - 1 per element: column x becomes
+    column g(x)."""
+    inv = np.argsort(images, axis=1)[:, None, :]
+    return np.take_along_axis(member, inv, axis=2) - np.eye(member.shape[-1])
+
+
 @dataclass(frozen=True)
 class DefectReport:
-    """Locality and rank analysis of rep(g) against the permutation action,
-    one entry (or one row) per element of the block.
+    """Locality and rank analysis of a block's members against the
+    permutation action, one entry (or one row) per element of the block.
 
     The multiplicative defect rep(g) o (action of g)^(-1) - 1 vanishes, in
     rows and columns, outside the geodesic segment from the origin to its
     image. Its entry (i, g(j)) is entry (i, j) of the additive difference
     rep(g) - action(g), so the rows bound that difference's range as well.
-    segment and support are (k, n) vertex masks. rank is NaN where a
-    singular value is not finite.
+    segment is a (k, n) vertex mask. rank is NaN where a singular value is
+    not finite.
     """
 
     displacement: np.ndarray
     segment: np.ndarray
-    support: np.ndarray
     rank: np.ndarray
     defect_norm: np.ndarray
     outside_residual: np.ndarray
-    cross_check_residual: Optional[np.ndarray]
 
 
 def finite_rank_defect(
     rooted: RootedTree,
     images: np.ndarray,
-    kind: str,
-    parameter=None,
+    member: np.ndarray,
     rank_threshold: float = RANK_THRESHOLD,
 ) -> DefectReport:
-    """Measure the defect of a deformed representation on a block of
-    group elements.
-
-    For the bounded family the report also carries the residual of the
-    structural identity
-        rep(g) (action g)^(-1) - 1 = z * resolvent(z) (shift - shift'),
-    where shift' is the parent shift rooted at the image of the origin,
-    that is (action g) shift (action g)^(-1).
-    """
-    inv = np.argsort(images, axis=1)
-
-    def moved_columns(stack: np.ndarray) -> np.ndarray:
-        # stack @ (action of g)^(-1): column x becomes column g(x)
-        return np.take_along_axis(stack, inv[:, None, :], axis=2)
-
-    rep = _dense_rep(rooted, images, kind, parameter)
-    mult_defect = moved_columns(rep) - np.eye(rooted.n)
-
-    shift_of_origin = displacement(rooted, images)
+    """Measure the defect of member, the block's (k, n, n) stack of any
+    family (dense_bounded_rep, dense_unitary_rep, dense_limit_rep), which
+    the caller has built."""
+    mult_defect = _multiplicative_defect(images, member)
     segment = rooted.tree.segment(rooted.origin, images[:, rooted.origin])
-
-    size = np.abs(mult_defect)
     off_segment = ~(segment[:, :, None] & segment[:, None, :])
-    outside_residual = np.where(off_segment, size, 0.0).max(axis=(1, 2))
-    support = np.maximum(size.max(axis=2), size.max(axis=1)) > SUPPORT_TOLERANCE
-
+    outside = np.where(off_segment, np.abs(mult_defect), 0.0).max(axis=(1, 2))
     singular = np.linalg.svd(mult_defect, compute_uv=False)
     rank = np.count_nonzero(singular > rank_threshold, axis=1)
-    rank = np.where(np.isfinite(singular).all(axis=1), rank, np.nan)
-
-    cross = None
-    if kind == "bounded":
-        z = complex(parameter)
-        shift = _dense_context(rooted, parent_shift_operator)
-        image_shift = shift.take(inv[:, :, None] * rooted.n + inv[:, None, :])
-        resolvent = _dense_context(rooted, resolvent_operator, z)
-        predicted = z * (resolvent @ (shift - image_shift))
-        cross = np.abs(mult_defect - predicted).max(axis=(1, 2))
-
     return DefectReport(
-        displacement=shift_of_origin,
+        displacement=displacement(rooted, images),
         segment=segment,
-        support=support,
-        rank=rank,
+        rank=np.where(np.isfinite(singular).all(axis=1), rank, np.nan),
         defect_norm=singular[:, 0],
-        outside_residual=outside_residual,
-        cross_check_residual=cross,
+        outside_residual=outside,
     )
 
 
@@ -328,30 +291,25 @@ def finite_rank_defect(
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    z: complex
     bound: float
     max_norm: float
     argmax_index: int
-    element_count: int
 
 
 def uniform_bound_certificate(
-    rooted: RootedTree, closure: GroupClosure, z: complex
+    rooted: RootedTree, images: np.ndarray, z: complex
 ) -> BoundCertificate:
-    """Max norm over the closure, beside the bound 1 + 2|z|/(1-|z|)."""
+    """Max norm over the block's members, walked in element_blocks,
+    beside the bound 1 + 2|z|/(1-|z|)."""
     z = _check_z(z)
-    bound = 1.0 + 2.0 * abs(z) / (1.0 - abs(z))
-    images = closure.images
     max_norm, argmax = worst_of(np.concatenate([
         operator_norm(dense_bounded_rep(rooted, images[block], z))
         for block in element_blocks(len(images), rooted.n)
     ]))
     return BoundCertificate(
-        z=z,
-        bound=bound,
+        bound=1.0 + 2.0 * abs(z) / (1.0 - abs(z)),
         max_norm=max_norm,
         argmax_index=argmax,
-        element_count=len(closure),
     )
 
 
@@ -378,17 +336,33 @@ def conjugation_equivalence_residual(
     return np.abs(member - rhs).max(axis=(1, 2))
 
 
+def defect_identity_residual(
+    rooted: RootedTree, images: np.ndarray, z: complex, member: np.ndarray
+) -> np.ndarray:
+    """Per element of the block, the entrywise gap in the structural identity
+        member (action g)^(-1) - 1 = z * resolvent(z) (shift - shift'),
+    where member is the block's bounded stack at z (dense_bounded_rep,
+    which the caller has built) and shift' is the parent shift rooted at
+    the image of the origin, that is (action g) shift (action g)^(-1).
+    """
+    z = _check_z(z)
+    inv = np.argsort(images, axis=1)
+    shift = _dense_context(rooted, parent_shift_operator)
+    image_shift = shift.take(inv[:, :, None] * rooted.n + inv[:, None, :])
+    resolvent = _dense_context(rooted, resolvent_operator, z)
+    predicted = z * (resolvent @ (shift - image_shift))
+    return np.abs(_multiplicative_defect(images, member) - predicted).max(axis=(1, 2))
+
+
 def homomorphism_residual(
-    rooted: RootedTree, g_images: np.ndarray, h_images: np.ndarray, kind: str, parameter
+    rep, g_images: np.ndarray, h_images: np.ndarray
 ) -> np.ndarray:
     """Per pair (g, h) of rows of the two blocks, the entrywise gap between
-    rep(g h) and rep(g) rep(h)."""
+    rep(g h) and rep(g) rep(h), where rep maps a (k, n) image block to the
+    (k, n, n) stack of its members: dense_unitary_rep at one rooted tree
+    and t, say."""
     gh = np.take_along_axis(g_images, h_images, axis=1)  # g(h(x))
-    lhs = _dense_rep(rooted, gh, kind, parameter)
-    rhs = _dense_rep(rooted, g_images, kind, parameter) @ _dense_rep(
-        rooted, h_images, kind, parameter
-    )
-    return np.abs(lhs - rhs).max(axis=(1, 2))
+    return np.abs(rep(gh) - rep(g_images) @ rep(h_images)).max(axis=(1, 2))
 
 
 def homotopy_curve(

@@ -40,6 +40,8 @@ from treelab.operators import (
 )
 from treelab.reps import (
     conjugation_equivalence_residual,
+    defect_identity_residual,
+    dense_bounded_rep,
     dense_limit_rep,
     dense_pi0,
     dense_unitary_rep,
@@ -186,13 +188,15 @@ def test_criterion_04_bounded_family(closure_corpus, record_criterion):
             for z in z_values:
                 for block in element_blocks(len(closure), tree.n):
                     images = closure.images[block]
-                    rep = finite_rank_defect(rooted, images, "bounded", z)
+                    member = dense_bounded_rep(rooted, images, z)
+                    rep = finite_rank_defect(rooted, images, member)
+                    cross = defect_identity_residual(rooted, images, z, member)
                     worst_local = max(worst_local, rep.outside_residual.max())
-                    worst_cross = max(worst_cross, rep.cross_check_residual.max())
+                    worst_cross = max(worst_cross, cross.max())
                     rank_ok = rank_ok and (rep.rank <= rep.displacement + 1).all()
         for rooted in rooted_pairs(tree):
             for z in z_values:
-                cert = uniform_bound_certificate(rooted, closure, z)
+                cert = uniform_bound_certificate(rooted, closure.images, z)
                 bounds_ok = bounds_ok and cert.max_norm <= cert.bound + BOUND_SLACK
                 worst_margin = max(worst_margin, cert.max_norm - cert.bound)
     passed = (
@@ -238,7 +242,8 @@ def test_criterion_05_unitary_family(
             worst_hom = max(
                 worst_hom,
                 homomorphism_residual(
-                    rooted, closure.images[g], closure.images[h], "unitary", t
+                    lambda images: dense_unitary_rep(rooted, images, t),
+                    closure.images[g], closure.images[h],
                 ).max(),
             )
     # the 3072-element group contributes a seeded sample of pairs
@@ -250,7 +255,9 @@ def test_criterion_05_unitary_family(
         g, h = closure.images[pair_idx[block]].swapaxes(0, 1)
         worst_hom = max(
             worst_hom,
-            homomorphism_residual(rooted, g, h, "unitary", 0.9).max(),
+            homomorphism_residual(
+                lambda images: dense_unitary_rep(rooted, images, 0.9), g, h
+            ).max(),
         )
     passed = (
         worst_unitary <= UNITARITY_TOL
@@ -372,7 +379,7 @@ def test_criterion_08_kernels(family_corpus, random_corpus, record_criterion):
                 worst_gram, report.algebraic_residual, report.gram_residual
             )
             worst_psd = min(worst_psd, psd_check(exp_kernel(tree, t)))
-        worst_cnd = max(worst_cnd, cnd_check(distance_kernel(tree)).max_form)
+        worst_cnd = max(worst_cnd, cnd_check(distance_kernel(tree)))
     passed = (
         worst_gram <= KERNEL_TOL
         and worst_cnd <= KERNEL_TOL

@@ -320,7 +320,7 @@ def test_non_finite_bounded_member_fails_certificate(monkeypatch):
     )
     tree = make_star(4)
     cert = reps.uniform_bound_certificate(
-        root_at(tree, 0), full_automorphism_group(tree), 0.5
+        root_at(tree, 0), full_automorphism_group(tree).images, 0.5
     )
     assert not math.isfinite(cert.max_norm)
 
@@ -393,6 +393,8 @@ def test_defect_rank_is_nan_on_a_non_finite_defect(monkeypatch):
     )
     tree = make_path(2)
     swap = full_automorphism_group(tree).images[1:2]
-    rep = reps.finite_rank_defect(root_at(tree, 0), swap, "bounded", 0.5)
+    rooted = root_at(tree, 0)
+    member = reps.dense_bounded_rep(rooted, swap, 0.5)
+    rep = reps.finite_rank_defect(rooted, swap, member)
     assert rep.displacement[0] + 1 == tree.n
     assert math.isnan(rep.rank[0])

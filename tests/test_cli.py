@@ -336,6 +336,25 @@ class TestReportCommand:
         assert run_cli("report", str(path)) == 2
         assert capsys.readouterr().err.startswith("error: report ")
 
+    @pytest.mark.parametrize("measured", [1.0, None])
+    def test_report_whose_passed_breaks_the_record_rule_is_refused(
+        self, tmp_path, capsys, measured
+    ):
+        # record 0 (shift-product, bound 1e-12) keeps passed: true beside a
+        # measured value above its bound, or a null (non-finite) one
+        assert run_cli("check", "--tree", "path:3", "--out", str(tmp_path)) == 0
+        path = tmp_path / "report.json"
+        payload = json.loads(path.read_text())
+        record = payload["records"][0]
+        assert record["check"] == "shift-product" and record["passed"] is True
+        record["measured"] = measured
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("report", str(path)) == 2
+        assert capsys.readouterr().err == (
+            "error: report record 0 passed disagrees with its rule\n"
+        )
+
 
 @pytest.mark.parametrize(
     "argv,flag",

@@ -17,6 +17,7 @@ from treelab.reps import (
     bounded_rep_operator,
     conjugation_equivalence_residual,
     curve_to_csv,
+    defect_identity_residual,
     dense_bounded_rep,
     dense_limit_rep,
     dense_pi0,
@@ -189,7 +190,8 @@ class TestBoundedFamily:
     def test_homomorphism_in_g(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
         g, h = all_pairs(group)
-        assert homomorphism_residual(rooted, g, h, "bounded", 0.4).max() <= 1e-12
+        rep = lambda images: dense_bounded_rep(rooted, images, 0.4)
+        assert homomorphism_residual(rep, g, h).max() <= 1e-12
 
 
 class TestUnitaryFamily:
@@ -277,7 +279,8 @@ class TestUnitaryFamily:
     def test_homomorphism_in_g(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
         g, h = all_pairs(group)
-        assert homomorphism_residual(rooted, g, h, "unitary", 0.7).max() <= 1e-11
+        rep = lambda images: dense_unitary_rep(rooted, images, 0.7)
+        assert homomorphism_residual(rep, g, h).max() <= 1e-11
 
 
 class TestLimitRep:
@@ -303,7 +306,8 @@ class TestLimitRep:
         for rep in dense_limit_rep(rooted, group.images):
             assert np.abs(rep.conj().T @ rep - np.eye(4)).max() <= 1e-14
         g, h = all_pairs(group)
-        assert homomorphism_residual(rooted, g, h, "limit", None).max() <= 1e-14
+        rep = lambda images: dense_limit_rep(rooted, images)
+        assert homomorphism_residual(rep, g, h).max() <= 1e-14
 
     def test_dense_and_applier_match_oracle(self, random14_rooted):
         rooted, group = random14_rooted
@@ -319,39 +323,54 @@ class TestLimitRep:
             assert np.abs(dense - sparse).max() == 0.0
 
 
+def bounded_defect(rooted, images, z):
+    """finite_rank_defect and defect_identity_residual on the block's
+    bounded members at z, built once."""
+    member = dense_bounded_rep(rooted, images, z)
+    return (
+        finite_rank_defect(rooted, images, member),
+        defect_identity_residual(rooted, images, z, member),
+    )
+
+
 class TestDefect:
     def test_identity_has_no_defect(self):
         rooted = root_at(make_path(4), 0)
         e = block(tuple(range(4)))
-        rep = finite_rank_defect(rooted, e, "bounded", 0.5)
+        rep, identity = bounded_defect(rooted, e, 0.5)
         assert rep.rank.tolist() == [0]
-        assert not rep.support.any()
+        assert rep.segment.tolist() == [[True, False, False, False]]
         assert rep.defect_norm.tolist() == [0.0]
+        assert identity.tolist() == [0.0]
 
     def test_p3_end_swap(self):
         rooted = root_at(make_path(3), 0)
         g = block(verify_automorphism(rooted.tree, [2, 1, 0]))
-        rep = finite_rank_defect(rooted, g, "bounded", 0.5)
+        rep, identity = bounded_defect(rooted, g, 0.5)
         assert rep.displacement.tolist() == [2]
-        assert rep.support.shape == (1, 3)
+        assert rep.segment.tolist() == [[True, True, True]]
         assert rep.rank[0] <= 3
         assert rep.defect_norm[0] <= 2 * 0.5 / (1 - 0.5) + 1e-10
-        assert rep.cross_check_residual[0] <= 1e-12
+        assert identity[0] <= 1e-12
 
     def test_locality_off_the_segment(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for kind, param in (("bounded", 0.5), ("unitary", 0.9), ("limit", None)):
-            rep = finite_rank_defect(rooted, group.images, kind, param)
+        images = group.images
+        for member in (
+            dense_bounded_rep(rooted, images, 0.5),
+            dense_unitary_rep(rooted, images, 0.9),
+            dense_limit_rep(rooted, images),
+        ):
+            rep = finite_rank_defect(rooted, images, member)
             assert (rep.outside_residual <= 1e-12).all()
-            assert not (rep.support & ~rep.segment).any()
-            assert (rep.rank <= rep.support.sum(axis=1)).all()
+            assert (rep.rank <= rep.segment.sum(axis=1)).all()
             assert (rep.rank <= rep.displacement + 1).all()
 
     def test_stabilizer_elements_are_defect_free(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
         stabilizer = group.images[group.images[:, rooted.origin] == rooted.origin]
         assert len(stabilizer) == 2
-        rep = finite_rank_defect(rooted, stabilizer, "bounded", 0.9)
+        rep, _ = bounded_defect(rooted, stabilizer, 0.9)
         assert (rep.rank == 0).all()
         assert (rep.defect_norm <= 1e-12).all()
 
@@ -359,22 +378,30 @@ class TestDefect:
         rooted = root_at(make_path(8), 0)
         g = block(verify_automorphism(rooted.tree, list(reversed(range(8)))))
         for z in (0.25, 0.5, 0.9):
-            rep = finite_rank_defect(rooted, g, "bounded", z)
+            rep, identity = bounded_defect(rooted, g, z)
             assert rep.defect_norm[0] <= 2 * z / (1 - z) + 1e-9
-            assert rep.cross_check_residual[0] <= 1e-11
+            assert identity[0] <= 1e-11
+
+    def test_defect_identity_measures_the_member_given(self, star4_leaf_rooted):
+        # a wrong member shows in the identity's gap
+        rooted, group = star4_leaf_rooted
+        images = group.images
+        member = dense_bounded_rep(rooted, images, 0.5)
+        assert (defect_identity_residual(rooted, images, 0.5, member) <= 1e-12).all()
+        assert (defect_identity_residual(rooted, images, 0.5, -member) > 1.0).all()
 
 
 class TestUniformBound:
     def test_z_zero(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        cert = uniform_bound_certificate(rooted, group, 0.0)
+        cert = uniform_bound_certificate(rooted, group.images, 0.0)
         assert cert.bound == 1.0
         assert cert.max_norm == pytest.approx(1.0, abs=1e-10)
         assert cert.max_norm <= cert.bound + 1e-8
 
     def test_z_half_bound_three(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        cert = uniform_bound_certificate(rooted, group, 0.5)
+        cert = uniform_bound_certificate(rooted, group.images, 0.5)
         assert cert.bound == pytest.approx(3.0)
         assert cert.max_norm <= 3.0 + 1e-8
         assert cert.max_norm <= cert.bound + 1e-8
@@ -382,7 +409,7 @@ class TestUniformBound:
     def test_norms_grow_with_displacement(self):
         rooted = root_at(make_path(6), 0)
         group = full_automorphism_group(rooted.tree)
-        cert = uniform_bound_certificate(rooted, group, 0.9)
+        cert = uniform_bound_certificate(rooted, group.images, 0.9)
         assert cert.max_norm <= cert.bound + 1e-8
         assert cert.max_norm > 1.5  # the reversal genuinely deforms the action
         assert displacement(rooted, group.images)[cert.argmax_index] == 5
@@ -421,7 +448,7 @@ class TestUniformBound:
         assert not closure.complete
         assert len(closure) == 512
         leaf_rooted = root_at(tree, tree.n - 1)
-        cert = uniform_bound_certificate(leaf_rooted, closure, 0.9)
+        cert = uniform_bound_certificate(leaf_rooted, closure.images, 0.9)
         assert cert.bound == pytest.approx(19.0)
         assert cert.max_norm <= cert.bound + 1e-8
 

@@ -214,6 +214,7 @@ class _Context:
     closure: GroupClosure
     rooted_list: list[RootedTree]
     tol: dict[str, float]
+    walks: dict[int, dict] = field(default_factory=dict)  # origin -> _unitary_walk
 
     @property
     def label(self) -> str:
@@ -487,45 +488,6 @@ def _pair_sample(size: int, cap: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, size, size=(cap, 2))
 
 
-def _check_unitary_family(ctx: _Context) -> list[CheckRecord]:
-    """Unitarity, the rank-one conjugation equivalence, and the
-    homomorphism law for the unitary family."""
-    tol_u = ctx.tol["unitarity"]
-    tol_h = ctx.tol["homomorphism"]
-    n = ctx.tree.n
-    images = ctx.closure.images
-    pairs = _pair_sample(len(ctx.closure), HOMOMORPHISM_PAIR_CAP, ctx.config.seed)
-    out = []
-    for rooted in ctx.rooted_list:
-        for t in ctx.config.t_grid:
-            ptxt = f"t={t:g}"
-
-            def measure(block):
-                rep = reps_mod.dense_unitary_rep(rooted, block, t)
-                gap = _max_entry(rep.conj().swapaxes(1, 2) @ rep - np.eye(n))
-                equiv = reps_mod.conjugation_equivalence_residual(rooted, block, t, rep)
-                return gap, equiv
-
-            unitary, equiv = _per_element(ctx, measure)
-            out.append(
-                _record(ctx, "unitarity", rooted.origin, worst_of(unitary)[0], tol_u,
-                        parameter=ptxt)
-            )
-            out.append(
-                _record(ctx, "conjugation-equivalence", rooted.origin,
-                        worst_of(equiv)[0], tol_u, parameter=ptxt)
-            )
-        hom = _per_element(ctx, lambda pair: reps_mod.homomorphism_residual(
-            lambda block: reps_mod.dense_unitary_rep(rooted, block, 0.7),
-            images[pair[:, 0]], images[pair[:, 1]],
-        ), pairs)
-        out.append(
-            _record(ctx, "homomorphism", rooted.origin, worst_of(hom)[0], tol_h,
-                    parameter="t=0.7")
-        )
-    return out
-
-
 def _approaches_limit(
     rooted: RootedTree, images: np.ndarray, values: np.ndarray, tol: float
 ) -> np.ndarray:
@@ -542,53 +504,95 @@ def _approaches_limit(
     return np.where(d == 0, (values <= tol).all(axis=1), falling)
 
 
+def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
+    """Every measurement of the unitary family at one origin, from one walk
+    that builds each member once per element block and t: the grid values,
+    then the extras that endpoint-start and limit-monotone need. The grid
+    steps are divided by bounds taken first, and each block is reduced by
+    worst_of as it ends, so no per-element row outlives it; homomorphism's
+    pairs come last. Each record name maps to its worst value (unitarity
+    and conjugation-equivalence to one per grid t; limit-monotone to the
+    number of broken curves). The walk is the last reader of the origin's
+    memoized matrices and frees them."""
+    tol_u = ctx.tol["unitarity"]
+    grid, n = ctx.config.t_grid, ctx.tree.n
+    extra = [t for t in (0.0, *MONOTONE_T_VALUES) if t not in grid]
+    bounds = np.reshape([reps_mod.unitary_step_bound(rooted, a, b, 1.0 + tol_u)
+                         for a, b in zip(grid, grid[1:])], (-1, 1))
+
+    def measure(images):
+        limit = reps_mod.dense_limit_rep(rooted, images)
+        unitary, equiv, steps, to_limit, previous = [], [], [], {}, None
+        sphere = np.zeros(len(images))
+        for t in (*grid, *extra):
+            member = reps_mod.dense_unitary_rep(rooted, images, t)
+            if t == 0.0:
+                start = _max_entry(member - reps_mod.dense_pi0(n, images))
+            if t in MONOTONE_T_VALUES:
+                to_limit[t] = operator_norm(member - limit)
+            if t in extra:
+                continue
+            if previous is not None:
+                steps.append(operator_norm(member - previous))
+            previous = member  # the only stack kept beside the next build
+            unitary.append(
+                _max_entry(member.conj().swapaxes(1, 2) @ member - np.eye(n)))
+            equiv.append(
+                reps_mod.conjugation_equivalence_residual(rooted, images, t, member))
+            sphere = np.maximum(sphere, reps_mod.origin_sphere_residual(rooted, member))
+        values = np.stack([to_limit[t] for t in MONOTONE_T_VALUES], axis=1)
+        broken = ~_approaches_limit(rooted, images, values, tol_u)
+        rows = (*unitary, *equiv, start, sphere, np.divide(steps, bounds))
+        return np.array([[worst_of(row)[0] for row in rows] + [broken.sum()]]).T
+
+    blocks, k, images = _per_element(ctx, measure), len(grid), ctx.closure.images
+    worst = [worst_of(row)[0] for row in blocks[:-1]]
+    pairs = _pair_sample(len(images), HOMOMORPHISM_PAIR_CAP, ctx.config.seed)
+    hom = _per_element(ctx, lambda pair: reps_mod.homomorphism_residual(
+        lambda block: reps_mod.dense_unitary_rep(rooted, block, 0.7),
+        images[pair[:, 0]], images[pair[:, 1]],
+    ), pairs)
+    reps_mod._dense_context.memos.pop(rooted, None)
+    return {
+        "unitarity": worst[:k],
+        "conjugation-equivalence": worst[k:2 * k],
+        "homomorphism": worst_of(hom)[0],
+        "endpoint-start": worst[2 * k],
+        "origin-sphere": worst[2 * k + 1],
+        "limit-monotone": blocks[-1].sum(),
+        "grid-lipschitz": worst[2 * k + 2],
+    }
+
+
+def _check_unitary_family(ctx: _Context) -> list[CheckRecord]:
+    """Unitarity, the rank-one conjugation equivalence, and the homomorphism
+    law for the unitary family, from each origin's walk, kept for
+    limit-family."""
+    out = []
+    for rooted in ctx.rooted_list:
+        walk = ctx.walks[rooted.origin] = _unitary_walk(ctx, rooted)
+        for i, t in enumerate(ctx.config.t_grid):
+            for name in ("unitarity", "conjugation-equivalence"):
+                out.append(_record(ctx, name, rooted.origin, walk[name][i],
+                                   ctx.tol["unitarity"], parameter=f"t={t:g}"))
+        out.append(_record(ctx, "homomorphism", rooted.origin, walk["homomorphism"],
+                           ctx.tol["homomorphism"], parameter="t=0.7"))
+    return out
+
+
 def _check_limit_family(ctx: _Context) -> list[CheckRecord]:
     """Endpoints, monotone approach to the limit (measured as the number of
     elements whose curve breaks the rule), the origin unit sphere, and the
     grid Lipschitz certificate: each step of each curve over its derived
-    bound (reps.unitary_step_bound), so the record's bound is 1."""
-    tol_id = ctx.tol["identity"]
-    tol_u = ctx.tol["unitarity"]
-    grid = ctx.config.t_grid
+    bound (reps.unitary_step_bound), so the record's bound is 1. It reads
+    unitary-family's walks, and walks again an origin that check lacks."""
+    bounds = {"endpoint-start": 0.0, "origin-sphere": ctx.tol["identity"],
+              "limit-monotone": 0.0, "grid-lipschitz": 1.0}
     out = []
     for rooted in ctx.rooted_list:
-        x0 = rooted.origin
-
-        def measure(images):
-            limit = reps_mod.dense_limit_rep(rooted, images)
-            # each member is built once; after the grid come the members that
-            # the endpoint and monotone records need and the grid lacks
-            extra = [t for t in (0.0, *MONOTONE_T_VALUES) if t not in grid]
-            to_limit = {}
-            # one member stack at a time, beside the previous one for the step
-            sphere, steps, previous = np.zeros(len(images)), [], None
-            for t in (*grid, *extra):
-                member = reps_mod.dense_unitary_rep(rooted, images, t)
-                if t == 0.0:
-                    start = _max_entry(member - reps_mod.dense_pi0(ctx.tree.n, images))
-                if t in MONOTONE_T_VALUES:
-                    to_limit[t] = operator_norm(member - limit)
-                if t in extra:
-                    continue
-                residual = reps_mod.origin_sphere_residual(rooted, member)
-                sphere = np.maximum(sphere, residual)
-                if previous is not None:
-                    steps.append(operator_norm(member - previous))
-                previous = member
-            values = np.stack([to_limit[t] for t in MONOTONE_T_VALUES], axis=1)
-            broken = ~_approaches_limit(rooted, images, values, tol_u)
-            return np.vstack([start, sphere, broken, *steps])
-
-        start, sphere, broken, *steps = _per_element(ctx, measure)
-        out.append(_record(ctx, "endpoint-start", x0, worst_of(start)[0], 0.0))
-        out.append(_record(ctx, "origin-sphere", x0, worst_of(sphere)[0], tol_id))
-        out.append(_record(ctx, "limit-monotone", x0, broken.sum(), 0.0))
-        bounds = [
-            reps_mod.unitary_step_bound(rooted, a, b, 1.0 + tol_u)
-            for a, b in zip(grid, grid[1:])
-        ]
-        ratios = np.divide(steps, np.reshape(bounds, (-1, 1)))
-        out.append(_record(ctx, "grid-lipschitz", x0, worst_of(ratios)[0], 1.0))
+        walk = ctx.walks.get(rooted.origin) or _unitary_walk(ctx, rooted)
+        for name, bound in bounds.items():
+            out.append(_record(ctx, name, rooted.origin, walk[name], bound))
     return out
 
 
@@ -690,9 +694,6 @@ def run_check_suite(config: SuiteConfig) -> SuiteReport:
                 _record(ctx, name, origins[0], math.nan, 0.0, parameter=f"error={exc}")
             )
         timings[name] = time.perf_counter() - start
-        if name == "limit-family":  # no later check reads a dense matrix
-            for rooted in ctx.rooted_list:
-                reps_mod._dense_context.memos.pop(rooted, None)
     timings["total"] = time.perf_counter() - total_start
     return SuiteReport(
         schema=1,
@@ -736,8 +737,8 @@ def report_from_json(text: str) -> dict:
     keys = CheckRecord.__dataclass_fields__.keys()
     for i, r in enumerate(records):
         if not (isinstance(r, dict) and keys <= r.keys()
-                and isinstance(r["bound"], (int, float))
-                and isinstance(r["measured"], (int, float, type(None)))
+                and type(r["bound"]) in (int, float)  # not a bool, a subclass of int
+                and type(r["measured"]) in (int, float, type(None))
                 and isinstance(r["passed"], bool)):
             raise ValueError(f"report record {i} lacks a key, a number or a bool")
         if r["passed"] is not _passes(r["measured"], r["bound"]):

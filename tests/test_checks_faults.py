@@ -31,6 +31,13 @@ def _nan_unitary_at_half(original):
     return patched
 
 
+def _svd_breakdown(original):
+    def patched(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    return patched
+
+
 def _nan_block(original):
     # every `op @ block` output gets a NaN; materialize applies an operator
     # to the identity block without this entry point, so the dense routes
@@ -175,9 +182,16 @@ def _wrong_distance(original):
 # (module, attribute, wrapper, checks whose records must fail, checks that
 # must break down into one failed `error=` record)
 FAULTS = {
+    # a NaN member has norm NaN, so the walk that unitary-family and
+    # limit-family share runs on and the records built on it fail
     "unitary-nan": (
         reps, "dense_unitary_rep", _nan_unitary_at_half,
-        {"unitarity", "conjugation-equivalence"}, {"limit-family"},
+        {"unitarity", "conjugation-equivalence", "origin-sphere", "grid-lipschitz"},
+        set(),
+    ),
+    "svd-breakdown": (
+        reps, "finite_rank_defect", _svd_breakdown,
+        {"bounded-family"}, {"bounded-family"},
     ),
     "block-nan": (
         LinearOperator, "__matmul__", _nan_block,
@@ -234,6 +248,7 @@ FAULTS = {
 FINITE_FAULTS = {
     "flipped-member", "inverse-members", "rising-curve", "sphere-offset",
     "looping-shift", "short-series", "gram-inverse", "wrong-distance",
+    "svd-breakdown",
 }
 
 
@@ -271,6 +286,35 @@ def test_injected_fault_fails_loudly(fault, monkeypatch, tmp_path, capsys):
     assert main(["report", str(tmp_path / "report.json")]) == 1
     report_out = capsys.readouterr().out
     assert report_out.count("FAIL ") == check_out.count("FAIL ") == len(failed)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_member_fails_the_records_that_read_it(monkeypatch):
+    # the NaN sits in entry (0, 0) of every member at t = 0.5: in the origin
+    # column at origin 0 only, and in no member that limit-monotone reads
+    module, attr, wrap, failing, _ = FAULTS["unitary-nan"]
+    monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    report = checks.run_check_suite(checks.SuiteConfig("star:4"))
+    failed = [r for r in report.records if not r.passed]
+    assert {r.check for r in failed} == failing
+    assert [(r.check, r.origin) for r in failed if r.check == "origin-sphere"] == [
+        ("origin-sphere", 0)
+    ]
+    assert all(r.to_dict()["measured"] is None for r in failed)
+
+
+def test_a_breakdown_in_the_unitary_walk_fails_both_families(monkeypatch, tmp_path):
+    # limit-family walks again the origin that unitary-family lacks, and the
+    # walk breaks down again: one error record each
+    def operator_norm(*args):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(checks, "operator_norm", operator_norm)
+    assert main(["check", "--tree", "star:4", "--out", str(tmp_path)]) == 1
+    records = json.loads((tmp_path / "report.json").read_text())["records"]
+    errors = [r["check"] for r in records if r["parameter"].startswith("error=")]
+    assert errors == ["unitary-family", "limit-family"]
+    assert {"shift-product", "distance-cnd"} <= {r["check"] for r in records}
 
 
 def test_sphere_offset_fails_origin_sphere_at_both_origins(monkeypatch):

@@ -355,6 +355,25 @@ class TestReportCommand:
             "error: report record 0 passed disagrees with its rule\n"
         )
 
+    @pytest.mark.parametrize("field", ["measured", "bound"])
+    def test_report_with_a_boolean_for_a_number_is_refused(
+        self, tmp_path, capsys, field
+    ):
+        # Python's bool is an int, so true read as 1 kept grid-lipschitz
+        # (bound 1.0) passing; a JSON boolean is not a number
+        assert run_cli("check", "--tree", "path:3", "--out", str(tmp_path)) == 0
+        path = tmp_path / "report.json"
+        payload = json.loads(path.read_text())
+        i = [r["check"] for r in payload["records"]].index("grid-lipschitz")
+        assert payload["records"][i]["bound"] == 1.0
+        payload["records"][i][field] = True
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("report", str(path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: report record {i} lacks a key, a number or a bool\n"
+        )
+
 
 @pytest.mark.parametrize(
     "argv,flag",

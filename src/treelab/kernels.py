@@ -16,7 +16,8 @@ two-vertex tree the diagonal Gram entry is 1/(1 - t^2)) and the residuals
 here measure the factored identity.
 
 A kernel is a float (n, n) array. cnd_check and psd_check refuse one that
-is not square and symmetric; they judge nothing else about it.
+is not square and symmetric, and read NaN, as operator_norm does, on one
+that holds a NaN or an inf; they judge nothing else about it.
 
 The geodesic cocycle attaches to a vertex pair the signed sum of edge
 classes along their path; its squared norm is exactly the distance, and
@@ -28,6 +29,7 @@ takes vertex pairs builds that O(n^2) matrix on a tree that lacks it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -93,14 +95,15 @@ def gram_kernel(rooted: RootedTree, t: float) -> np.ndarray:
     return (gram + gram.T) / 2.0
 
 
-def _symmetric(matrix) -> np.ndarray:
-    """matrix as an array; a ValueError unless it is square and symmetric."""
+def _symmetric(matrix) -> np.ndarray | None:
+    """matrix as an array, or None when it holds a NaN or an inf; a
+    ValueError unless it is square and symmetric, a NaN matching a NaN."""
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"kernel matrix must be square, got {m.shape}")
-    if not np.array_equal(m, m.T):
+    if not np.array_equal(m, m.T, equal_nan=True):
         raise ValueError("kernel matrix must be symmetric")
-    return m
+    return m if np.isfinite(m).all() else None
 
 
 def cnd_check(matrix) -> float:
@@ -109,6 +112,8 @@ def cnd_check(matrix) -> float:
     its eigenvector, so conditional negativity means it is at most zero up
     to rounding."""
     k = _symmetric(matrix)
+    if k is None:
+        return math.nan
     n = k.shape[0]
     center = np.eye(n) - np.full((n, n), 1.0 / n)
     return float(np.linalg.eigvalsh(center @ k @ center).max())
@@ -117,7 +122,8 @@ def cnd_check(matrix) -> float:
 def psd_check(matrix) -> float:
     """Smallest eigenvalue, from the dense symmetric eigensolver; positive
     semidefiniteness means it is at least zero up to rounding."""
-    return float(np.linalg.eigvalsh(_symmetric(matrix)).min())
+    k = _symmetric(matrix)
+    return math.nan if k is None else float(np.linalg.eigvalsh(k).min())
 
 
 @dataclass(frozen=True)

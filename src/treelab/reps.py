@@ -21,13 +21,15 @@ materialized, gathers and one matrix product (a unitary member is pi0(g)
 plus T^-1 times the difference of two gathers of T); nothing here
 restates an operator in closed form. Every dense measurement returns one
 value per element, and a measurement of members takes the stack that the
-caller built. The dense functions (dense_*, displacement,
-finite_rank_defect, defect_identity_residual, homomorphism_residual,
-homotopy_curve, and groups.edge_images) take their rows unchecked, since
-a check per call costs over half a member's build. The materialized
-operators are memoized per rooted tree, and each tree's memo dies with
-it: a configuration's matrices are freed with its rooted trees. The
-test-suite checks both routes against oracles of its own.
+caller built: uniform_bound_certificate reads its norms, and the two
+defect measurements take the multiplicative defect that the caller formed
+from it once. The dense functions (dense_*, displacement,
+multiplicative_defect, finite_rank_defect, defect_identity_residual,
+homomorphism_residual, homotopy_curve, and groups.edge_images) take their
+rows unchecked, since a check per call costs over half a member's build.
+The materialized operators are memoized per rooted tree, and each tree's
+memo dies with it: a configuration's matrices are freed with its rooted
+trees. The test-suite checks both routes against oracles of its own.
 
 The reports here carry measurements only; the checks module compares
 them with its tolerances.
@@ -55,7 +57,6 @@ from .operators import (
     parent_edge_operator,
     parent_shift_operator,
     resolvent_operator,
-    worst_of,
 )
 from .trees import RootedTree
 
@@ -69,6 +70,7 @@ __all__ = [
     "dense_bounded_rep",
     "dense_unitary_rep",
     "dense_limit_rep",
+    "multiplicative_defect",
     "DefectReport",
     "finite_rank_defect",
     "BoundCertificate",
@@ -233,9 +235,9 @@ def dense_limit_rep(rooted: RootedTree, images: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _multiplicative_defect(images: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """member @ (action of g)^(-1) - 1 per element: column x becomes
-    column g(x)."""
+def multiplicative_defect(images: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """member @ (action of g)^(-1) - 1 per element of the block, from the
+    (k, n, n) stack that the caller built: column x becomes column g(x)."""
     inv = np.argsort(images, axis=1)[:, None, :]
     return np.take_along_axis(member, inv, axis=2) - np.eye(member.shape[-1])
 
@@ -263,17 +265,16 @@ class DefectReport:
 def finite_rank_defect(
     rooted: RootedTree,
     images: np.ndarray,
-    member: np.ndarray,
+    defect: np.ndarray,
     rank_threshold: float = RANK_THRESHOLD,
 ) -> DefectReport:
-    """Measure the defect of member, the block's (k, n, n) stack of any
-    family (dense_bounded_rep, dense_unitary_rep, dense_limit_rep), which
-    the caller has built."""
-    mult_defect = _multiplicative_defect(images, member)
+    """Measure defect, the block's multiplicative defect (multiplicative_defect
+    of a stack of any family: dense_bounded_rep, dense_unitary_rep,
+    dense_limit_rep), which the caller has formed."""
     segment = rooted.tree.segment(rooted.origin, images[:, rooted.origin])
     off_segment = ~(segment[:, :, None] & segment[:, None, :])
-    outside = np.where(off_segment, np.abs(mult_defect), 0.0).max(axis=(1, 2))
-    singular = np.linalg.svd(mult_defect, compute_uv=False)
+    outside = np.where(off_segment, np.abs(defect), 0.0).max(axis=(1, 2))
+    singular = np.linalg.svd(defect, compute_uv=False)
     rank = np.count_nonzero(singular > rank_threshold, axis=1)
     return DefectReport(
         displacement=displacement(rooted, images),
@@ -292,25 +293,15 @@ def finite_rank_defect(
 @dataclass(frozen=True)
 class BoundCertificate:
     bound: float
-    max_norm: float
-    argmax_index: int
+    norms: np.ndarray
 
 
-def uniform_bound_certificate(
-    rooted: RootedTree, images: np.ndarray, z: complex
-) -> BoundCertificate:
-    """Max norm over the block's members, walked in element_blocks,
-    beside the bound 1 + 2|z|/(1-|z|)."""
-    z = _check_z(z)
-    max_norm, argmax = worst_of(np.concatenate([
-        operator_norm(dense_bounded_rep(rooted, images[block], z))
-        for block in element_blocks(len(images), rooted.n)
-    ]))
-    return BoundCertificate(
-        bound=1.0 + 2.0 * abs(z) / (1.0 - abs(z)),
-        max_norm=max_norm,
-        argmax_index=argmax,
-    )
+def uniform_bound_certificate(z: complex, member: np.ndarray) -> BoundCertificate:
+    """Per element, the norm of member, the block's bounded stack at z
+    (dense_bounded_rep, which the caller has built), beside the bound
+    1 + 2|z|/(1-|z|) that each must meet."""
+    r = abs(_check_z(z))
+    return BoundCertificate(1.0 + 2.0 * r / (1.0 - r), operator_norm(member))
 
 
 # ----------------------------------------------------------------------
@@ -337,13 +328,14 @@ def conjugation_equivalence_residual(
 
 
 def defect_identity_residual(
-    rooted: RootedTree, images: np.ndarray, z: complex, member: np.ndarray
+    rooted: RootedTree, images: np.ndarray, z: complex, defect: np.ndarray
 ) -> np.ndarray:
     """Per element of the block, the entrywise gap in the structural identity
         member (action g)^(-1) - 1 = z * resolvent(z) (shift - shift'),
-    where member is the block's bounded stack at z (dense_bounded_rep,
-    which the caller has built) and shift' is the parent shift rooted at
-    the image of the origin, that is (action g) shift (action g)^(-1).
+    where the left side is defect, the multiplicative_defect of the block's
+    bounded stack at z (dense_bounded_rep), which the caller has formed, and
+    shift' is the parent shift rooted at the image of the origin, that is
+    (action g) shift (action g)^(-1).
     """
     z = _check_z(z)
     inv = np.argsort(images, axis=1)
@@ -351,7 +343,7 @@ def defect_identity_residual(
     image_shift = shift.take(inv[:, :, None] * rooted.n + inv[:, None, :])
     resolvent = _dense_context(rooted, resolvent_operator, z)
     predicted = z * (resolvent @ (shift - image_shift))
-    return np.abs(_multiplicative_defect(images, member) - predicted).max(axis=(1, 2))
+    return np.abs(defect - predicted).max(axis=(1, 2))
 
 
 def homomorphism_residual(

@@ -51,6 +51,7 @@ from treelab.reps import (
     homomorphism_residual,
     homotopy_curve,
     limit_rep_operator,
+    multiplicative_defect,
     origin_sphere_residual,
     uniform_bound_certificate,
 )
@@ -188,17 +189,22 @@ def test_criterion_04_bounded_family(closure_corpus, record_criterion):
             for z in z_values:
                 for block in element_blocks(len(closure), tree.n):
                     images = closure.images[block]
-                    member = dense_bounded_rep(rooted, images, z)
-                    rep = finite_rank_defect(rooted, images, member)
-                    cross = defect_identity_residual(rooted, images, z, member)
+                    defect = multiplicative_defect(
+                        images, dense_bounded_rep(rooted, images, z)
+                    )
+                    rep = finite_rank_defect(rooted, images, defect)
+                    cross = defect_identity_residual(rooted, images, z, defect)
                     worst_local = max(worst_local, rep.outside_residual.max())
                     worst_cross = max(worst_cross, cross.max())
                     rank_ok = rank_ok and (rep.rank <= rep.displacement + 1).all()
         for rooted in rooted_pairs(tree):
             for z in z_values:
-                cert = uniform_bound_certificate(rooted, closure.images, z)
-                bounds_ok = bounds_ok and cert.max_norm <= cert.bound + BOUND_SLACK
-                worst_margin = max(worst_margin, cert.max_norm - cert.bound)
+                for block in element_blocks(len(closure), tree.n):
+                    member = dense_bounded_rep(rooted, closure.images[block], z)
+                    cert = uniform_bound_certificate(z, member)
+                    max_norm = cert.norms.max()
+                    bounds_ok = bounds_ok and max_norm <= cert.bound + BOUND_SLACK
+                    worst_margin = max(worst_margin, max_norm - cert.bound)
     passed = (
         worst_local <= UNITARITY_TOL
         and worst_cross <= UNITARITY_TOL

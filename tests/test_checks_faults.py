@@ -16,7 +16,7 @@ from treelab import checks, kernels, reps
 from treelab.checks import _record
 from treelab.cli import main
 from treelab.groups import full_automorphism_group
-from treelab.operators import LinearOperator
+from treelab.operators import LinearOperator, worst_of
 from treelab.trees import Tree, make_path, make_star, root_at, tree_from_spec
 
 
@@ -363,10 +363,11 @@ def test_non_finite_bounded_member_fails_certificate(monkeypatch):
         reps, "dense_bounded_rep", _inf_bounded(reps.dense_bounded_rep)
     )
     tree = make_star(4)
-    cert = reps.uniform_bound_certificate(
+    member = reps.dense_bounded_rep(
         root_at(tree, 0), full_automorphism_group(tree).images, 0.5
     )
-    assert not math.isfinite(cert.max_norm)
+    cert = reps.uniform_bound_certificate(0.5, member)
+    assert not math.isfinite(worst_of(cert.norms)[0])
 
 
 def test_record_rule_requires_a_finite_measured_value():
@@ -438,7 +439,27 @@ def test_defect_rank_is_nan_on_a_non_finite_defect(monkeypatch):
     tree = make_path(2)
     swap = full_automorphism_group(tree).images[1:2]
     rooted = root_at(tree, 0)
-    member = reps.dense_bounded_rep(rooted, swap, 0.5)
-    rep = reps.finite_rank_defect(rooted, swap, member)
+    defect = reps.multiplicative_defect(swap, reps.dense_bounded_rep(rooted, swap, 0.5))
+    rep = reps.finite_rank_defect(rooted, swap, defect)
     assert rep.displacement[0] + 1 == tree.n
     assert math.isnan(rep.rank[0])
+
+
+def test_a_non_finite_distance_kernel_fails_distance_cnd(monkeypatch, tmp_path):
+    # cnd_check reads NaN on a kernel holding an inf instead of raising, so
+    # the record fails with a null measurement and the kernels check runs on
+    def distance_kernel(tree):
+        d = original(tree).copy()
+        d[1, 3] = d[3, 1] = np.inf
+        return d
+
+    original = kernels.distance_kernel
+    monkeypatch.setattr(kernels, "distance_kernel", distance_kernel)
+    assert main(["check", "--tree", "star:4", "--out", str(tmp_path)]) == 1
+    records = json.loads((tmp_path / "report.json").read_text())["records"]
+    failed = [r for r in records if not r["passed"]]
+    assert [(r["check"], r["measured"]) for r in failed] == [("distance-cnd", None)]
+    assert len(records) == 138
+    assert {"decay-psd", "gram-identity", "cocycle-identities"} <= {
+        r["check"] for r in records
+    }

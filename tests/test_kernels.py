@@ -47,6 +47,21 @@ class TestDistanceKernel:
             with pytest.raises(ValueError, match="symmetric"):
                 check(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 2), (0, 2), (1, 2)])
+    def test_checks_read_nan_on_a_non_finite_kernel(self, bad, entry):
+        # on or off the diagonal, whether the eigensolve would raise or
+        # return finite values
+        kernel = distance_kernel(make_path(3))
+        kernel[entry] = kernel[entry[::-1]] = bad
+        for check in (cnd_check, psd_check):
+            assert math.isnan(check(kernel))
+        kernel[entry] = 0.5  # no longer symmetric, whatever the other entry holds
+        if entry[0] != entry[1]:
+            for check in (cnd_check, psd_check):
+                with pytest.raises(ValueError, match="symmetric"):
+                    check(kernel)
+
 
 class TestConditionalNegativity:
     def test_p2_hand_value(self):

@@ -1,6 +1,7 @@
 """A configuration's dense matrices live exactly as long as its rooted
 trees, each origin's unitary walk frees them, so a finished check suite
-leaves none of them behind, and the walk builds each unitary member once."""
+leaves none of them behind, and the unitary and bounded walks build each
+member once."""
 
 import gc
 import weakref
@@ -130,4 +131,39 @@ def test_the_walk_builds_each_unitary_member_once(monkeypatch):
     ts = {*checks.DEFAULT_T_GRID, *checks.MONOTONE_T_VALUES}
     assert len(ts) == len(checks.DEFAULT_T_GRID) + 1
     expected = [(o, t, b) for o in (0, 3) for t in ts for b in blocks]
+    assert sorted(builds) == sorted(expected)
+
+
+def test_the_walk_builds_each_bounded_member_once(monkeypatch):
+    # outside conjugation-equivalence, which reads the bounded member at
+    # z = t, bounded-family builds each origin, z and element block once:
+    # its defect records and uniform-bound read the same member
+    builds, in_equivalence = [], []
+
+    def dense_bounded_rep(rooted, images, z):
+        if not in_equivalence:
+            builds.append((rooted.origin, z, images.tobytes()))
+        return original(rooted, images, z)
+
+    def conjugation_equivalence_residual(*args):
+        in_equivalence.append(True)
+        try:
+            return original_equivalence(*args)
+        finally:
+            in_equivalence.pop()
+
+    original = reps.dense_bounded_rep
+    original_equivalence = reps.conjugation_equivalence_residual
+    monkeypatch.setattr(reps, "dense_bounded_rep", dense_bounded_rep)
+    monkeypatch.setattr(
+        reps, "conjugation_equivalence_residual", conjugation_equivalence_residual
+    )
+    monkeypatch.setattr(reps, "STACK_BYTES", 2 * 16 * 4 * 4)  # two elements a block
+    assert checks.run_check_suite(checks.SuiteConfig("star:4")).aggregate_pass
+
+    images = full_automorphism_group(make_star(4)).images
+    blocks = [images[b].tobytes() for b in reps.element_blocks(len(images), 4)]
+    assert len(blocks) == 3
+    zs = checks.DEFAULT_Z_GRID
+    expected = [(o, z, b) for o in (0, 3) for z in zs for b in blocks]
     assert sorted(builds) == sorted(expected)

@@ -6,8 +6,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treelab.checks import _geometric_series
-from treelab.groups import pi0_operator, pi1_operator, verify_automorphism
+from treelab.checks import DEFAULT_T_GRID, _geometric_series
+from treelab.groups import (
+    full_automorphism_group,
+    pi0_operator,
+    pi1_operator,
+    verify_automorphism,
+)
+from treelab.kernels import dense_s_q
 from treelab.operators import (
     adjacency_operator,
     branching_operator,
@@ -27,7 +33,7 @@ from treelab.operators import (
     resolvent_operator,
     worst_of,
 )
-from treelab.trees import make_path, make_random, make_star, root_at
+from treelab.trees import make_path, make_random, make_star, root_at, tree_from_spec
 
 
 def dense_shift(rooted):
@@ -166,6 +172,31 @@ class TestDeformation:
                 tm = materialize(deformation_operator(rooted, t))
                 target = np.eye(tree.n) - t * s + t * t * q
                 assert np.abs(tm @ tm.conj().T - target).max() <= 1e-12
+
+    @pytest.mark.parametrize("spec", ["star:7", "regular:2,3"])
+    def test_every_automorphism_gathers_k_t_onto_itself(self, spec):
+        # deformation-commutant's premise: K_t = 1 - t S + t^2 Q is built
+        # from integer matrices that an automorphism preserves, so every
+        # closure row gathers it onto itself bit for bit, and the commutant
+        # of T T* is at most twice its gap to K_t
+        tree = tree_from_spec(spec)
+        n, images = tree.n, full_automorphism_group(tree).images
+
+        def gathered_onto_itself(s, q, t):
+            k = np.eye(n) - t * s + t * t * q
+            return np.array_equal(k.take(images[:, :, None] * n + images[:, None, :]),
+                                  np.broadcast_to(k, (len(images), n, n)))
+
+        s, q = dense_s_q(tree)
+        assert all(gathered_onto_itself(s, q, t) for t in DEFAULT_T_GRID)
+        # one entry off, at a vertex the group moves: the gather sees it
+        x = int(np.flatnonzero((images != np.arange(n)).any(axis=0))[0])
+        s_bad, q_bad = s.copy(), q.copy()
+        s_bad[x, tree.adjacency[x][0]] += 1.0
+        q_bad[x, x] += 1.0
+        for t in DEFAULT_T_GRID[1:]:  # t = 0 reads neither
+            assert not gathered_onto_itself(s_bad, q, t)
+            assert not gathered_onto_itself(s, q_bad, t)
 
     def test_parameter_range(self):
         rooted = root_at(make_path(2), 0)

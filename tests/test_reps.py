@@ -12,7 +12,7 @@ from treelab.groups import (
     full_automorphism_group,
     verify_automorphism,
 )
-from treelab.operators import materialize, parent_shift_operator
+from treelab.operators import materialize, operator_norm, parent_shift_operator
 from treelab.reps import (
     bounded_rep_operator,
     conjugation_equivalence_residual,
@@ -28,6 +28,7 @@ from treelab.reps import (
     homomorphism_residual,
     homotopy_curve,
     limit_rep_operator,
+    multiplicative_defect,
     origin_sphere_residual,
     uniform_bound_certificate,
     unitary_rep_operator,
@@ -324,12 +325,12 @@ class TestLimitRep:
 
 
 def bounded_defect(rooted, images, z):
-    """finite_rank_defect and defect_identity_residual on the block's
-    bounded members at z, built once."""
-    member = dense_bounded_rep(rooted, images, z)
+    """finite_rank_defect and defect_identity_residual on the multiplicative
+    defect of the block's bounded members at z, built and formed once."""
+    defect = multiplicative_defect(images, dense_bounded_rep(rooted, images, z))
     return (
-        finite_rank_defect(rooted, images, member),
-        defect_identity_residual(rooted, images, z, member),
+        finite_rank_defect(rooted, images, defect),
+        defect_identity_residual(rooted, images, z, defect),
     )
 
 
@@ -353,6 +354,14 @@ class TestDefect:
         assert rep.defect_norm[0] <= 2 * 0.5 / (1 - 0.5) + 1e-10
         assert identity[0] <= 1e-12
 
+    def test_multiplicative_defect_moves_column_x_to_g_x(self):
+        rooted = root_at(make_path(3), 0)
+        g = block(verify_automorphism(rooted.tree, [2, 1, 0]))
+        member = dense_bounded_rep(rooted, g, 0.5)
+        defect = multiplicative_defect(g, member)
+        inverse = dense_pi0(3, g).swapaxes(1, 2)
+        assert np.array_equal(defect, member @ inverse - np.eye(3))
+
     def test_locality_off_the_segment(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
         images = group.images
@@ -361,10 +370,25 @@ class TestDefect:
             dense_unitary_rep(rooted, images, 0.9),
             dense_limit_rep(rooted, images),
         ):
-            rep = finite_rank_defect(rooted, images, member)
+            defect = multiplicative_defect(images, member)
+            rep = finite_rank_defect(rooted, images, defect)
             assert (rep.outside_residual <= 1e-12).all()
             assert (rep.rank <= rep.segment.sum(axis=1)).all()
             assert (rep.rank <= rep.displacement + 1).all()
+
+    @pytest.mark.parametrize(
+        "spec", ["star:7", "regular:2,3", "random:30,4", "path:12"]
+    )
+    def test_locality_never_exceeds_the_identity_gap(self, spec):
+        # the predicted defect z R(z) (P - P') is exactly 0 off segment x
+        # segment, so the identity's gap there is the defect itself
+        tree = tree_from_spec(spec)
+        images = full_automorphism_group(tree).images
+        for rooted in (root_at(tree, 0), root_at(tree, tree.n - 1)):
+            for z in (0.5, 0.3 + 0.4j, 0.9):
+                for part in element_blocks(len(images), tree.n):
+                    rep, identity = bounded_defect(rooted, images[part], z)
+                    assert (rep.outside_residual <= identity).all()
 
     def test_stabilizer_elements_are_defect_free(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
@@ -387,32 +411,55 @@ class TestDefect:
         rooted, group = star4_leaf_rooted
         images = group.images
         member = dense_bounded_rep(rooted, images, 0.5)
-        assert (defect_identity_residual(rooted, images, 0.5, member) <= 1e-12).all()
-        assert (defect_identity_residual(rooted, images, 0.5, -member) > 1.0).all()
+        right = multiplicative_defect(images, member)
+        wrong = multiplicative_defect(images, -member)
+        assert (defect_identity_residual(rooted, images, 0.5, right) <= 1e-12).all()
+        assert (defect_identity_residual(rooted, images, 0.5, wrong) > 1.0).all()
+
+
+def bound_certificate(rooted, images, z):
+    """The bound and the per-element norms of the bounded members of the
+    image rows at z, each element block built once and certified."""
+    certs = [
+        uniform_bound_certificate(z, dense_bounded_rep(rooted, images[part], z))
+        for part in element_blocks(len(images), rooted.n)
+    ]
+    return certs[0].bound, np.concatenate([cert.norms for cert in certs])
 
 
 class TestUniformBound:
     def test_z_zero(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        cert = uniform_bound_certificate(rooted, group.images, 0.0)
-        assert cert.bound == 1.0
-        assert cert.max_norm == pytest.approx(1.0, abs=1e-10)
-        assert cert.max_norm <= cert.bound + 1e-8
+        bound, norms = bound_certificate(rooted, group.images, 0.0)
+        assert bound == 1.0
+        assert norms.max() == pytest.approx(1.0, abs=1e-10)
+        assert norms.max() <= bound + 1e-8
 
     def test_z_half_bound_three(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        cert = uniform_bound_certificate(rooted, group.images, 0.5)
-        assert cert.bound == pytest.approx(3.0)
-        assert cert.max_norm <= 3.0 + 1e-8
-        assert cert.max_norm <= cert.bound + 1e-8
+        bound, norms = bound_certificate(rooted, group.images, 0.5)
+        assert bound == pytest.approx(3.0)
+        assert norms.max() <= 3.0 + 1e-8
+        assert norms.max() <= bound + 1e-8
 
     def test_norms_grow_with_displacement(self):
         rooted = root_at(make_path(6), 0)
         group = full_automorphism_group(rooted.tree)
-        cert = uniform_bound_certificate(rooted, group.images, 0.9)
-        assert cert.max_norm <= cert.bound + 1e-8
-        assert cert.max_norm > 1.5  # the reversal genuinely deforms the action
-        assert displacement(rooted, group.images)[cert.argmax_index] == 5
+        bound, norms = bound_certificate(rooted, group.images, 0.9)
+        assert norms.max() <= bound + 1e-8
+        assert norms.max() > 1.5  # the reversal genuinely deforms the action
+        assert displacement(rooted, group.images)[norms.argmax()] == 5
+
+    def test_one_norm_per_member_of_the_stack_given(self, star4_leaf_rooted):
+        # the certificate reads the stack the caller built and builds none
+        rooted, group = star4_leaf_rooted
+        member = dense_bounded_rep(rooted, group.images, 0.3 + 0.4j)
+        cert = uniform_bound_certificate(0.3 + 0.4j, member)
+        assert cert.bound == pytest.approx(3.0)  # |z| = 0.5
+        assert np.array_equal(cert.norms, operator_norm(member))
+        assert cert.norms.shape == (len(group),)
+        with pytest.raises(ValueError, match=r"\|z\| < 1"):
+            uniform_bound_certificate(1.0, member)
 
     def test_capped_word_sample_on_radius_four_tree(self):
         # the radius-4 trivalent tree's full group is astronomically large;
@@ -448,9 +495,9 @@ class TestUniformBound:
         assert not closure.complete
         assert len(closure) == 512
         leaf_rooted = root_at(tree, tree.n - 1)
-        cert = uniform_bound_certificate(leaf_rooted, closure.images, 0.9)
-        assert cert.bound == pytest.approx(19.0)
-        assert cert.max_norm <= cert.bound + 1e-8
+        bound, norms = bound_certificate(leaf_rooted, closure.images, 0.9)
+        assert bound == pytest.approx(19.0)
+        assert norms.max() <= bound + 1e-8
 
 
 class TestHomotopy:

@@ -41,3 +41,21 @@ def test_every_traced_check_is_registered(tracing):
 def test_dense_context_counters_are_readable():
     info = reps._dense_context.cache_info()
     assert isinstance(info.hits, int) and isinstance(info.misses, int)
+
+
+@pytest.mark.parametrize("spec", ["star:4", "path:1"])
+def test_every_registered_check_is_called_once_per_configuration(monkeypatch, spec):
+    # perfbench counts one checks.<name> span per configuration: a rooted
+    # check's one call hands out its per-origin runs
+    calls = []
+
+    def counted(name, fn):
+        def call(ctx):
+            calls.append(name)
+            return fn(ctx)
+        return call
+
+    registry = [(name, counted(name, fn)) for name, fn in checks._CHECKS]
+    monkeypatch.setattr(checks, "_CHECKS", registry)
+    assert checks.run_check_suite(checks.SuiteConfig(spec)).aggregate_pass
+    assert calls == [name for name, _ in checks._CHECKS]

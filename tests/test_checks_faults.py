@@ -317,6 +317,32 @@ def test_a_breakdown_in_the_unitary_walk_fails_both_families(monkeypatch, tmp_pa
     assert {"shift-product", "distance-cnd"} <= {r["check"] for r in records}
 
 
+def test_a_breakdown_at_the_last_origin_fails_its_check_once(monkeypatch):
+    # bounded-family breaks down at origin 3 only, after origin 0's records:
+    # they are dropped for one error record at origin 0, origin 3 is not run
+    # again, and every other check records both origins as before
+    def finite_rank_defect(rooted, *args):
+        if rooted.origin == 3:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return original(rooted, *args)
+
+    def keys(report):
+        return [(r.check, r.origin, r.parameter) for r in report.records]
+
+    bounded = {"defect-locality", "defect-rank", "defect-identity", "uniform-bound"}
+    clean = checks.run_check_suite(checks.SuiteConfig("star:4"))
+    original = reps.finite_rank_defect
+    monkeypatch.setattr(reps, "finite_rank_defect", finite_rank_defect)
+    records = keys(checks.run_check_suite(checks.SuiteConfig("star:4")))
+
+    expected = [key for key in keys(clean) if key[0] not in bounded]
+    at = [key[0] in bounded for key in keys(clean)].index(True)
+    expected.insert(at, ("bounded-family", 0, "error=SVD did not converge"))
+    assert records == expected
+    for name in {r.check for r in clean.records if r.origin == 3} - bounded:
+        assert {origin for check, origin, _ in records if check == name} == {0, 3}
+
+
 def test_sphere_offset_fails_origin_sphere_at_both_origins(monkeypatch):
     # the suite's record reads the same function as the library and C07
     module, attr, wrap, _, _ = FAULTS["sphere-offset"]

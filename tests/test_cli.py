@@ -355,6 +355,26 @@ class TestReportCommand:
             "error: report record 0 passed disagrees with its rule\n"
         )
 
+    @pytest.mark.parametrize(
+        "field,value,error",
+        [("schema", True, "not a schema-1 report object"),
+         ("schema", 1.0, "not a schema-1 report object"),
+         ("group_order", True, "report lacks aggregate_pass, records or config")],
+    )
+    def test_report_with_a_non_integer_schema_or_group_order_is_refused(
+        self, tmp_path, capsys, field, value, error
+    ):
+        # true and 1.0 both equal 1, and a true group order printed as
+        # "group order True"; each field must be a JSON integer
+        assert run_cli("check", "--tree", "path:3", "--out", str(tmp_path)) == 0
+        path = tmp_path / "report.json"
+        payload = json.loads(path.read_text())
+        (payload if field == "schema" else payload["config"])[field] = value
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("report", str(path)) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     @pytest.mark.parametrize("field", ["measured", "bound"])
     def test_report_with_a_boolean_for_a_number_is_refused(
         self, tmp_path, capsys, field

@@ -1,12 +1,17 @@
 """A configuration's dense matrices live exactly as long as its rooted
-trees, each origin's unitary walk frees them, so a finished check suite
-leaves none of them behind, and the unitary and bounded walks build each
-member once."""
+trees, and the suite runs origin-major: every rooted check of origin 0,
+then the drop of that origin's matrices, then origin N-1, so the memo never
+holds two origins' matrices and a finished suite leaves none behind. The
+regrouping keeps the report's registry order, and the unitary and bounded
+walks build each member once."""
 
 import gc
+import json
 import weakref
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from treelab import checks, reps
 from treelab.groups import full_automorphism_group
@@ -72,8 +77,8 @@ def test_the_memo_holds_a_tree_s_matrices_while_it_lives():
 
 
 def test_the_suite_frees_its_matrices_after_the_last_dense_check(monkeypatch):
-    # kernels and cocycles run after the unitary walks, which free each
-    # origin's matrices, and read no memoized matrix
+    # kernels and cocycles run after both origins, whose matrices the suite
+    # has freed by then, and read no memoized matrix
     held = reps._dense_context.cache_info().currsize
     seen = []
 
@@ -87,21 +92,34 @@ def test_the_suite_frees_its_matrices_after_the_last_dense_check(monkeypatch):
     assert report.aggregate_pass and seen == [held]
 
 
-def test_each_walk_frees_its_origin_s_matrices(monkeypatch):
-    # when origin N-1's walk starts, the memo holds no matrix of origin 0;
-    # limit-family reads the kept walks and walks nothing again
+@pytest.mark.parametrize("spec,last", [("star:4", 3), ("path:12", 11)])
+def test_the_memo_never_holds_two_origins_at_once(monkeypatch, spec, last):
+    # after each memo lookup, the origins of the suite's tree that hold
+    # matrices: one at a time, all of origin 0's lookups before origin N-1's
     held = []
 
-    def walk(ctx, rooted):
-        first = ctx.rooted_list[0]
-        held.append((rooted.origin, len(reps._dense_context.memos.get(first, {}))))
-        return original(ctx, rooted)
+    def lookup(self, rooted, make, *args):
+        matrix = original(self, rooted, make, *args)
+        held.append(sorted(r.origin for r, memo in self.memos.items()
+                           if memo and r.tree is rooted.tree))
+        return matrix
 
-    original = checks._unitary_walk
-    monkeypatch.setattr(checks, "_unitary_walk", walk)
-    assert checks.run_check_suite(checks.SuiteConfig("star:4")).aggregate_pass
-    assert [origin for origin, _ in held] == [0, 3]
-    assert held[0][1] > 0 and held[1][1] == 0
+    original = reps._TreeMemo.__call__
+    monkeypatch.setattr(reps._TreeMemo, "__call__", lookup)
+    checks.run_check_suite(checks.SuiteConfig(spec))
+    first = held.index([last])
+    assert held == [[0]] * first + [[last]] * (len(held) - first)
+    assert first > 0
+
+
+def test_the_report_keeps_the_registry_order():
+    # the (check, origin, parameter) keys that perfbench's work check expects,
+    # in order: the rooted checks' records of both origins stay grouped by check
+    manifest = Path(__file__).resolve().parents[1] / "perfbench" / "manifest.json"
+    template = json.loads(manifest.read_text(encoding="utf-8"))["record_template"]
+    role = {0: "first", 3: "last"}
+    report = checks.run_check_suite(checks.SuiteConfig("star:4"))
+    assert [[r.check, role[r.origin], r.parameter] for r in report.records] == template
 
 
 def test_the_walk_builds_each_unitary_member_once(monkeypatch):

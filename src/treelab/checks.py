@@ -218,6 +218,7 @@ class _Context:
     adjoint_rng: np.random.Generator  # one stream for both origins, in order
     # origin -> unitary-family's walk there, which limit-family reads
     walks: dict[int, dict] = field(default_factory=dict)
+    step_norms: dict = field(default_factory=dict)  # unitary_step_bound's tree_norms
 
     @property
     def label(self) -> str:
@@ -475,13 +476,14 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
     worst_of as it ends, so no per-element row outlives it; homomorphism's
     pairs come last. Each record name maps to its worst value (unitarity
     and conjugation-equivalence to one per grid t; limit-monotone to the
-    number of broken curves). The origin's memoized matrices outlive it:
+    number of broken curves). The steps' origin-free norms are the first
+    walk's, on ctx. The origin's memoized matrices outlive it:
     run_check_suite drops them once every check of that origin has run."""
     tol_u = ctx.tol["unitarity"]
     grid, n = ctx.config.t_grid, ctx.tree.n
     extra = [t for t in (0.0, *MONOTONE_T_VALUES) if t not in grid]
-    bounds = np.reshape([reps_mod.unitary_step_bound(rooted, a, b, 1.0 + tol_u)
-                         for a, b in zip(grid, grid[1:])], (-1, 1))
+    bounds = np.reshape([reps_mod.unitary_step_bound(rooted, a, b, 1.0 + tol_u,
+                         ctx.step_norms) for a, b in zip(grid, grid[1:])], (-1, 1))
 
     def measure(images):
         limit = reps_mod.dense_limit_rep(rooted, images)
@@ -567,6 +569,7 @@ def _check_kernels(ctx: _Context) -> list[CheckRecord]:
     rooted = ctx.rooted_list[0]
     cnd = kernels_mod.cnd_check(kernels_mod.distance_kernel(tree))
     out.append(_record(ctx, "distance-cnd", rooted.origin, cnd, tol))
+    s_q = kernels_mod.dense_s_q(tree)  # one S and Q for every gram-identity
     for t in (0.1, 0.5, 0.9):
         ptxt = f"t={t:g}"
         min_eig = kernels_mod.psd_check(kernels_mod.exp_kernel(tree, t))
@@ -574,7 +577,7 @@ def _check_kernels(ctx: _Context) -> list[CheckRecord]:
             _record(ctx, "decay-psd", rooted.origin, -min_eig, tol, parameter=ptxt)
         )
         for r in ctx.rooted_list:
-            gram = kernels_mod.gram_identity_check(r, t)
+            gram = kernels_mod.gram_identity_check(r, t, s_q)
             residual = worst_of((gram.algebraic_residual, gram.gram_residual))[0]
             out.append(
                 _record(ctx, "gram-identity", r.origin, residual, tol, parameter=ptxt)

@@ -147,12 +147,13 @@ def dense_s_q(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def gram_identity_check(rooted: RootedTree, t: float) -> GramIdentityReport:
+def gram_identity_check(rooted: RootedTree, t: float, s_q=None) -> GramIdentityReport:
+    """The two residuals at t; s_q is the tree's dense_s_q, if the caller has it."""
     t = _check_decay(t)
     tree = rooted.tree
     n = tree.n
     k_exp = exp_kernel(tree, t)
-    s, q = dense_s_q(tree)
+    s, q = dense_s_q(tree) if s_q is None else s_q
     algebraic = float(
         np.abs((np.eye(n) - t * s + t * t * q) @ k_exp - (1 - t * t) * np.eye(n)).max()
     )

@@ -44,6 +44,7 @@ __all__ = [
     "parent_shift_operator",
     "deformation_operator",
     "deformation_inverse",
+    "inverse_rescale",
     "resolvent_apply",
     "resolvent_operator",
     "parent_edge_operator",
@@ -254,19 +255,20 @@ def resolvent_operator(rooted: RootedTree, z: complex) -> LinearOperator:
     return LinearOperator((rooted.n, rooted.n), apply, adjoint)
 
 
-def deformation_inverse(rooted: RootedTree, t: float) -> LinearOperator:
-    """Exact inverse of the deformation for 0 <= t < 1.
-
-    Uses the factorization T = (1 - t*shift)(1 + alpha*p0), valid because
-    the shift kills the origin, so the inverse is
-    (1 + beta*p0) o (1 - t*shift)^(-1) with beta = (1-t^2)^(-1/2) - 1.
-    At t = 1 the deformation is singular and rejected.
-    """
+def inverse_rescale(rooted: RootedTree, t: float) -> LinearOperator:
+    """1 + beta*p0, beta = (1-t^2)^(-1/2) - 1: deformation_inverse's last factor."""
     if not 0.0 <= t < 1.0:
         raise ValueError(f"deformation inverse needs t in [0, 1), got {t}")
     beta = 1.0 / math.sqrt(1.0 - t * t) - 1.0
-    rescale = identity_operator(rooted.n) + origin_projection(rooted).scale(beta)
-    return rescale.compose(resolvent_operator(rooted, t))
+    return identity_operator(rooted.n) + origin_projection(rooted).scale(beta)
+
+
+def deformation_inverse(rooted: RootedTree, t: float) -> LinearOperator:
+    """Exact inverse of the deformation for 0 <= t < 1: inverse_rescale(t) o
+    (1 - t*shift)^(-1), by the factorization T = (1 - t*shift)(1 + alpha*p0),
+    valid because the shift kills the origin. At t = 1 the deformation is
+    singular and rejected."""
+    return inverse_rescale(rooted, t).compose(resolvent_operator(rooted, t))
 
 
 def parent_edge_operator(rooted: RootedTree) -> LinearOperator:

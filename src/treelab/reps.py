@@ -27,9 +27,8 @@ from it once. The dense functions (dense_*, displacement,
 multiplicative_defect, finite_rank_defect, defect_identity_residual,
 homomorphism_residual, homotopy_curve, and groups.edge_images) take their
 rows unchecked, since a check per call costs over half a member's build.
-The materialized operators are memoized per rooted tree, and each tree's
-memo dies with it: a configuration's matrices are freed with its rooted
-trees. The test-suite checks both routes against oracles of its own.
+The dense operators are memoized per rooted tree and die with it (_TreeMemo).
+The test-suite checks both routes against oracles of its own.
 
 The reports here carry measurements only; the checks module compares
 them with its tolerances.
@@ -51,6 +50,7 @@ from .operators import (
     deformation_inverse,
     deformation_operator,
     identity_operator,
+    inverse_rescale,
     materialize,
     operator_norm,
     origin_projection,
@@ -142,9 +142,9 @@ def limit_rep_operator(rooted: RootedTree, g: Sequence[int]) -> LinearOperator:
 # ----------------------------------------------------------------------
 # Dense stacks. A block of group elements is a (k, n) int array of vertex
 # images, one row per element; GroupClosure.images is the block of a whole
-# closure. Every dense matrix is an operator materialized (memoized per
-# rooted tree, constructor and parameters); a family maps a block to its
-# (k, n, n) stack of members by gathers and one matrix product.
+# closure. Every dense matrix is an operator's, memoized per rooted tree,
+# constructor and parameters; a family maps a block to its (k, n, n) stack
+# of members by gathers and one matrix product.
 # ----------------------------------------------------------------------
 
 STACK_BYTES = 1 << 17  # the byte budget of one (k, n, n) complex stack
@@ -162,7 +162,9 @@ _CacheInfo = namedtuple("_CacheInfo", "hits misses currsize")
 
 class _TreeMemo:
     """_dense_context(rooted, make, *args): materialize(make(rooted, *args)),
-    shared and therefore read-only.
+    shared and therefore read-only. T_t^-1 is built on the memoized R(t),
+    which bounded members read too: inverse_rescale applied to it, plus +0.0,
+    is materialize's matrix bit for bit, from one resolvent sweep.
 
     The memo is one dict per rooted tree, held by a weak reference to the
     tree, so it dies with the tree: a finished configuration keeps no
@@ -181,7 +183,11 @@ class _TreeMemo:
             self.hits += 1
             return memo[key]
         self.misses += 1
-        mat = materialize(make(rooted, *args))
+        if make is deformation_inverse:
+            rescale = inverse_rescale(rooted, *args)
+            mat = np.add(rescale @ self(rooted, resolvent_operator, *args), 0.0)
+        else:
+            mat = materialize(make(rooted, *args))
         mat.flags.writeable = False
         memo[key] = mat
         return mat
@@ -385,7 +391,8 @@ def curve_to_csv(t_grid: Sequence[float], curve: np.ndarray) -> str:
 
 
 def unitary_step_bound(
-    rooted: RootedTree, a: float, b: float, member_norm: float
+    rooted: RootedTree, a: float, b: float, member_norm: float,
+    tree_norms: dict | None = None,
 ) -> float:
     """A bound on ||rho_b(g) - rho_a(g)|| for every element g, given that
     no member of the unitary family has norm above member_norm.
@@ -398,18 +405,23 @@ def unitary_step_bound(
     The four norms are operator_norm's, with U^-1 = T_b^-1 T_a formed
     directly. A member_norm above 1 keeps the bound from assuming the exact
     unitarity that the unitarity record tests; near t = 1 the cap governs.
+    ||U|| and ||U^-1|| are the tree's: ||U||^2 is the top eigenvalue of
+    K_a^-1 K_b and ||U^-1||^2 that of K_b^-1 K_a, with K_t = T_t T_t* =
+    1 - t S + t^2 Q. tree_norms, one dict per tree, keeps them per step (a, b);
+    ||U - 1|| and ||U^-1 - 1|| depend on the origin through p0.
     """
     a, b = _check_t(a), _check_t(b)
-    u = _dense_context(rooted, deformation_inverse, a) @ _dense_context(
-        rooted, deformation_operator, b
-    )
-    u_inv = _dense_context(rooted, deformation_inverse, b) @ _dense_context(
-        rooted, deformation_operator, a
-    )
+    inverse = {t: _dense_context(rooted, deformation_inverse, t) for t in (a, b)}
+    deform = {t: _dense_context(rooted, deformation_operator, t) for t in (a, b)}
+    u, u_inv = inverse[a] @ deform[b], inverse[b] @ deform[a]
+    tree_norms = {} if tree_norms is None else tree_norms
+    if (a, b) not in tree_norms:
+        tree_norms[a, b] = operator_norm(u), operator_norm(u_inv)
+    norm_u, norm_u_inv = tree_norms[a, b]
     eye = np.eye(rooted.n)
     return 2.0 * member_norm * min(
-        operator_norm(u - eye) * operator_norm(u_inv),
-        operator_norm(u) * operator_norm(u_inv - eye),
+        operator_norm(u - eye) * norm_u_inv,
+        norm_u * operator_norm(u_inv - eye),
         1.0,
     )
 

@@ -373,14 +373,31 @@ def test_wrong_inverse_fails_deformation_product_where_members_are_permutations(
     tree = tree_from_spec("random:5,3")
     images = full_automorphism_group(tree).images
     assert len(images) == 2 and (images[:, [0, 4]] == [0, 4]).all()
-    for module in (reps, checks):
-        monkeypatch.setattr(
-            module, "deformation_inverse", _wrong_inverse(module.deformation_inverse)
-        )
+    monkeypatch.setattr(reps, "inverse_rescale", _wrong_inverse(reps.inverse_rescale))
     report = checks.run_check_suite(checks.SuiteConfig("random:5,3"))
     failed = {(r.check, r.origin) for r in report.records if not r.passed}
     assert failed == {("deformation-product", 0), ("deformation-product", 4)}
     assert not any(r.passed for r in report.records if r.check == "deformation-product")
+
+
+def test_wrong_inverse_reaches_the_members_where_the_group_moves_the_origin(
+    monkeypatch,
+):
+    # the members, the step bounds and deformation-product read one dense
+    # T^-1, the rescale factor applied to the memoized resolvent; kernels'
+    # gram-identity builds its own. On star:4 the group fixes origin 0, the
+    # centre, so only T T^-1 = 1 fails there; it moves the leaf origin 3,
+    # whose members read the wrong origin row at every t but 0, where T^-1
+    # meets an exactly zero defect
+    monkeypatch.setattr(reps, "inverse_rescale", _wrong_inverse(reps.inverse_rescale))
+    report = checks.run_check_suite(checks.SuiteConfig("star:4"))
+    grid = [f"t={t:g}" for t in checks.DEFAULT_T_GRID]
+    expected = {("deformation-product", o, p) for o in (0, 3) for p in grid}
+    expected |= {(name, 3, p) for name in ("unitarity", "conjugation-equivalence")
+                 for p in grid[1:]}
+    expected |= {("homomorphism", 3, "t=0.7"), ("origin-sphere", 3, "-")}
+    assert {(r.check, r.origin, r.parameter)
+            for r in report.records if not r.passed} == expected
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -11,6 +11,7 @@ from treelab.kernels import (
     cnd_check,
     cocycle_equivariance_residual,
     cocycle_report,
+    dense_s_q,
     distance_kernel,
     exp_kernel,
     geodesic_cocycle,
@@ -165,10 +166,13 @@ class TestGramIdentity:
         for seed in range(4):
             tree = make_random(50, seed=seed)
             rooted = root_at(tree, seed % tree.n)
+            s_q = dense_s_q(tree)
             for t in (0.1, 0.5, 0.9):
                 report = gram_identity_check(rooted, t)
                 assert report.algebraic_residual <= 1e-10
                 assert report.gram_residual <= 1e-10
+                # the suite's kernels check hands one S and Q to every call
+                assert gram_identity_check(rooted, t, s_q) == report
 
     def test_origin_independence(self):
         tree = make_random(20, seed=9)

@@ -2,18 +2,20 @@
 trees, and the suite runs origin-major: every rooted check of origin 0,
 then the drop of that origin's matrices, then origin N-1, so the memo never
 holds two origins' matrices and a finished suite leaves none behind. The
-regrouping keeps the report's registry order, and the unitary and bounded
-walks build each member once."""
+regrouping keeps the report's registry order, the unitary and bounded
+walks build each member once, and each origin and t costs one dense
+resolvent sweep."""
 
 import gc
 import json
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from treelab import checks, reps
+from treelab import checks, operators, reps
 from treelab.groups import full_automorphism_group
 from treelab.operators import deformation_operator, resolvent_operator
 from treelab.trees import make_path, make_star, root_at
@@ -185,3 +187,33 @@ def test_the_walk_builds_each_bounded_member_once(monkeypatch):
     zs = checks.DEFAULT_Z_GRID
     expected = [(o, z, b) for o in (0, 3) for z in zs for b in blocks]
     assert sorted(builds) == sorted(expected)
+
+
+def test_the_rooted_pass_sweeps_the_resolvent_once_per_origin_and_t(monkeypatch):
+    # T_t^-1 is built on the memoized R(t), which conjugation-equivalence and
+    # the bounded members read too; resolvent-series makes its own sweep at
+    # each z, against its series oracle
+    sweeps = Counter()
+
+    def resolvent_operator(rooted, z):
+        op = original(rooted, z)
+        sweep = op._apply
+
+        def apply(block):
+            if np.array_equal(block, np.eye(rooted.n)):
+                sweeps[rooted.origin, complex(z)] += 1
+            return sweep(block)
+
+        op._apply = apply
+        return op
+
+    original = operators.resolvent_operator
+    for module in (operators, reps, checks):
+        monkeypatch.setattr(module, "resolvent_operator", resolvent_operator)
+    monkeypatch.setattr(checks, "_CHECKS", checks._CHECKS[:checks._ROOTED_CHECKS])
+    assert checks.run_check_suite(checks.SuiteConfig("path:12")).aggregate_pass
+
+    ts = (*checks.DEFAULT_T_GRID, *checks.MONOTONE_T_VALUES)
+    expected = Counter({(o, complex(t)): 1 for o in (0, 11) for t in ts})
+    expected.update((o, complex(z)) for o in (0, 11) for z in checks.DEFAULT_Z_GRID)
+    assert sweeps == expected

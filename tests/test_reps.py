@@ -12,7 +12,13 @@ from treelab.groups import (
     full_automorphism_group,
     verify_automorphism,
 )
-from treelab.operators import materialize, operator_norm, parent_shift_operator
+from treelab.operators import (
+    deformation_inverse,
+    deformation_operator,
+    materialize,
+    operator_norm,
+    parent_shift_operator,
+)
 from treelab.reps import (
     bounded_rep_operator,
     conjugation_equivalence_residual,
@@ -35,6 +41,8 @@ from treelab.reps import (
     unitary_step_bound,
 )
 from treelab.trees import make_path, make_random, make_star, root_at, tree_from_spec
+
+from conftest import origin_pair
 
 T_GRID = (0.0, 0.3, 0.6, 0.9, 0.99)
 
@@ -624,3 +632,58 @@ class TestGridSteps:
             )
             bound = unitary_step_bound(rooted, a, b, member_norm)
             assert bound == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("spec", ["random:30,4", "path:40", "regular:2,3"])
+    def test_the_shared_step_norms_do_not_depend_on_the_origin(self, spec):
+        # ||U||^2 and ||U^-1||^2 are the top eigenvalues of K_a^-1 K_b and
+        # K_b^-1 K_a, with K_t = T_t T_t* the tree's alone
+        tree = tree_from_spec(spec)
+        steps = list(zip(DEFAULT_T_GRID, DEFAULT_T_GRID[1:]))
+        norms = []
+        for origin in (0, tree.n // 2, tree.n - 1):
+            rooted = root_at(tree, origin)
+            norms.append([[operator_norm(deformation_inverse(rooted, x).compose(
+                deformation_operator(rooted, y))) for x, y in ((a, b), (b, a))]
+                for a, b in steps])
+        assert np.allclose(norms[1:], norms[0], rtol=1e-14, atol=0.0)
+
+    def test_the_first_origin_computes_the_four_norm_bound_and_shares_two(self):
+        tree = make_random(30, 4)
+        member_norm = 1.0 + TOLERANCES["unitarity"]
+        eye, shared = np.eye(tree.n), {}
+        for origin in origin_pair(tree):
+            rooted = root_at(tree, origin)
+            for a, b in zip(DEFAULT_T_GRID, DEFAULT_T_GRID[1:]):
+                memo = lambda make, t: reps._dense_context(rooted, make, t)
+                u = memo(deformation_inverse, a) @ memo(deformation_operator, b)
+                u_inv = memo(deformation_inverse, b) @ memo(deformation_operator, a)
+                own = operator_norm(u), operator_norm(u_inv)
+                norm_u, norm_u_inv = shared.get((a, b), own)
+                expected = 2.0 * member_norm * min(
+                    operator_norm(u - eye) * norm_u_inv,
+                    norm_u * operator_norm(u_inv - eye),
+                    1.0,
+                )
+                assert unitary_step_bound(rooted, a, b, member_norm, shared) == expected
+                assert shared[a, b] == (norm_u, norm_u_inv)
+                if origin == 0:
+                    # the bound alone, with nothing shared, is the same one
+                    assert unitary_step_bound(rooted, a, b, member_norm) == expected
+                    assert (norm_u, norm_u_inv) == own
+        assert len(shared) == len(DEFAULT_T_GRID) - 1
+
+
+@pytest.mark.parametrize("spec", [
+    "path:1", "path:2", "path:12", "path:200", "star:7", "regular:2,3",
+    "random:30,4", "random:100,4", "random:200,1",
+])
+def test_the_memoized_inverse_is_materialize_s_bit_for_bit(spec):
+    # built on the memoized R(t) with the factor applied after it; the bytes
+    # compare every entry, the sign of each zero included
+    tree = tree_from_spec(spec)
+    for origin in origin_pair(tree):
+        rooted = root_at(tree, origin)
+        for t in (*DEFAULT_T_GRID, 0.999):
+            memo = reps._dense_context(rooted, deformation_inverse, t)
+            direct = materialize(deformation_inverse(rooted, t))
+            assert memo.dtype == direct.dtype and memo.tobytes() == direct.tobytes()

@@ -31,8 +31,8 @@ from .groups import (
     parse_automorphisms,
 )
 from .operators import (
-    adjacency_operator,
-    branching_operator,
+    NAMED_OPERATORS,
+    check_t,
     coboundary_operator,
     deformation_inverse,
     deformation_operator,
@@ -119,12 +119,14 @@ class SuiteConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         try:
             for t in self.t_grid:
-                reps_mod._check_t(t)
+                check_t(t)
             for z in self.z_grid:
-                reps_mod._check_z(z)
+                reps_mod.check_z(z)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         for name, grid in (("t", self.t_grid), ("z", self.z_grid)):
+            if not grid:
+                raise ConfigError(f"empty {name} grid")
             if len(set(grid)) != len(grid):
                 raise ConfigError(f"{name} grid values must be distinct: {list(grid)}")
         self.tolerance_table()
@@ -165,8 +167,7 @@ class SuiteReport:
 
 
 def resolve_tree(spec: str) -> Tree:
-    """A generator string (path:N, star:N, regular:q,r, random:N,seed) or
-    a tree-file path."""
+    """A generator string, one of trees.TREE_SPEC_FORMS, or a tree-file path."""
     if is_tree_spec(spec):
         try:
             return tree_from_spec(spec)
@@ -376,25 +377,14 @@ def _check_edge_factorization(ctx: _Context, rooted: RootedTree) -> list[CheckRe
 
 
 def _check_adjoint_consistency(ctx: _Context, rooted: RootedTree) -> list[CheckRecord]:
-    """<A* u, v> = <u, A v> on seeded random vectors for every named
-    operator: three pairs each, applied as blocks of three columns. The
-    vectors come from one stream per configuration, seeded once, that
-    origin 0 draws from first and origin N-1 next."""
-    tree = ctx.tree
-    ops = [
-        adjacency_operator(tree),
-        branching_operator(tree),
-        parent_shift_operator(rooted),
-        origin_projection(rooted),
-        deformation_operator(rooted, 0.7),
-        deformation_inverse(rooted, 0.7),
-        resolvent_operator(rooted, 0.3 + 0.4j),
-        parent_edge_operator(rooted),
-        coboundary_operator(tree),
-        identity_operator(tree.n),
-    ]
+    """<A* u, v> = <u, A v> on seeded random vectors for every entry of
+    operators.NAMED_OPERATORS, in its order, at t = 0.7 and z = 0.3+0.4i,
+    then for the identity: three pairs each, applied as blocks of three
+    columns. The vectors come from one stream per configuration, seeded
+    once, that origin 0 draws from first and origin N-1 next."""
+    ops = [build(rooted, 0.7, 0.3 + 0.4j) for build in NAMED_OPERATORS.values()]
     gaps = []
-    for op in ops:
+    for op in ops + [identity_operator(rooted.n)]:
         m, n = op.shape
         # per pair: the real and imaginary parts of u, then those of v
         draws = ctx.adjoint_rng.standard_normal((3, 2 * (m + n)))
@@ -403,7 +393,7 @@ def _check_adjoint_consistency(ctx: _Context, rooted: RootedTree) -> list[CheckR
         lhs = (np.conj(op.adjoint() @ u) * v).sum(axis=0)
         gaps.append(np.abs(lhs - (np.conj(u) * (op @ v)).sum(axis=0)))
     return [_record(ctx, "adjoint-consistency", rooted.origin,
-                    worst_of(np.concatenate(gaps))[0], ctx.tol["identity"] * tree.n)]
+                    worst_of(np.concatenate(gaps))[0], ctx.tol["identity"] * rooted.n)]
 
 
 def _check_bounded_family(ctx: _Context, rooted: RootedTree) -> list[CheckRecord]:

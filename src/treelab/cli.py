@@ -19,6 +19,7 @@ from .checks import (
     DEFAULT_SEED,
     DEFAULT_T_GRID,
     DEFAULT_Z_GRID,
+    MONOTONE_T_VALUES,
     TOLERANCES,
     ConfigError,
     SuiteConfig,
@@ -29,22 +30,9 @@ from .checks import (
     run_check_suite,
 )
 from .kernels import distance_kernel, exp_kernel, gram_kernel
-from .operators import (
-    adjacency_operator,
-    branching_operator,
-    coboundary_operator,
-    deformation_inverse,
-    deformation_operator,
-    materialize,
-    matrix_to_csv,
-    origin_projection,
-    parent_edge_operator,
-    parent_shift_operator,
-    parse_complex,
-    resolvent_operator,
-)
+from .operators import NAMED_OPERATORS, materialize, matrix_to_csv, parse_complex
 from .reps import curve_to_csv, homotopy_curve
-from .trees import root_at
+from .trees import TREE_SPEC_FORMS, root_at
 
 __all__ = ["main"]
 
@@ -55,6 +43,11 @@ def _parse_grid(text: str, name: str, parse) -> tuple:
     if not values:
         raise ConfigError(f"empty {name} grid")
     return values
+
+
+def _grid_text(values) -> str:
+    """A grid as the comma-separated text that _parse_grid reads back."""
+    return ",".join(f"{t:g}" for t in values)
 
 
 def _parameter(owner: str, flag: str, value, read: bool) -> None:
@@ -142,42 +135,14 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
-OPERATOR_NAMES = (
-    "S", "Q", "P", "Pstar", "p0", "T", "Tinv", "F", "Fstar", "b", "resolvent",
-)
-
-
-def _build_named_operator(name: str, rooted, t, z):
-    _parameter(f"operator {name!r}", "t", t, name in ("T", "Tinv"))
-    _parameter(f"operator {name!r}", "z", z, name == "resolvent")
-    tree = rooted.tree
-    if name == "S":
-        return adjacency_operator(tree)
-    if name == "Q":
-        return branching_operator(tree)
-    if name == "P":
-        return parent_shift_operator(rooted)
-    if name == "Pstar":
-        return parent_shift_operator(rooted).adjoint()
-    if name == "p0":
-        return origin_projection(rooted)
-    if name == "F":
-        return parent_edge_operator(rooted)
-    if name == "Fstar":
-        return parent_edge_operator(rooted).adjoint()
-    if name == "b":
-        return coboundary_operator(tree)
-    if name == "resolvent":
-        # any complex z is legal for the resolvent on a finite tree
-        return resolvent_operator(rooted, z)
-    if name == "T":
-        return deformation_operator(rooted, t)
-    return deformation_inverse(rooted, t)
-
-
 def _cmd_operator(args) -> int:
     rooted = root_at(resolve_tree(args.tree), 0)
-    op = _build_named_operator(args.name, rooted, args.t, args.z)
+    _parameter(f"operator {args.name!r}", "t", args.t, args.name in ("T", "Tinv"))
+    _parameter(f"operator {args.name!r}", "z", args.z, args.name == "resolvent")
+    # Pstar and Fstar are the adjoints of the table's P and F
+    op = NAMED_OPERATORS[args.name.removesuffix("star")](rooted, args.t, args.z)
+    if args.name.endswith("star"):
+        op = op.adjoint()
     csv_text = matrix_to_csv(materialize(op))
     out = _out_dir(args.out) / f"operator_{args.name}.csv"
     out.write_text(csv_text, encoding="utf-8")
@@ -219,8 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     shared = {
         "--tree": dict(required=True,
-                       help="generator string (path:N, star:N, regular:q,r, "
-                            "random:N,seed) or a tree file"),
+                       help=f"generator string ({', '.join(TREE_SPEC_FORMS)}) "
+                            "or a tree file"),
         "--group": dict(default="auto",
                         help="'auto' for the full automorphism group "
                              "(at most 20000 elements) or a generator file"),
@@ -238,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = command("check", _cmd_check, "run the full invariant suite",
                       "--tree", "--group", "--out")
     p_check.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_check.add_argument("--t", default=",".join(f"{t:g}" for t in DEFAULT_T_GRID))
+    p_check.add_argument("--t", default=_grid_text(DEFAULT_T_GRID))
     p_check.add_argument(
         "--z", default=",".join(str(z.real) for z in DEFAULT_Z_GRID)
     )
@@ -253,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="element index in the sorted closure")
     p_curve.add_argument(
         "--t",
-        default=",".join(f"{t:g}" for t in DEFAULT_T_GRID) + ",0.999",
+        default=_grid_text((*DEFAULT_T_GRID, MONOTONE_T_VALUES[-1])),
         help="grid for the limit comparison (1.0 denotes the limit itself)",
     )
 
@@ -265,7 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_op = command("operator", _cmd_operator, "materialize a named operator as CSV",
                    "--tree", "--out")
-    p_op.add_argument("--name", choices=OPERATOR_NAMES, required=True)
+    p_op.add_argument("--name", choices=(*NAMED_OPERATORS, "Pstar", "Fstar"),
+                      required=True)
     p_op.add_argument("--t", type=float,
                       help="deformation parameter for T / Tinv")
     p_op.add_argument("--z", type=parse_complex, help="resolvent parameter")

@@ -42,13 +42,16 @@ __all__ = [
     "branching_operator",
     "origin_projection",
     "parent_shift_operator",
+    "one_minus_shift",
     "deformation_operator",
+    "check_t",
     "deformation_inverse",
     "inverse_rescale",
     "resolvent_apply",
     "resolvent_operator",
     "parent_edge_operator",
     "coboundary_operator",
+    "NAMED_OPERATORS",
     "materialize",
     "operator_norm",
     "worst_of",
@@ -206,6 +209,11 @@ def parent_shift_operator(rooted: RootedTree) -> LinearOperator:
     return LinearOperator((rooted.n, rooted.n), apply, adjoint)
 
 
+def one_minus_shift(rooted: RootedTree, z: complex) -> LinearOperator:
+    """1 - z*(parent shift), the inverse of resolvent_operator(rooted, z)."""
+    return identity_operator(rooted.n) + parent_shift_operator(rooted).scale(-z)
+
+
 def deformation_operator(rooted: RootedTree, t: float) -> LinearOperator:
     """1 - t*(parent shift) + (sqrt(1 - t^2) - 1)*(origin projection).
 
@@ -214,11 +222,14 @@ def deformation_operator(rooted: RootedTree, t: float) -> LinearOperator:
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"deformation parameter must lie in [0, 1], got {t}")
     alpha = math.sqrt(1.0 - t * t) - 1.0
-    return (
-        identity_operator(rooted.n)
-        + parent_shift_operator(rooted).scale(-t)
-        + origin_projection(rooted).scale(alpha)
-    )
+    return one_minus_shift(rooted, t) + origin_projection(rooted).scale(alpha)
+
+
+def check_t(t: float) -> float:
+    """t as a float if 0 <= t < 1, where T_t is invertible (t = 1 is the limit)."""
+    if not 0.0 <= t < 1.0:
+        raise ValueError(f"t must lie in the half-open interval [0, 1), got {t}")
+    return float(t)
 
 
 def resolvent_apply(rooted: RootedTree, z: complex, block: np.ndarray) -> np.ndarray:
@@ -257,8 +268,7 @@ def resolvent_operator(rooted: RootedTree, z: complex) -> LinearOperator:
 
 def inverse_rescale(rooted: RootedTree, t: float) -> LinearOperator:
     """1 + beta*p0, beta = (1-t^2)^(-1/2) - 1: deformation_inverse's last factor."""
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"deformation inverse needs t in [0, 1), got {t}")
+    t = check_t(t)
     beta = 1.0 / math.sqrt(1.0 - t * t) - 1.0
     return identity_operator(rooted.n) + origin_projection(rooted).scale(beta)
 
@@ -406,3 +416,19 @@ def format_complex(z: complex) -> str:
         return _format_real(z.real)
     sign = "+" if z.imag >= 0 else "-"
     return f"{_format_real(z.real)}{sign}{_format_real(abs(z.imag))}i"
+
+
+# The named operators, built from a rooted tree, t (read by T and Tinv) and z
+# (read by resolvent). adjoint-consistency checks every entry, and `treelab
+# operator --name` builds each of them and the adjoints of P and F.
+NAMED_OPERATORS: dict[str, Callable[[RootedTree, float, complex], LinearOperator]] = {
+    "S": lambda rooted, t, z: adjacency_operator(rooted.tree),
+    "Q": lambda rooted, t, z: branching_operator(rooted.tree),
+    "P": lambda rooted, t, z: parent_shift_operator(rooted),
+    "p0": lambda rooted, t, z: origin_projection(rooted),
+    "T": lambda rooted, t, z: deformation_operator(rooted, t),
+    "Tinv": lambda rooted, t, z: deformation_inverse(rooted, t),
+    "resolvent": lambda rooted, t, z: resolvent_operator(rooted, z),
+    "F": lambda rooted, t, z: parent_edge_operator(rooted),
+    "b": lambda rooted, t, z: coboundary_operator(rooted.tree),
+}

@@ -2,20 +2,20 @@
 
 Two families are built by conjugating the vertex permutation action:
 
-* the bounded family, conjugated by the resolvent of the parent shift at
-  a complex parameter z with |z| < 1; its members differ from the plain
-  permutation action by finite-rank operators supported near the geodesic
-  from the origin to its image, and their norms admit the uniform bound
-  1 + 2|z|/(1-|z|) independent of the group element;
-* the unitary family, conjugated by the invertible deformation at a real
-  parameter t in [0, 1); it is equivalent to the bounded family at z = t
-  via a rank-one scaling at the origin, and as t -> 1 it converges to the
-  limit representation built from the edge action: F* (edge action) F
-  plus the origin projection.
+* the bounded family, conjugated by the resolvent R(z) of the parent shift
+  at a complex z with |z| < 1 (the rule check_z); its members differ from
+  the permutation action by finite-rank operators supported near the
+  geodesic from the origin to its image, and their norms admit the uniform
+  bound 1 + 2|z|/(1-|z|) independent of the group element;
+* the unitary family, conjugated by the invertible deformation T_t at a
+  real t in [0, 1) (the rule operators.check_t); it is equivalent to the
+  bounded family at z = t via a rank-one scaling at the origin, and as
+  t -> 1 it converges to the limit representation: F* (edge action) F + p0.
 
-One member is built as a composition of the operator module's block
-appliers, from an image row that verify_automorphism checks. The dense
-route maps a block of elements, (k, n) image rows of a closure such as
+Every operator, 1 - zP (operators.one_minus_shift) among them, is the
+operator module's; a member is a composition of its block appliers, from
+an image row that verify_automorphism checks. The dense route maps a
+block of elements, (k, n) image rows of a closure such as
 GroupClosure.images, to the (k, n, n) stack of its members: the operators
 materialized, gathers and one matrix product (a unitary member is pi0(g)
 plus T^-1 times the difference of two gathers of T); nothing here
@@ -47,11 +47,12 @@ import numpy as np
 from .groups import edge_images, pi0_operator, pi1_operator
 from .operators import (
     LinearOperator,
+    check_t,
     deformation_inverse,
     deformation_operator,
-    identity_operator,
     inverse_rescale,
     materialize,
+    one_minus_shift,
     operator_norm,
     origin_projection,
     parent_edge_operator,
@@ -61,6 +62,7 @@ from .operators import (
 from .trees import RootedTree
 
 __all__ = [
+    "check_z",
     "displacement",
     "element_blocks",
     "bounded_rep_operator",
@@ -92,33 +94,21 @@ def displacement(rooted: RootedTree, images: np.ndarray) -> np.ndarray:
     return np.asarray(rooted.depth)[images[:, rooted.origin]]
 
 
-def _check_z(z: complex) -> complex:
+def check_z(z: complex) -> complex:
+    """z as a complex, if |z| < 1, where the bounded family is defined."""
     z = complex(z)
     if not abs(z) < 1.0:
         raise ValueError(f"bounded family needs |z| < 1, got |{z}| = {abs(z)}")
     return z
 
 
-def _check_t(t: float) -> float:
-    if not 0.0 <= t < 1.0:
-        raise ValueError(
-            f"unitary family needs t in the half-open interval [0, 1) "
-            f"(t = 1 is its limit), got {t}"
-        )
-    return float(t)
-
-
-def _one_minus_shift(rooted: RootedTree, z: complex) -> LinearOperator:
-    return identity_operator(rooted.n) + parent_shift_operator(rooted).scale(-z)
-
-
 def bounded_rep_operator(
     rooted: RootedTree, g: Sequence[int], z: complex
 ) -> LinearOperator:
     """resolvent(z) o (vertex action of g) o (1 - z * shift)."""
-    z = _check_z(z)
+    z = check_z(z)
     return resolvent_operator(rooted, z).compose(
-        pi0_operator(rooted.tree, g).compose(_one_minus_shift(rooted, z))
+        pi0_operator(rooted.tree, g).compose(one_minus_shift(rooted, z))
     )
 
 
@@ -126,7 +116,7 @@ def unitary_rep_operator(
     rooted: RootedTree, g: Sequence[int], t: float
 ) -> LinearOperator:
     """deformation_inverse(t) o (vertex action of g) o deformation(t)."""
-    t = _check_t(t)
+    t = check_t(t)
     return deformation_inverse(rooted, t).compose(
         pi0_operator(rooted.tree, g).compose(deformation_operator(rooted, t))
     )
@@ -209,16 +199,16 @@ def dense_pi0(n: int, images: np.ndarray) -> np.ndarray:
 
 
 def dense_bounded_rep(rooted: RootedTree, images: np.ndarray, z: complex) -> np.ndarray:
-    z = _check_z(z)
+    z = check_z(z)
     return _dense_context(rooted, resolvent_operator, z) @ _gathered(
-        _dense_context(rooted, _one_minus_shift, z), images
+        _dense_context(rooted, one_minus_shift, z), images
     )
 
 
 def dense_unitary_rep(rooted: RootedTree, images: np.ndarray, t: float) -> np.ndarray:
     """pi0(g) + T^-1 (pi0(g) T - T pi0(g)) at T = T_t: the difference of two
     gathers of T is exactly 0 in the columns that the defect leaves alone."""
-    t = _check_t(t)
+    t = check_t(t)
     tmat = _dense_context(rooted, deformation_operator, t)
     defect = _gathered(tmat, images)
     defect -= np.take(tmat, images, axis=1).swapaxes(0, 1)
@@ -306,7 +296,7 @@ def uniform_bound_certificate(z: complex, member: np.ndarray) -> BoundCertificat
     """Per element, the norm of member, the block's bounded stack at z
     (dense_bounded_rep, which the caller has built), beside the bound
     1 + 2|z|/(1-|z|) that each must meet."""
-    r = abs(_check_z(z))
+    r = abs(check_z(z))
     return BoundCertificate(1.0 + 2.0 * r / (1.0 - r), operator_norm(member))
 
 
@@ -325,7 +315,7 @@ def conjugation_equivalence_residual(
     The conjugator is the identity off the origin and scales the origin
     coordinate by sqrt(1 - t^2).
     """
-    t = _check_t(t)
+    t = check_t(t)
     scale = math.sqrt(1.0 - t * t)
     rhs = dense_bounded_rep(rooted, images, t)
     rhs[:, rooted.origin, :] *= 1.0 / scale
@@ -343,7 +333,7 @@ def defect_identity_residual(
     shift' is the parent shift rooted at the image of the origin, that is
     (action g) shift (action g)^(-1).
     """
-    z = _check_z(z)
+    z = check_z(z)
     inv = np.argsort(images, axis=1)
     shift = _dense_context(rooted, parent_shift_operator)
     image_shift = shift.take(inv[:, :, None] * rooted.n + inv[:, None, :])
@@ -410,7 +400,7 @@ def unitary_step_bound(
     1 - t S + t^2 Q. tree_norms, one dict per tree, keeps them per step (a, b);
     ||U - 1|| and ||U^-1 - 1|| depend on the origin through p0.
     """
-    a, b = _check_t(a), _check_t(b)
+    a, b = check_t(a), check_t(b)
     inverse = {t: _dense_context(rooted, deformation_inverse, t) for t in (a, b)}
     deform = {t: _dense_context(rooted, deformation_operator, t) for t in (a, b)}
     u, u_inv = inverse[a] @ deform[b], inverse[b] @ deform[a]

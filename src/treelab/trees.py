@@ -29,6 +29,8 @@ __all__ = [
     "root_at",
     "tree_from_spec",
     "is_tree_spec",
+    "TREE_FAMILIES",
+    "TREE_SPEC_FORMS",
     "make_path",
     "make_star",
     "make_regular",
@@ -427,7 +429,16 @@ def make_random(n: int, seed: int) -> Tree:
     return Tree(n, edges)
 
 
-_SPEC_RE = re.compile(r"^(path|star|regular|random):([0-9,]+)$")
+# The generator families: `family:a,b` is TREE_FAMILIES[family][0](a, b), and
+# the second entry names the parameters.
+TREE_FAMILIES = {
+    "path": (make_path, "N"),
+    "star": (make_star, "N"),
+    "regular": (make_regular, "q,r"),
+    "random": (make_random, "N,seed"),
+}
+TREE_SPEC_FORMS = tuple(f"{family}:{p}" for family, (_, p) in TREE_FAMILIES.items())
+_SPEC_RE = re.compile(rf"^({'|'.join(TREE_FAMILIES)}):([0-9,]+)$")
 
 
 def is_tree_spec(text: str) -> bool:
@@ -436,30 +447,17 @@ def is_tree_spec(text: str) -> bool:
 
 
 def tree_from_spec(spec: str) -> Tree:
-    """Build a tree from a generator string.
-
-    Accepted forms: ``path:N``, ``star:N``, ``regular:q,r``, ``random:N,seed``.
-    """
+    """Build a tree from a generator string, one of TREE_SPEC_FORMS."""
     m = _SPEC_RE.match(spec.strip())
     if not m:
+        *head, last = TREE_SPEC_FORMS
         raise ValueError(
-            f"unrecognized tree spec {spec!r}; expected "
-            "path:N, star:N, regular:q,r, or random:N,seed"
+            f"unrecognized tree spec {spec!r}; expected {', '.join(head)}, or {last}"
         )
     family, args_text = m.groups()
+    make, params = TREE_FAMILIES[family]
     args = [int(a) for a in args_text.split(",") if a != ""]
-    if family == "path":
-        if len(args) != 1:
-            raise ValueError("path takes one parameter: path:N")
-        return make_path(args[0])
-    if family == "star":
-        if len(args) != 1:
-            raise ValueError("star takes one parameter: star:N")
-        return make_star(args[0])
-    if family == "regular":
-        if len(args) != 2:
-            raise ValueError("regular takes two parameters: regular:q,r")
-        return make_regular(args[0], args[1])
-    if len(args) != 2:
-        raise ValueError("random takes two parameters: random:N,seed")
-    return make_random(args[0], args[1])
+    if len(args) != params.count(",") + 1:
+        count = ("one parameter", "two parameters")[params.count(",")]
+        raise ValueError(f"{family} takes {count}: {family}:{params}")
+    return make(*args)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from treelab import checks, kernels, reps
+from treelab import checks, kernels, operators, reps
 from treelab.checks import _record
 from treelab.cli import main
 from treelab.groups import full_automorphism_group
@@ -506,3 +506,22 @@ def test_a_non_finite_distance_kernel_fails_distance_cnd(monkeypatch, tmp_path):
     assert {"decay-psd", "gram-identity", "cocycle-identities"} <= {
         r["check"] for r in records
     }
+
+
+def _doubled_adjoint(build):
+    def patched(rooted, t, z):
+        op = build(rooted, t, z)
+        return LinearOperator(op.shape, op._apply, lambda b: 2.0 * op._adjoint(b))
+
+    return patched
+
+
+@pytest.mark.parametrize("name", [*operators.NAMED_OPERATORS, "added"])
+def test_every_table_operator_is_checked_for_its_adjoint(name, monkeypatch):
+    # a wrong adjoint in any entry of the named-operator table, or in one
+    # added to it, fails adjoint-consistency and nothing else
+    table = operators.NAMED_OPERATORS
+    monkeypatch.setitem(table, name, _doubled_adjoint(table.get(name, table["P"])))
+    report = checks.run_check_suite(checks.SuiteConfig("star:4"))
+    failed = {(r.check, r.origin) for r in report.records if not r.passed}
+    assert failed == {("adjoint-consistency", 0), ("adjoint-consistency", 3)}

@@ -9,7 +9,8 @@ from treelab.checks import (
     TOLERANCES, ConfigError, SuiteConfig, report_from_json, run_check_suite,
 )
 from treelab.cli import main
-from treelab.trees import make_star, serialize_tree
+from treelab.operators import NAMED_OPERATORS, materialize, matrix_to_csv
+from treelab.trees import make_random, make_star, root_at, serialize_tree
 
 
 def run_cli(*args):
@@ -84,11 +85,19 @@ class TestOperatorCommand:
         assert run_cli("check", "--tree", "path:3", "--z", "1e400",
                        "--out", str(tmp_path)) == 2
 
-    def test_remaining_names(self, tmp_path, capsys):
-        for name in ("Q", "p0", "F", "Fstar", "b"):
-            assert run_cli("operator", "--tree", "star:4", "--name", name,
-                           "--out", str(tmp_path)) == 0
-            assert (tmp_path / f"operator_{name}.csv").exists()
+    @pytest.mark.parametrize("name", [*NAMED_OPERATORS, "Pstar", "Fstar"])
+    def test_each_name_writes_its_table_entry(self, name, tmp_path, capsys):
+        t = 0.7 if name in ("T", "Tinv") else None
+        z = 0.3 + 0.4j if name == "resolvent" else None
+        argv = ["operator", "--tree", "random:9,2", "--name", name,
+                "--out", str(tmp_path)]
+        argv += ["--t", "0.7"] * (t is not None) + ["--z", "0.3+0.4i"] * (z is not None)
+        assert run_cli(*argv) == 0
+        base = {"Pstar": "P", "Fstar": "F"}.get(name, name)
+        op = NAMED_OPERATORS[base](root_at(make_random(9, 2), 0), t, z)
+        expected = matrix_to_csv(materialize(op.adjoint() if base != name else op))
+        assert capsys.readouterr().out == expected
+        assert (tmp_path / f"operator_{name}.csv").read_text() == expected
 
 
 class TestCocycleCommand:
@@ -208,6 +217,13 @@ class TestCheckCommand:
         config = SuiteConfig("path:2", tolerances={"bogus": 1e-9})
         with pytest.raises(ConfigError, match="unknown tolerance"):
             config.validate()
+
+    @pytest.mark.parametrize("grid", ["t_grid", "z_grid"])
+    def test_empty_grid_in_the_library(self, grid):
+        # an empty t grid would leave out unitarity, deformation and
+        # conjugation records and still pass
+        with pytest.raises(ConfigError, match=f"empty {grid[0]} grid"):
+            run_check_suite(SuiteConfig("star:4", **{grid: ()}))
 
     def test_nan_z_in_the_library(self):
         # abs(nan) >= 1 is False, so the rule is written as not abs(z) < 1

@@ -64,15 +64,24 @@ def _out_dir(path_text: str) -> Path:
     return out
 
 
-def _fail_line(r: dict) -> str:
-    """One failed record, as a CheckRecord.to_dict() or a report.json entry
-    (where a non-finite measured value is null)."""
-    measured = math.nan if r["measured"] is None else r["measured"]
-    return (
-        f"FAIL {r['check']} tree={r['tree']} origin={r['origin']} "
-        f"g={r['g']} param={r['parameter']} "
-        f"measured={measured:.3e} bound={r['bound']:.3e}"
+def _summarize(payload: dict, where: str) -> int:
+    """Print a report payload's failed records (a non-finite measured value
+    is null there) and its pass|FAIL tally, ending with where; return the
+    exit code it calls for."""
+    records = payload["records"]
+    failures = [r for r in records if not r["passed"]]
+    for r in failures:
+        measured = math.nan if r["measured"] is None else r["measured"]
+        print(
+            f"FAIL {r['check']} tree={r['tree']} origin={r['origin']} "
+            f"g={r['g']} param={r['parameter']} "
+            f"measured={measured:.3e} bound={r['bound']:.3e}"
+        )
+    print(
+        f"{'pass' if payload['aggregate_pass'] else 'FAIL'}: "
+        f"{len(records) - len(failures)}/{len(records)} checks passed{where}"
     )
+    return 0 if payload["aggregate_pass"] else 1
 
 
 def _cmd_check(args) -> int:
@@ -87,18 +96,10 @@ def _cmd_check(args) -> int:
             if k.startswith("tol.") and v is not None
         },
     )
-    report = run_check_suite(config)
+    text = report_to_json(run_check_suite(config))
     out = _out_dir(args.out) / "report.json"
-    out.write_text(report_to_json(report), encoding="utf-8")
-    failures = [r for r in report.records if not r.passed]
-    for r in failures:
-        print(_fail_line(r.to_dict()))
-    status = "pass" if report.aggregate_pass else "FAIL"
-    print(
-        f"{status}: {len(report.records) - len(failures)}/{len(report.records)} "
-        f"checks passed; report written to {out}"
-    )
-    return 0 if report.aggregate_pass else 1
+    out.write_text(text, encoding="utf-8")
+    return _summarize(report_from_json(text), f"; report written to {out}")
 
 
 def _cmd_curve(args) -> int:
@@ -162,17 +163,10 @@ def _cmd_report(args) -> int:
     if not path.is_file():
         raise ConfigError(f"no report at {path}")
     payload = report_from_json(path.read_text(encoding="utf-8"))
-    records = payload["records"]
-    failures = [r for r in records if not r["passed"]]
-    for r in failures:
-        print(_fail_line(r))
-    print(
-        f"{'pass' if payload['aggregate_pass'] else 'FAIL'}: "
-        f"{len(records) - len(failures)}/{len(records)} checks passed "
-        f"(tree={payload['config']['tree']}, group order "
-        f"{payload['config']['group_order']})"
+    config = payload["config"]
+    return _summarize(
+        payload, f" (tree={config['tree']}, group order {config['group_order']})"
     )
-    return 0 if payload["aggregate_pass"] else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

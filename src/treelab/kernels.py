@@ -10,10 +10,13 @@ module judges them.
 
 The deformation at parameter t ties the two pictures together: the Gram
 matrix of the inverse-deformed vertex basis equals t^d(x,y) / (1 - t^2),
-so (1 - t*S + t^2*Q) [t^d(x,y)] = (1 - t^2) Id on every finite tree. The
-1/(1 - t^2) factor is forced by direct computation (already on the
-two-vertex tree the diagonal Gram entry is 1/(1 - t^2)) and the residuals
-here measure the factored identity.
+so K_t [t^d(x,y)] = (1 - t^2) Id on every finite tree, where
+K_t = T_t T_t* = 1 - t*S + t^2*Q (deformation_kernel, the same at every
+root). The 1/(1 - t^2) factor is forced by direct computation (already on
+the two-vertex tree the diagonal Gram entry is 1/(1 - t^2)), so the
+identity is measured in factored form. The decay kernel depends on the
+tree and t alone: gram_identity_check takes it from its caller, who also
+reads its sign and K_t's side of the identity from that one matrix.
 
 A kernel is a float (n, n) array. cnd_check and psd_check refuse one that
 is not square and symmetric, and read NaN, as operator_norm does, on one
@@ -25,13 +28,14 @@ its coboundary telescopes to the difference of the endpoint vectors. The
 cocycles of k pairs are the columns of an (edge_count, k) block, read off
 the tree's distance matrix through Tree.segment: every function here that
 takes vertex pairs builds that O(n^2) matrix on a tree that lacks it.
+Equivariance takes a (k, n) block of image rows, as the reps measurements
+do, and builds the cocycles it compares once for the whole block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -54,8 +58,8 @@ __all__ = [
     "gram_kernel",
     "cnd_check",
     "psd_check",
-    "GramIdentityReport",
     "dense_s_q",
+    "deformation_kernel",
     "gram_identity_check",
     "geodesic_cocycle",
     "CocycleReport",
@@ -126,19 +130,6 @@ def psd_check(matrix) -> float:
     return math.nan if k is None else float(np.linalg.eigvalsh(k).min())
 
 
-@dataclass(frozen=True)
-class GramIdentityReport:
-    """Residuals tying the decay kernel to the deformation.
-
-    algebraic_residual: max entry of (1 - t*S + t^2*Q) K_exp - (1-t^2) Id.
-    gram_residual: max entry of (scaled Gram) - K_exp.
-    """
-
-    t: float
-    algebraic_residual: float
-    gram_residual: float
-
-
 def dense_s_q(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
     """Dense adjacency S and diagonal branching Q = diag(deg - 1)."""
     return (
@@ -147,18 +138,17 @@ def dense_s_q(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def gram_identity_check(rooted: RootedTree, t: float, s_q=None) -> GramIdentityReport:
-    """The two residuals at t; s_q is the tree's dense_s_q, if the caller has it."""
-    t = _check_decay(t)
-    tree = rooted.tree
-    n = tree.n
-    k_exp = exp_kernel(tree, t)
-    s, q = dense_s_q(tree) if s_q is None else s_q
-    algebraic = float(
-        np.abs((np.eye(n) - t * s + t * t * q) @ k_exp - (1 - t * t) * np.eye(n)).max()
-    )
-    gram = float(np.abs(gram_kernel(rooted, t) - k_exp).max())
-    return GramIdentityReport(t=t, algebraic_residual=algebraic, gram_residual=gram)
+def deformation_kernel(s_q: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """K_t = T_t T_t* = 1 - t S + t^2 Q from the tree's dense_s_q; it does
+    not depend on the root."""
+    s, q = s_q
+    return np.eye(len(s)) - t * s + t * t * q
+
+
+def gram_identity_check(rooted: RootedTree, t: float, k_exp: np.ndarray) -> float:
+    """Max entry of gram_kernel(rooted, t) - k_exp, where k_exp is the
+    caller's exp_kernel(rooted.tree, t)."""
+    return float(np.abs(gram_kernel(rooted, t) - k_exp).max())
 
 
 # ----------------------------------------------------------------------
@@ -231,13 +221,21 @@ def cocycle_report(rooted: RootedTree, pairs) -> CocycleReport:
     )
 
 
-def cocycle_equivariance_residual(tree: Tree, g: Sequence[int], pairs) -> np.ndarray:
-    """Per vertex pair (x, y), the gap between c(g x, g y) and the edge
-    action of the image row g (checked by pi1_operator) applied to c(x, y)."""
-    return _gaps(
-        pi1_operator(tree, g) @ geodesic_cocycle(tree, pairs),
-        geodesic_cocycle(tree, np.asarray(g)[np.asarray(pairs, dtype=np.intp)]),
-    )
+def cocycle_equivariance_residual(tree: Tree, images, pairs) -> np.ndarray:
+    """Per image row g of the (k, n) block and vertex pair (x, y), the gap
+    between c(g x, g y) and the edge action of g applied to c(x, y): a
+    (k, len(pairs)) array. Every row is checked by pi1_operator before any
+    vertex is moved along it. The cocycles are built once, for the pairs
+    and for the distinct pairs that the rows move them to, at most n^2."""
+    cocycles = geodesic_cocycle(tree, pairs)
+    actions = [pi1_operator(tree, g) for g in images]
+    moved = np.asarray(images)[:, np.asarray(pairs, dtype=np.intp)]
+    keys, where = np.unique(moved[..., 0] * tree.n + moved[..., 1], return_inverse=True)
+    targets = geodesic_cocycle(tree, np.stack(np.divmod(keys, tree.n), axis=1))
+    return np.array([
+        _gaps(action @ cocycles, targets[:, row])
+        for action, row in zip(actions, where.reshape(len(images), -1))
+    ])
 
 
 def chasles_residual(tree: Tree, x: int, y: int, z: int) -> float:

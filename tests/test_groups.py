@@ -327,8 +327,12 @@ class TestIntertwining:
     pi0_operator,
     pi1_operator,
     lambda tree, g: unitary_rep_operator(root_at(tree, 0), g, 0.5),
-    lambda tree, g: cocycle_equivariance_residual(tree, g, [(0, 3), (1, 2)]),
-], ids=["pi0", "pi1", "unitary-rep", "cocycle-equivariance"])
+    lambda tree, g: cocycle_equivariance_residual(tree, [g], [(0, 3), (1, 2)]),
+    # a bad row between two automorphisms of the block
+    lambda tree, g: cocycle_equivariance_residual(
+        tree, [[0, 1, 2, 3], g, [3, 2, 1, 0]], [(0, 3), (1, 2)]),
+], ids=["pi0", "pi1", "unitary-rep", "cocycle-equivariance",
+        "cocycle-equivariance-mid-block"])
 def test_operator_route_refuses_a_row_that_is_not_an_automorphism(build, row):
     # a scatter along a non-permutation would leave rows of its output unwritten
     tree = make_path(4)

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treelab import kernels
 from treelab.groups import full_automorphism_group, verify_automorphism
 from treelab.kernels import (
     chasles_residual,
     cnd_check,
     cocycle_equivariance_residual,
     cocycle_report,
+    deformation_kernel,
     dense_s_q,
     distance_kernel,
     exp_kernel,
@@ -162,17 +164,23 @@ class TestGramIdentity:
         product = (np.eye(3) - t * s + t * t * q) @ k
         assert np.abs(product - (1 - t * t) * np.eye(3)).max() <= 1e-15
 
+    def test_deformation_kernel_is_t_t_star(self):
+        rooted = root_at(make_random(12, seed=5), 7)
+        s_q = dense_s_q(rooted.tree)
+        for t in (0.0, 0.3, 0.99):
+            tmat = materialize(deformation_operator(rooted, t))
+            assert np.abs(tmat @ tmat.T - deformation_kernel(s_q, t)).max() <= 1e-15
+
     def test_reports_on_corpus(self):
         for seed in range(4):
             tree = make_random(50, seed=seed)
             rooted = root_at(tree, seed % tree.n)
             s_q = dense_s_q(tree)
             for t in (0.1, 0.5, 0.9):
-                report = gram_identity_check(rooted, t)
-                assert report.algebraic_residual <= 1e-10
-                assert report.gram_residual <= 1e-10
-                # the suite's kernels check hands one S and Q to every call
-                assert gram_identity_check(rooted, t, s_q) == report
+                k = exp_kernel(tree, t)
+                algebraic = deformation_kernel(s_q, t) @ k - (1 - t * t) * np.eye(tree.n)
+                assert np.abs(algebraic).max() <= 1e-10
+                assert gram_identity_check(rooted, t, k) <= 1e-10
 
     def test_origin_independence(self):
         tree = make_random(20, seed=9)
@@ -188,10 +196,11 @@ class TestGramIdentity:
 
     def test_leaves_absorbed(self):
         # heavy-leaf trees exercise the boundary term in the identity
-        star = make_star(30)
-        report = gram_identity_check(root_at(star, 0), 0.9)
-        assert report.algebraic_residual <= 1e-10
-        assert report.gram_residual <= 1e-10
+        star, t = make_star(30), 0.9
+        k = exp_kernel(star, t)
+        algebraic = deformation_kernel(dense_s_q(star), t) @ k - (1 - t * t) * np.eye(30)
+        assert np.abs(algebraic).max() <= 1e-10
+        assert gram_identity_check(root_at(star, 0), t, k) <= 1e-10
 
 
 def cocycle_column(tree, x, y):
@@ -263,15 +272,31 @@ class TestCocycle:
             with pytest.raises(ValueError, match="out of range"):
                 cocycle_report(rooted, [(y, x)])
             with pytest.raises(ValueError, match="out of range"):
-                cocycle_equivariance_residual(tree, g, [(x, y)])
+                cocycle_equivariance_residual(tree, [g], [(x, y)])
 
     def test_equivariance(self):
         tree = make_star(5)
         pairs = [(x, y) for x in range(5) for y in range(5)]
-        for g in full_automorphism_group(tree).images:
-            assert (cocycle_equivariance_residual(tree, g, pairs) == 0.0).all()
+        images = full_automorphism_group(tree).images
+        gaps = cocycle_equivariance_residual(tree, images, pairs)
+        assert gaps.shape == (len(images), len(pairs)) and (gaps == 0.0).all()
 
     def test_equivariance_on_path_reversal(self):
         tree = make_path(6)
         g = verify_automorphism(tree, [5, 4, 3, 2, 1, 0])
-        assert cocycle_equivariance_residual(tree, g, [(0, 3)]).tolist() == [0.0]
+        assert cocycle_equivariance_residual(tree, [g], [(0, 3)]).tolist() == [[0.0]]
+
+    def test_equivariance_block_joins_its_rows(self, monkeypatch):
+        # with the identity's edge action in place of g's, the gaps are
+        # |c(x, y) - c(g x, g y)|: nonzero, and different per row and pair
+        original = kernels.pi1_operator
+        monkeypatch.setattr(
+            kernels, "pi1_operator", lambda tree, g: original(tree, range(tree.n))
+        )
+        tree = make_star(5)
+        pairs = [(0, 1), (1, 2), (3, 3), (4, 0), (2, 4)]
+        images = full_automorphism_group(tree).images
+        rows = [cocycle_equivariance_residual(tree, g[None], pairs) for g in images]
+        block = cocycle_equivariance_residual(tree, images, pairs)
+        assert np.array_equal(block, np.concatenate(rows))
+        assert set(block.ravel()) == {0.0, 1.0, 2.0}

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treelab import checks, operators, reps
+from treelab import checks, kernels, operators, reps
 from treelab.groups import full_automorphism_group
 from treelab.operators import deformation_operator, resolvent_operator
 from treelab.trees import make_path, make_star, root_at
@@ -92,6 +92,24 @@ def test_the_suite_frees_its_matrices_after_the_last_dense_check(monkeypatch):
     monkeypatch.setattr(checks.kernels_mod, "cnd_check", cnd_check)
     report = checks.run_check_suite(checks.SuiteConfig("star:4"))
     assert report.aggregate_pass and seen == [held]
+
+
+def test_the_kernels_checks_build_each_origin_free_matrix_once(monkeypatch):
+    # the decay kernel depends on the tree and t alone: one per t, read by
+    # decay-psd and by both origins' gram-identity; cocycle-equivariance
+    # measures the whole element block in one call
+    calls = Counter()
+
+    def counted(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    for name in ("exp_kernel", "cocycle_equivariance_residual"):
+        monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+    assert checks.run_check_suite(checks.SuiteConfig("star:4")).aggregate_pass
+    assert calls == {"exp_kernel": 3, "cocycle_equivariance_residual": 1}
 
 
 @pytest.mark.parametrize("spec,last", [("star:4", 3), ("path:12", 11)])

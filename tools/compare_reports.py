@@ -1,4 +1,5 @@
-"""Compare what `treelab check` writes in two checkouts: the refactor gate.
+"""Compare what `treelab check` and `treelab report` write in two
+checkouts: the refactor gate.
 
     python3 tools/compare_reports.py PARENT CHANGE
 
@@ -7,9 +8,10 @@ checkout's own sources, it runs `treelab check` on the configs of the
 `symmetric`, `large` and `corpus` workloads at seed 1, which it takes from
 the checkout's own perfbench/workloads.py, then on path:12, random:12,3,
 path:1, path:2, star:2 and path:5. Per config it compares report.json
-without its `timings`, the stdout and the exit code. It prints every
-difference, each differing record as a pair of JSON lines, and exits 1 on
-any difference, 0 when there is none.
+without its `timings`, the stdout and the exit code, then runs
+`treelab report` on that report.json and compares its stdout and exit
+code too. It prints every difference, each differing record as a pair of
+JSON lines, and exits 1 on any difference, 0 when there is none.
 
 Each checkout runs in one child process, in that checkout's directory,
 with one BLAS thread. Its reports and the generator file of the `large`
@@ -55,20 +57,26 @@ def _run_checkout() -> None:
     workloads.import_treelab()
     from treelab.cli import main
 
+    def run(argv: list[str]) -> tuple[int, str]:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        return code, stdout.getvalue()
+
     results = []
     try:
         for i, (tree, group) in enumerate(_configs(workloads)):
             out = f"{WORK_DIR}/out_{i}"
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = main(["check", "--tree", tree, "--group", group, "--out", out])
+            code, stdout = run(["check", "--tree", tree, "--group", group, "--out", out])
+            result = {"tree": tree, "group": group, "exit": code, "stdout": stdout,
+                      "report": None, "report exit": None, "report stdout": None}
             report_path = Path(out) / "report.json"
-            report = None
             if report_path.is_file():
-                report = json.loads(report_path.read_text(encoding="utf-8"))
-                report.pop("timings", None)
-            results.append({"tree": tree, "group": group, "exit": code,
-                            "stdout": stdout.getvalue(), "report": report})
+                result["report exit"], result["report stdout"] = run(
+                    ["report", str(report_path)])
+                result["report"] = json.loads(report_path.read_text(encoding="utf-8"))
+                result["report"].pop("timings", None)
+            results.append(result)
     finally:
         shutil.rmtree(WORK_DIR, ignore_errors=True)
     print(json.dumps(results))
@@ -87,7 +95,7 @@ def _collect(checkout: Path) -> subprocess.Popen:
 def _differences(parent: dict, change: dict) -> list[str]:
     """Every way one config's result differs between the two checkouts."""
     lines = []
-    for key in ("tree", "group", "exit", "stdout"):
+    for key in ("tree", "group", "exit", "stdout", "report exit", "report stdout"):
         if parent[key] != change[key]:
             lines.append(f"  {key}: {parent[key]!r} -> {change[key]!r}")
     a, b = parent["report"] or {}, change["report"] or {}

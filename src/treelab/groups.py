@@ -26,7 +26,6 @@ __all__ = [
     "close_group",
     "full_automorphism_group",
     "parse_automorphisms",
-    "serialize_automorphisms",
     "pi0_operator",
     "pi1_operator",
     "edge_images",
@@ -194,10 +193,6 @@ def parse_automorphisms(tree: Tree, text: str) -> np.ndarray:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return np.array(rows, dtype=np.intp).reshape(-1, tree.n)
-
-
-def serialize_automorphisms(rows: Iterable[Sequence[int]]) -> str:
-    return "\n".join(" ".join(str(i) for i in row) for row in rows) + "\n"
 
 
 # ----------------------------------------------------------------------

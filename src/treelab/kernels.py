@@ -30,6 +30,9 @@ the tree's distance matrix through Tree.segment: every function here that
 takes vertex pairs builds that O(n^2) matrix on a tree that lacks it.
 Equivariance takes a (k, n) block of image rows, as the reps measurements
 do, and builds the cocycles it compares once for the whole block.
+cocycle_report measures Chasles at the rooted tree's origin o,
+c(x, y) = c(o, y) - c(o, x), which holds for every pair since the cocycle
+is linear in delta_x - delta_y.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .operators import (
     materialize,
     parent_edge_operator,
     resolvent_operator,
-    worst_of,
 )
 from .trees import RootedTree, Tree
 
@@ -65,7 +67,6 @@ __all__ = [
     "CocycleReport",
     "cocycle_report",
     "cocycle_equivariance_residual",
-    "chasles_residual",
 ]
 
 
@@ -189,6 +190,7 @@ class CocycleReport:
     coboundary_residual: np.ndarray
     closed_form_residual: np.ndarray
     antisymmetry_residual: np.ndarray
+    chasles_residual: np.ndarray
 
 
 def cocycle_report(rooted: RootedTree, pairs) -> CocycleReport:
@@ -197,9 +199,10 @@ def cocycle_report(rooted: RootedTree, pairs) -> CocycleReport:
 
     Reports the squared norm beside the distance it must equal, and the
     residuals of the telescoping coboundary b c(x,y) = delta_x - delta_y,
-    of antisymmetry, and of the closed form
-    c(x,y) = F (1 - P)^(-1) (delta_x - delta_y) through the resolvent at 1.
-    Each operator is built once and applied to the whole pair block.
+    of antisymmetry, of the closed form
+    c(x,y) = F (1 - P)^(-1) (delta_x - delta_y) through the resolvent at 1,
+    and of Chasles at the origin o, c(x,y) = c(o,y) - c(o,x). Each
+    operator is built once and applied to the whole pair block.
     """
     tree = rooted.tree
     pairs = tuple((int(x), int(y)) for x, y in pairs)
@@ -209,6 +212,7 @@ def cocycle_report(rooted: RootedTree, pairs) -> CocycleReport:
     deltas[xs, np.arange(len(pairs))] = 1.0
     deltas[ys, np.arange(len(pairs))] -= 1.0
     resolved = resolvent_operator(rooted, 1.0) @ deltas
+    from_origin = geodesic_cocycle(tree, [(rooted.origin, v) for v in range(tree.n)])
     return CocycleReport(
         pairs=pairs,
         distance=tree.distance_matrix()[xs, ys],
@@ -218,27 +222,24 @@ def cocycle_report(rooted: RootedTree, pairs) -> CocycleReport:
         antisymmetry_residual=_gaps(
             geodesic_cocycle(tree, [(y, x) for x, y in pairs]), -cocycles
         ),
+        chasles_residual=_gaps(from_origin[:, ys] - from_origin[:, xs], cocycles),
     )
 
 
 def cocycle_equivariance_residual(tree: Tree, images, pairs) -> np.ndarray:
     """Per image row g of the (k, n) block and vertex pair (x, y), the gap
     between c(g x, g y) and the edge action of g applied to c(x, y): a
-    (k, len(pairs)) array. Every row is checked by pi1_operator before any
-    vertex is moved along it. The cocycles are built once, for the pairs
-    and for the distinct pairs that the rows move them to, at most n^2."""
+    (k, len(pairs)) array, (0, len(pairs)) for no rows and (k, 0) for no
+    pairs. Every row is checked by pi1_operator before any vertex is moved
+    along it. The cocycles are built once, for the pairs and for the
+    distinct pairs that the rows move them to, at most n^2."""
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     cocycles = geodesic_cocycle(tree, pairs)
     actions = [pi1_operator(tree, g) for g in images]
-    moved = np.asarray(images)[:, np.asarray(pairs, dtype=np.intp)]
+    moved = np.asarray(images, dtype=np.intp).reshape(len(actions), tree.n)[:, pairs]
     keys, where = np.unique(moved[..., 0] * tree.n + moved[..., 1], return_inverse=True)
     targets = geodesic_cocycle(tree, np.stack(np.divmod(keys, tree.n), axis=1))
-    return np.array([
-        _gaps(action @ cocycles, targets[:, row])
-        for action, row in zip(actions, where.reshape(len(images), -1))
-    ])
-
-
-def chasles_residual(tree: Tree, x: int, y: int, z: int) -> float:
-    """Gap in c(x, z) = c(x, y) + c(y, z); exact when y lies on path(x, z)."""
-    xz, xy, yz = geodesic_cocycle(tree, [(x, z), (x, y), (y, z)]).T
-    return worst_of(np.abs(xz - (xy + yz)))[0]
+    gaps = np.zeros(moved.shape[:2])
+    for row, action, at in zip(gaps, actions, where.reshape(gaps.shape)):
+        row[:] = _gaps(action @ cocycles, targets[:, at])
+    return gaps

@@ -75,7 +75,6 @@ __all__ = [
     "multiplicative_defect",
     "DefectReport",
     "finite_rank_defect",
-    "BoundCertificate",
     "uniform_bound_certificate",
     "conjugation_equivalence_residual",
     "defect_identity_residual",
@@ -247,14 +246,11 @@ class DefectReport:
     rows and columns, outside the geodesic segment from the origin to its
     image. Its entry (i, g(j)) is entry (i, j) of the additive difference
     rep(g) - action(g), so the rows bound that difference's range as well.
-    segment is a (k, n) vertex mask. rank is NaN where a singular value is
-    not finite.
+    rank is NaN where a singular value is not finite.
     """
 
     displacement: np.ndarray
-    segment: np.ndarray
     rank: np.ndarray
-    defect_norm: np.ndarray
     outside_residual: np.ndarray
 
 
@@ -274,9 +270,7 @@ def finite_rank_defect(
     rank = np.count_nonzero(singular > rank_threshold, axis=1)
     return DefectReport(
         displacement=displacement(rooted, images),
-        segment=segment,
         rank=np.where(np.isfinite(singular).all(axis=1), rank, np.nan),
-        defect_norm=singular[:, 0],
         outside_residual=outside,
     )
 
@@ -286,18 +280,13 @@ def finite_rank_defect(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
-    bound: float
-    norms: np.ndarray
-
-
-def uniform_bound_certificate(z: complex, member: np.ndarray) -> BoundCertificate:
+def uniform_bound_certificate(z: complex, member: np.ndarray) -> np.ndarray:
     """Per element, the norm of member, the block's bounded stack at z
-    (dense_bounded_rep, which the caller has built), beside the bound
-    1 + 2|z|/(1-|z|) that each must meet."""
-    r = abs(check_z(z))
-    return BoundCertificate(1.0 + 2.0 * r / (1.0 - r), operator_norm(member))
+    (dense_bounded_rep, which the caller has built); each must be at most
+    1 + 2|z|/(1-|z|), which the caller takes once per z. A ValueError
+    unless |z| < 1."""
+    check_z(z)
+    return operator_norm(member)
 
 
 # ----------------------------------------------------------------------

@@ -167,14 +167,32 @@ def _wrong_distance(original):
     # d(1, 3) on star:4 read as 3, not 2, on both sides of the diagonal: the
     # cocycle block, the exp kernel and the defect segments read the wrong
     # entry, while the coboundary and closed-form residuals of
-    # cocycle-identities still read the sparse operators; the perturbed
-    # distance kernel stays conditionally negative and its decay kernels
-    # positive, so distance-cnd and decay-psd pass
+    # cocycle-identities still read the sparse operators, and its Chasles
+    # gap the cocycles from the centre; cocycle-equivariance reads only the
+    # cocycles from the centre, which the entry is off, and passes. The
+    # perturbed distance kernel stays conditionally negative and its decay
+    # kernels positive, so distance-cnd and decay-psd pass
     def patched(tree):
         d = original(tree).copy()
         d[1, 3] += 1
         d[3, 1] += 1
         return d
+
+    return patched
+
+
+def _flipped_edge_sign(original):
+    # pi1(g) with the sign of edge 0 flipped in its output for every g but
+    # the identity: still a signed permutation, no longer the edge action
+    def patched(tree, g):
+        op = original(tree, g)
+        if list(g) == list(range(tree.n)):
+            return op
+        sign = np.ones((tree.edge_count, 1))
+        sign[0] = -1.0
+        return LinearOperator(
+            op.shape, lambda w: sign * (op @ w), lambda w: op.adjoint() @ (sign * w)
+        )
 
     return patched
 
@@ -237,9 +255,12 @@ FAULTS = {
     ),
     "wrong-distance": (
         Tree, "distance_matrix", _wrong_distance,
-        {"cocycle-identities", "cocycle-equivariance", "gram-identity",
-         "defect-locality"},
+        {"cocycle-identities", "gram-identity", "defect-locality"},
         set(),
+    ),
+    # the kernels route's edge action, which only cocycle-equivariance reads
+    "flipped-edge-sign": (
+        kernels, "pi1_operator", _flipped_edge_sign, {"cocycle-equivariance"}, set(),
     ),
 }
 
@@ -248,7 +269,7 @@ FAULTS = {
 FINITE_FAULTS = {
     "flipped-member", "inverse-members", "rising-curve", "sphere-offset",
     "looping-shift", "short-series", "gram-inverse", "wrong-distance",
-    "svd-breakdown",
+    "svd-breakdown", "flipped-edge-sign",
 }
 
 
@@ -286,6 +307,16 @@ def test_injected_fault_fails_loudly(fault, monkeypatch, tmp_path, capsys):
     assert main(["report", str(tmp_path / "report.json")]) == 1
     report_out = capsys.readouterr().out
     assert report_out.count("FAIL ") == check_out.count("FAIL ") == len(failed)
+
+
+@pytest.mark.parametrize("spec", ["path:5", "regular:2,2"])
+def test_a_flipped_edge_sign_fails_only_cocycle_equivariance(spec, monkeypatch):
+    # the generators of a path's reversal and of a trivalent tree's group
+    # each catch the flipped sign on some pair from the base point
+    module, attr, wrap, failing, _ = FAULTS["flipped-edge-sign"]
+    monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    report = checks.run_check_suite(checks.SuiteConfig(spec))
+    assert {r.check for r in report.records if not r.passed} == failing
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -409,8 +440,8 @@ def test_non_finite_bounded_member_fails_certificate(monkeypatch):
     member = reps.dense_bounded_rep(
         root_at(tree, 0), full_automorphism_group(tree).images, 0.5
     )
-    cert = reps.uniform_bound_certificate(0.5, member)
-    assert not math.isfinite(worst_of(cert.norms)[0])
+    norms = reps.uniform_bound_certificate(0.5, member)
+    assert not math.isfinite(worst_of(norms)[0])
 
 
 def test_record_rule_requires_a_finite_measured_value():

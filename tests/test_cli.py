@@ -149,6 +149,21 @@ class TestCheckCommand:
         assert payload["schema"] == 1
         assert all(r["passed"] for r in payload["records"])
 
+    def test_trivial_group_checks_equivariance_on_no_generators(self, tmp_path):
+        # path:1's group is the identity alone, closed from no generators
+        assert run_cli("check", "--tree", "path:1", "--out", str(tmp_path)) == 0
+        payload = report_from_json((tmp_path / "report.json").read_text())
+        records = [r for r in payload["records"] if r["check"] == "cocycle-equivariance"]
+        assert [(r["measured"], r["passed"]) for r in records] == [(0.0, True)]
+
+    def test_uniform_bound_reads_the_modulus_of_z(self, tmp_path):
+        # 1 + 2|z|/(1 - |z|) plus the slack, at |0.3+0.4i| = 0.5
+        assert run_cli("check", "--tree", "star:4", "--t", "0.5", "--z", "0.3+0.4i",
+                       "--out", str(tmp_path)) == 0
+        payload = report_from_json((tmp_path / "report.json").read_text())
+        bounds = [r["bound"] for r in payload["records"] if r["check"] == "uniform-bound"]
+        assert bounds == [1 + 2 * 0.5 / (1 - 0.5) + 1e-8] * 2
+
     def test_impossible_tolerance_fails_with_exit_one(self, tmp_path, capsys):
         code = run_cli("check", "--tree", "star:4", "--group", "auto",
                        "--t", "0.9", "--z", "0.5",

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from treelab import kernels
 from treelab.groups import full_automorphism_group, verify_automorphism
 from treelab.kernels import (
-    chasles_residual,
     cnd_check,
     cocycle_equivariance_residual,
     cocycle_report,
@@ -261,18 +260,36 @@ class TestCocycle:
         assert report.closed_form_residual.max() <= 1e-12
 
     def test_chasles_through_a_path_vertex(self):
+        # c(x, z) = c(o, z) - c(o, x) for every base point o, on the path
+        # from x to z or off it
         tree = make_random(25, seed=11)
         x, z = 0, 24
-        for y in tree.path(x, z):
-            assert chasles_residual(tree, x, y, z) == 0.0
+        assert len(tree.path(x, z)) < tree.n  # some base points lie off it
+        for o in range(tree.n):
+            report = cocycle_report(root_at(tree, o), [(x, z), (z, x), (o, x)])
+            assert report.chasles_residual.tolist() == [0.0, 0.0, 0.0]
         rooted, g = root_at(tree, 0), verify_automorphism(tree, list(range(tree.n)))
         for y in (-1, tree.n):
-            with pytest.raises(ValueError, match="out of range"):
-                chasles_residual(tree, x, y, z)
             with pytest.raises(ValueError, match="out of range"):
                 cocycle_report(rooted, [(y, x)])
             with pytest.raises(ValueError, match="out of range"):
                 cocycle_equivariance_residual(tree, [g], [(x, y)])
+
+    def test_chasles_reads_the_origin_cocycles(self, monkeypatch):
+        # with c(o, y) doubled wherever the base point o is a pair's first
+        # vertex, Chasles at o reads the largest entry of |c(x, y)|: 1 on
+        # every pair with x != y
+        original = kernels.geodesic_cocycle
+
+        def doubled_from_origin(tree, pairs):
+            block = original(tree, pairs)
+            xs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)[:, 0]
+            return np.where(xs == 3, 2.0, 1.0) * block
+
+        monkeypatch.setattr(kernels, "geodesic_cocycle", doubled_from_origin)
+        tree = make_path(5)
+        report = cocycle_report(root_at(tree, 3), [(0, 4), (1, 1), (4, 2)])
+        assert report.chasles_residual.tolist() == [1.0, 0.0, 1.0]
 
     def test_equivariance(self):
         tree = make_star(5)
@@ -280,6 +297,17 @@ class TestCocycle:
         images = full_automorphism_group(tree).images
         gaps = cocycle_equivariance_residual(tree, images, pairs)
         assert gaps.shape == (len(images), len(pairs)) and (gaps == 0.0).all()
+
+    def test_equivariance_on_no_rows_or_no_pairs(self):
+        # a trivial group has no generators: its block has no rows
+        tree = make_star(5)
+        images = full_automorphism_group(tree).images
+        none = np.empty((0, tree.n), dtype=np.intp)
+        assert cocycle_equivariance_residual(tree, none, [(0, 1), (2, 3)]).shape == (0, 2)
+        assert cocycle_equivariance_residual(tree, images, []).shape == (len(images), 0)
+        assert cocycle_equivariance_residual(tree, [], []).shape == (0, 0)
+        with pytest.raises(ValueError):
+            cocycle_equivariance_residual(tree, [[0, 1, 2, 3, 0]], [])
 
     def test_equivariance_on_path_reversal(self):
         tree = make_path(6)

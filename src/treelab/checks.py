@@ -27,6 +27,7 @@ from .groups import (
     DEFAULT_GROUP_CAP,
     GroupClosure,
     close_group,
+    edge_images,
     full_automorphism_group,
     parse_automorphisms,
 )
@@ -39,6 +40,7 @@ from .operators import (
     format_complex,
     identity_operator,
     materialize,
+    one_minus_shift,
     operator_norm,
     origin_projection,
     parent_edge_operator,
@@ -258,13 +260,41 @@ def _max_entry(matrix: np.ndarray):
     return np.abs(matrix).max(axis=(-2, -1), initial=0.0)
 
 
-def _per_element(ctx: _Context, measure, rows=None) -> np.ndarray:
-    """measure(block) over blocks of rows (by default the closure's image
-    arrays), joined along the last axis: one value, or column, per row."""
-    rows = ctx.closure.images if rows is None else rows
+def _per_element(ctx: _Context, measure, rows: np.ndarray) -> np.ndarray:
+    """measure(block) over blocks of rows (image rows, or index pairs),
+    joined along the last axis: one value, or column, per row."""
     return np.concatenate([
         measure(rows[block]) for block in reps_mod.element_blocks(len(rows), ctx.tree.n)
     ], axis=-1)
+
+
+def _orbit_rows(ctx: _Context, rooted: RootedTree, keys) -> tuple[np.ndarray, bool]:
+    """The closure rows a family walks at the origin o, and whether they are
+    o's transversal (r_x, the first row with r_x o = x, per orbit point x, in
+    closure order): they are if each Schreier generator w = r_(s x)^-1 s r_x
+    of Stab(o), s a generator, gathers onto itself bit for bit each memoized
+    matrix M that the family reads, one per key (make, *args): pi0(w) M
+    pi0(w)^-1 == M, with pi1(w) on F's left. Exact equality composes to all
+    of Stab(o), so r_x s's member is r_x's times pi0(s). Else every row."""
+    images, o, n = ctx.closure.images, rooted.origin, ctx.tree.n
+    points, first = np.unique(images[:, o], return_index=True)
+    moved = images[list(ctx.closure.generator_indices)][:, images[first]].reshape(-1, n)
+    back = np.argsort(images[first], axis=1)[np.searchsorted(points, moved[:, o])]
+    schreier = np.take_along_axis(back, moved, axis=1)
+    schreier = schreier[(schreier != np.arange(n)).any(axis=1)]
+    for block in reps_mod.element_blocks(len(schreier), n):
+        w = schreier[block]
+        edge, sign = edge_images(ctx.tree, w)  # pi1(w): edge j to edge[j], by sign[j]
+        for make, *args in keys:  # one gather at a time, to keep the peak low
+            m = reps_mod._dense_context(rooted, make, *args)
+            left = edge if make is parent_edge_operator else w
+            gathered = m.take(left[:, :, None] * n + w[:, None, :])
+            if make is parent_edge_operator:
+                gathered *= sign[..., None]
+            if not (gathered == m).all():
+                return np.arange(len(images)), False
+    # argsort, as elsewhere: np.sort's own SIMD code would add resident pages
+    return first[np.argsort(first)], True
 
 
 def _check_shift_factorization(ctx: _Context, rooted: RootedTree) -> list[CheckRecord]:
@@ -287,12 +317,14 @@ def _check_deformation_identity(ctx: _Context, rooted: RootedTree) -> list[Check
     onto themselves, so it gathers K_t = 1 - t S + t^2 Q onto itself bit for
     bit, and an entry of the commutant, T T*[g x, g y] - T T*[x, y], is a
     difference of two entries of T T* - K_t: at most twice the product gap,
-    up to the rounding of that difference."""
+    up to the rounding of that difference. The commutant walks _orbit_rows,
+    guarded by T_t at every grid t."""
     tol = ctx.tol["identity"]
     s_q = kernels_mod.dense_s_q(ctx.tree)
-    n = ctx.tree.n
+    n, grid = ctx.tree.n, ctx.config.t_grid
+    rows, _ = _orbit_rows(ctx, rooted, [(deformation_operator, t) for t in grid])
     out = []
-    for t in ctx.config.t_grid:
+    for t in grid:
         tmat = reps_mod._dense_context(rooted, deformation_operator, t)
         prod = tmat @ tmat.T
         target = kernels_mod.deformation_kernel(s_q, t)
@@ -305,9 +337,9 @@ def _check_deformation_identity(ctx: _Context, rooted: RootedTree) -> list[Check
         # [prod, pi0(g)] holds the entries prod[g x, g y] - prod[x, y]
         worst, worst_g = worst_of(_per_element(ctx, lambda images: _max_entry(
             prod.take(images[:, :, None] * n + images[:, None, :]) - prod
-        )))
+        ), ctx.closure.images[rows]))
         out.append(_record(ctx, "deformation-commutant", rooted.origin, worst, tol,
-                           g=f"max@{worst_g}", parameter=f"t={t:g}"))
+                           g=f"max@{rows[worst_g]}", parameter=f"t={t:g}"))
     return out
 
 
@@ -403,11 +435,14 @@ def _check_bounded_family(ctx: _Context, rooted: RootedTree) -> list[CheckRecord
     the same bound, since the predicted defect z R(z) (P - P') is exactly 0
     off segment x segment (P - P' has nonzero columns only on the segment,
     and R(z) moves a vertex only to its ancestors, which lie on it); only
-    defect-locality checks Tree.segment, read off D, against the shift."""
+    defect-locality checks Tree.segment, read off D, against the shift.
+    The walk runs on _orbit_rows."""
     tol_loc, tol_rank = ctx.tol["unitarity"], ctx.tol["rank"]
     out = []
     for z in ctx.config.z_grid:
         ptxt = f"z={format_complex(z)}"
+        rows, _ = _orbit_rows(ctx, rooted, [
+            (resolvent_operator, z), (one_minus_shift, z), (parent_shift_operator,)])
 
         def measure(images):
             member = reps_mod.dense_bounded_rep(rooted, images, z)
@@ -420,16 +455,16 @@ def _check_bounded_family(ctx: _Context, rooted: RootedTree) -> list[CheckRecord
             cross = reps_mod.defect_identity_residual(rooted, images, z, defect)
             return rep.outside_residual, excess, cross, norms
 
-        *rows, norms = _per_element(ctx, measure)
+        *defects, norms = _per_element(ctx, measure, ctx.closure.images[rows])
         names = ("defect-locality", "defect-rank", "defect-identity")
-        for name, row, bound in zip(names, rows, (tol_loc, 0.0, tol_loc)):
+        for name, row, bound in zip(names, defects, (tol_loc, 0.0, tol_loc)):
             out.append(_record(ctx, name, rooted.origin, worst_of(row)[0], bound,
                                parameter=ptxt))
         max_norm, argmax = worst_of(norms)
         r = abs(z)
         bound = 1.0 + 2.0 * r / (1.0 - r) + ctx.tol["bound_slack"]
         out.append(_record(ctx, "uniform-bound", rooted.origin, max_norm, bound,
-                           g=f"max@{argmax}", parameter=ptxt))
+                           g=f"max@{rows[argmax]}", parameter=ptxt))
     return out
 
 
@@ -459,18 +494,23 @@ def _approaches_limit(
 
 def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
     """Every measurement of the unitary family at one origin, from one walk
-    that builds each member once per element block and t: the grid values,
-    then the extras that endpoint-start and limit-monotone need. The grid
-    steps are divided by bounds taken first, and each block is reduced by
-    worst_of as it ends, so no per-element row outlives it; homomorphism's
-    pairs come last. Each record name maps to its worst value (unitarity
-    and conjugation-equivalence to one per grid t; limit-monotone to the
-    number of broken curves). The steps' origin-free norms are the first
-    walk's, on ctx. The origin's memoized matrices outlive it:
-    run_check_suite drops them once every check of that origin has run."""
+    over _orbit_rows that builds each member once per element block and t:
+    the grid values, then the extras that endpoint-start and limit-monotone
+    need. Grid steps are divided by bounds taken first (their origin-free
+    norms kept on ctx), each block is reduced by worst_of as it ends, and
+    homomorphism's pairs come last. Each record name maps to its worst value
+    (unitarity and conjugation-equivalence to one per grid t; limit-monotone
+    to the number of broken curves, each counted |G|/len(rows) times). The
+    origin's memoized matrices outlive the walk, until run_check_suite
+    drops them."""
     tol_u = ctx.tol["unitarity"]
     grid, n = ctx.config.t_grid, ctx.tree.n
     extra = [t for t in (0.0, *MONOTONE_T_VALUES) if t not in grid]
+    keys = [(make, t) for make in (deformation_operator, deformation_inverse)
+            for t in (*grid, *extra)]
+    keys += [(make, t) for make in (resolvent_operator, one_minus_shift) for t in grid]
+    rows, orbit = _orbit_rows(ctx, rooted, [
+        *keys, (origin_projection,), (parent_edge_operator,)])
     bounds = np.reshape([reps_mod.unitary_step_bound(rooted, a, b, 1.0 + tol_u,
                          ctx.step_norms) for a, b in zip(grid, grid[1:])], (-1, 1))
 
@@ -496,23 +536,34 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
             sphere = np.maximum(sphere, reps_mod.origin_sphere_residual(rooted, member))
         values = np.stack([to_limit[t] for t in MONOTONE_T_VALUES], axis=1)
         broken = ~_approaches_limit(rooted, images, values, tol_u)
-        rows = (*unitary, *equiv, start, sphere, np.divide(steps, bounds))
-        return np.array([[worst_of(row)[0] for row in rows] + [broken.sum()]]).T
+        per_row = (*unitary, *equiv, start, sphere, np.divide(steps, bounds))
+        return np.array([[worst_of(row)[0] for row in per_row] + [broken.sum()]]).T
 
-    blocks, k, images = _per_element(ctx, measure), len(grid), ctx.closure.images
+    images, k, o = ctx.closure.images, len(grid), rooted.origin
+    blocks = _per_element(ctx, measure, images[rows])
     worst = [worst_of(row)[0] for row in blocks[:-1]]
-    pairs = _pair_sample(len(images), HOMOMORPHISM_PAIR_CAP, ctx.config.seed)
-    hom = _per_element(ctx, lambda pair: reps_mod.homomorphism_residual(
-        lambda block: reps_mod.dense_unitary_rep(rooted, block, 0.7),
-        images[pair[:, 0]], images[pair[:, 1]],
-    ), pairs)
+    # the transversal's every pair: r_x r_y = r_z s with s in Stab(o), so A_x A_y
+    # against A_z pi0(s), A = rho_0.7, covers G x G; else a seeded sample of it
+    pairs = _pair_sample(len(rows), len(rows) ** 2 if orbit else HOMOMORPHISM_PAIR_CAP,
+                         ctx.config.seed)
+    representative = np.zeros(n, dtype=np.intp)
+    representative[images[rows, o]] = rows  # r_x's closure row, per orbit point x
+
+    def law(pair):
+        g, h = images[rows[pair.T]]
+        gho = np.take_along_axis(g, h[:, [o]], axis=1)[:, 0]  # g h o
+        z = images[representative[gho]] if orbit else None
+        return reps_mod.homomorphism_residual(
+            lambda block: reps_mod.dense_unitary_rep(rooted, block, 0.7), g, h, z)
+
+    hom = _per_element(ctx, law, pairs)
     return {
         "unitarity": worst[:k],
         "conjugation-equivalence": worst[k:2 * k],
         "homomorphism": worst_of(hom)[0],
         "endpoint-start": worst[2 * k],
         "origin-sphere": worst[2 * k + 1],
-        "limit-monotone": blocks[-1].sum(),
+        "limit-monotone": blocks[-1].sum() * (len(images) // len(rows)),
         "grid-lipschitz": worst[2 * k + 2],
     }
 
@@ -582,9 +633,10 @@ def _check_kernels(ctx: _Context) -> list[CheckRecord]:
 def _check_cocycles(ctx: _Context) -> list[CheckRecord]:
     """cocycle-identities on the seeded pair sample, Chasles at the origin
     o, c(x, y) = c(o, y) - c(o, x), among them; cocycle-equivariance on the
-    group's generators and the pairs (o, y). Chasles carries equivariance
-    from those pairs to every pair, and the edge action, a homomorphism,
-    from the generators to every element."""
+    group's generators and the pairs (o, y), whose cocycles cocycle_report
+    has built. Chasles carries equivariance from those pairs to every pair,
+    and the edge action, a homomorphism, from the generators to every
+    element."""
     tol = ctx.tol["identity"]
     tree = ctx.tree
     rooted = ctx.rooted_list[0]
@@ -601,7 +653,8 @@ def _check_cocycles(ctx: _Context) -> list[CheckRecord]:
 
     generators = ctx.closure.images[list(ctx.closure.generator_indices)]
     base = [(rooted.origin, y) for y in range(tree.n)]
-    gaps = kernels_mod.cocycle_equivariance_residual(tree, generators, base)
+    gaps = kernels_mod.cocycle_equivariance_residual(tree, generators, base,
+                                                     rep.from_origin)
     out.append(
         _record(ctx, "cocycle-equivariance", rooted.origin, worst_of(gaps)[0], tol)
     )

@@ -191,6 +191,7 @@ class CocycleReport:
     closed_form_residual: np.ndarray
     antisymmetry_residual: np.ndarray
     chasles_residual: np.ndarray
+    from_origin: np.ndarray  # (edge_count, n): c(o, y) for every vertex y
 
 
 def cocycle_report(rooted: RootedTree, pairs) -> CocycleReport:
@@ -223,18 +224,20 @@ def cocycle_report(rooted: RootedTree, pairs) -> CocycleReport:
             geodesic_cocycle(tree, [(y, x) for x, y in pairs]), -cocycles
         ),
         chasles_residual=_gaps(from_origin[:, ys] - from_origin[:, xs], cocycles),
+        from_origin=from_origin,
     )
 
 
-def cocycle_equivariance_residual(tree: Tree, images, pairs) -> np.ndarray:
+def cocycle_equivariance_residual(tree: Tree, images, pairs, cocycles=None) -> np.ndarray:
     """Per image row g of the (k, n) block and vertex pair (x, y), the gap
     between c(g x, g y) and the edge action of g applied to c(x, y): a
     (k, len(pairs)) array, (0, len(pairs)) for no rows and (k, 0) for no
     pairs. Every row is checked by pi1_operator before any vertex is moved
-    along it. The cocycles are built once, for the pairs and for the
-    distinct pairs that the rows move them to, at most n^2."""
+    along it. The cocycles are built once: those of the pairs, unless the
+    caller passes their geodesic_cocycle block as cocycles, and those of
+    the distinct pairs that the rows move them to, at most n^2."""
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    cocycles = geodesic_cocycle(tree, pairs)
+    cocycles = geodesic_cocycle(tree, pairs) if cocycles is None else cocycles
     actions = [pi1_operator(tree, g) for g in images]
     moved = np.asarray(images, dtype=np.intp).reshape(len(actions), tree.n)[:, pairs]
     keys, where = np.unique(moved[..., 0] * tree.n + moved[..., 1], return_inverse=True)

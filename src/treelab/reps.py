@@ -332,14 +332,19 @@ def defect_identity_residual(
 
 
 def homomorphism_residual(
-    rep, g_images: np.ndarray, h_images: np.ndarray
+    rep, g_images: np.ndarray, h_images: np.ndarray, z_images: np.ndarray | None = None
 ) -> np.ndarray:
     """Per pair (g, h) of rows of the two blocks, the entrywise gap between
-    rep(g h) and rep(g) rep(h), where rep maps a (k, n) image block to the
-    (k, n, n) stack of its members: dense_unitary_rep at one rooted tree
-    and t, say."""
+    rep(g) rep(h) and rep(z) pi0(z^-1 g h), where rep maps a (k, n) image
+    block to the (k, n, n) stack of its members: dense_unitary_rep at one
+    rooted tree and t, say. z, a row of z_images, is g h itself by default,
+    so the gap is that of rep(g h); the orbit path passes the representative
+    of g h's coset of Stab(o), whose elements s have rep(s) = pi0(s)."""
     gh = np.take_along_axis(g_images, h_images, axis=1)  # g(h(x))
-    return np.abs(rep(gh) - rep(g_images) @ rep(h_images)).max(axis=(1, 2))
+    z = gh if z_images is None else z_images
+    s = np.take_along_axis(np.argsort(z, axis=1), gh, axis=1)  # z^-1 g h
+    product = np.take_along_axis(rep(z), s[:, None, :], axis=2)
+    return np.abs(product - rep(g_images) @ rep(h_images)).max(axis=(1, 2))
 
 
 def homotopy_curve(

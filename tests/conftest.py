@@ -31,6 +31,21 @@ def origin_pair(tree: Tree) -> tuple[int, ...]:
     return (0,) if tree.n == 1 else (0, tree.n - 1)
 
 
+def transversal(images: np.ndarray, origin: int) -> np.ndarray:
+    """The closure rows that the orbit path walks at origin: the first row
+    that moves origin to x, for each orbit point x, in closure order."""
+    return np.sort(np.unique(images[:, origin], return_index=True)[1])
+
+
+def force_fallback(monkeypatch) -> None:
+    """Have every family walk every closure row, as if each of its stabilizer
+    guards (checks._orbit_rows) had failed."""
+    from treelab import checks
+
+    monkeypatch.setattr(checks, "_orbit_rows", lambda ctx, rooted, keys: (
+        np.arange(len(ctx.closure)), False))
+
+
 @pytest.fixture(scope="session")
 def family_corpus() -> list[tuple[str, Tree]]:
     return _family_corpus()

@@ -19,6 +19,8 @@ from treelab.groups import full_automorphism_group
 from treelab.operators import LinearOperator, worst_of
 from treelab.trees import Tree, make_path, make_star, root_at, tree_from_spec
 
+from conftest import force_fallback, transversal
+
 
 def _nan_unitary_at_half(original):
     def patched(rooted, images, t):
@@ -60,11 +62,13 @@ def _inf_bounded(original):
 
 
 def _flip_one_member(original):
-    # -rho is unitary too, but it lies about 2 away from its grid neighbours
+    # -rho is unitary too, but it lies about 2 away from its grid neighbours;
+    # the swap of leaves 2 and 3 is the representative of orbit point 2 at
+    # the leaf origin 3, so the orbit path builds it
     def patched(rooted, images, t):
         stack = original(rooted, images, t)
         if t == 0.5:
-            flip = (images == (0, 2, 1, 3)).all(axis=1)
+            flip = (images == (0, 1, 3, 2)).all(axis=1)
             stack = np.where(flip[:, None, None], -stack, stack)
         return stack
 
@@ -73,18 +77,22 @@ def _flip_one_member(original):
 
 def _inverse_members(original):
     # each unitary member built from g^-1: an anti-homomorphism, which the
-    # homomorphism law catches on the non-abelian group of star:4
+    # homomorphism law catches on the non-abelian group of star:5. At the
+    # leaf origin 4 the representatives' inverses move it elsewhere, and
+    # some of their curves stop falling
     def patched(rooted, images, t):
         return original(rooted, np.argsort(images, axis=1), t)
 
     return patched
 
 
-def _breaks_curve(images) -> np.ndarray:
-    # on star:4 two elements fix leaf 1: the identity and the swap of leaves
-    # 2 and 3; at the leaf origin 3 the first fixes the origin and the second
-    # moves it, so both branches of the rule are broken
-    return images[:, 1] == 1
+def _breaks_curve(rooted, images) -> np.ndarray:
+    # the elements that do not move the origin to leaf 1: a function of the
+    # coset g Stab(o), as a fault on the orbit path's representatives must
+    # be. On star:4 that is all 6 at the centre, and at the leaf origin 3
+    # the 4 that move it to 3 (d = 0) or to 2 (d = 2): both branches of the
+    # rule are broken
+    return images[:, rooted.origin] != 1
 
 
 def _rising_curve(original):
@@ -92,7 +100,8 @@ def _rising_curve(original):
     # them, rise along MONOTONE_T_VALUES for the elements _breaks_curve picks
     def patched(rooted, images, values, tol):
         values = values.copy()
-        values[_breaks_curve(images)] = 1.0 + np.asarray(checks.MONOTONE_T_VALUES)
+        rising = 1.0 + np.asarray(checks.MONOTONE_T_VALUES)
+        values[_breaks_curve(rooted, images)] = rising
         return original(rooted, images, values, tol)
 
     return patched
@@ -265,6 +274,9 @@ FAULTS = {
 }
 
 
+# the tree a fault runs on, where it is not star:4
+FAULT_TREES = {"inverse-members": "star:5"}
+
 # faults that plant no NaN or inf: each fails exactly the records it names
 FINITE_FAULTS = {
     "flipped-member", "inverse-members", "rising-curve", "sphere-offset",
@@ -283,7 +295,8 @@ def test_injected_fault_fails_loudly(fault, monkeypatch, tmp_path, capsys):
     module, attr, wrap, failing, broken = FAULTS[fault]
     monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
 
-    assert main(["check", "--tree", "star:4", "--out", str(tmp_path)]) == 1
+    tree = FAULT_TREES.get(fault, "star:4")
+    assert main(["check", "--tree", tree, "--out", str(tmp_path)]) == 1
     check_out = capsys.readouterr().out
     text = (tmp_path / "report.json").read_text()
     report = json.loads(text, parse_constant=_reject_constant)
@@ -463,24 +476,47 @@ def test_gaps_keep_a_nan_entry():
 
 
 def test_limit_monotone_counts_the_broken_curves(monkeypatch, tmp_path):
+    # the orbit path walks 1 and 3 representatives; weighted by |Stab(o)|,
+    # their broken curves count the elements of the group
     monkeypatch.setattr(
         checks, "_approaches_limit", _rising_curve(checks._approaches_limit)
     )
     tree = make_star(4)
-    broken = int(_breaks_curve(full_automorphism_group(tree).images).sum())
-    assert 0 < broken < 6
+    images = full_automorphism_group(tree).images
+    broken = [int(_breaks_curve(root_at(tree, o), images).sum()) for o in (0, 3)]
+    assert broken == [6, 4]
 
     assert main(["check", "--tree", "star:4", "--out", str(tmp_path)]) == 1
     report = json.loads((tmp_path / "report.json").read_text())
     records = [r for r in report["records"] if r["check"] == "limit-monotone"]
     assert [r["origin"] for r in records] == [0, 3]
-    for r in records:
-        assert r["measured"] == broken and r["bound"] == 0.0
+    for r, count in zip(records, broken):
+        assert r["measured"] == count and r["bound"] == 0.0
         assert r["passed"] is False
     # the rising curve is not fed to any other check
     assert {r["check"] for r in report["records"] if not r["passed"]} == {
         "limit-monotone"
     }
+
+
+@pytest.mark.parametrize("spec", ["star:4", "star:7", "regular:2,2"])
+def test_limit_monotone_weights_each_representative_by_its_stabilizer(
+    monkeypatch, spec
+):
+    # the orbit path counts a broken curve |G|/|G.o| times: the count of
+    # broken elements that the fallback, which walks every row, takes
+    monkeypatch.setattr(
+        checks, "_approaches_limit", _rising_curve(checks._approaches_limit)
+    )
+
+    def counts():
+        report = checks.run_check_suite(checks.SuiteConfig(spec))
+        return [r.measured for r in report.records if r.check == "limit-monotone"]
+
+    orbit = counts()
+    assert all(count > 0 for count in orbit)
+    force_fallback(monkeypatch)
+    assert counts() == orbit
 
 
 def test_limit_distances_equal_the_homotopy_curve(monkeypatch):
@@ -497,8 +533,9 @@ def test_limit_distances_equal_the_homotopy_curve(monkeypatch):
     checks.run_check_suite(checks.SuiteConfig("star:4"))
 
     assert [rooted.origin for rooted, _, _ in seen] == [0, 3]
+    group = full_automorphism_group(make_star(4)).images
     for rooted, images, values in seen:
-        assert len(images) == 6
+        assert np.array_equal(images, group[transversal(group, rooted.origin)])
         curve = reps.homotopy_curve(rooted, images, checks.MONOTONE_T_VALUES)[0]
         assert np.array_equal(values, curve)
 

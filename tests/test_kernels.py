@@ -298,6 +298,20 @@ class TestCocycle:
         gaps = cocycle_equivariance_residual(tree, images, pairs)
         assert gaps.shape == (len(images), len(pairs)) and (gaps == 0.0).all()
 
+    def test_equivariance_reads_the_cocycles_it_is_given(self):
+        # the report's block of c(o, y) is the cocycles of the pairs (o, y):
+        # passed in, it gives the same gaps; a wrong block shows in them
+        tree = make_star(5)
+        rooted = root_at(tree, 4)
+        base = [(4, y) for y in range(tree.n)]
+        from_origin = cocycle_report(rooted, [(0, 1)]).from_origin
+        assert np.array_equal(from_origin, geodesic_cocycle(tree, base))
+        images = full_automorphism_group(tree).images
+        gaps = cocycle_equivariance_residual(tree, images, base, from_origin)
+        assert np.array_equal(gaps, cocycle_equivariance_residual(tree, images, base))
+        wrong = cocycle_equivariance_residual(tree, images, base, 2.0 * from_origin)
+        assert (wrong.max(axis=1) == 1.0).all()
+
     def test_equivariance_on_no_rows_or_no_pairs(self):
         # a trivial group has no generators: its block has no rows
         tree = make_star(5)

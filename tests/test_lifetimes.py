@@ -20,6 +20,8 @@ from treelab.groups import full_automorphism_group
 from treelab.operators import deformation_operator, resolvent_operator
 from treelab.trees import make_path, make_star, root_at
 
+from conftest import transversal
+
 
 def _run_suite(monkeypatch, spec):
     """Run the suite on spec with the cycle collector off; whether each of
@@ -142,6 +144,17 @@ def test_the_report_keeps_the_registry_order():
     assert [[r.check, role[r.origin], r.parameter] for r in report.records] == template
 
 
+def _orbit_blocks():
+    """Per origin of star:4, the element blocks of the rows that the orbit
+    path walks there, as bytes: the transversals of 1 and 3 rows."""
+    images = full_automorphism_group(make_star(4)).images
+    out = []
+    for o in (0, 3):
+        rows = images[transversal(images, o)]
+        out.append((o, [rows[b].tobytes() for b in reps.element_blocks(len(rows), 4)]))
+    return out
+
+
 def test_the_walk_builds_each_unitary_member_once(monkeypatch):
     # outside the homomorphism pairs at t = 0.7, each origin and t is built
     # once per element block: the grid, then the extra monotone value
@@ -164,11 +177,9 @@ def test_the_walk_builds_each_unitary_member_once(monkeypatch):
     monkeypatch.setattr(reps, "homomorphism_residual", homomorphism_residual)
     assert checks.run_check_suite(checks.SuiteConfig("star:4")).aggregate_pass
 
-    images = full_automorphism_group(make_star(4)).images
-    blocks = [images[b].tobytes() for b in reps.element_blocks(len(images), 4)]
     ts = {*checks.DEFAULT_T_GRID, *checks.MONOTONE_T_VALUES}
     assert len(ts) == len(checks.DEFAULT_T_GRID) + 1
-    expected = [(o, t, b) for o in (0, 3) for t in ts for b in blocks]
+    expected = [(o, t, b) for o, blocks in _orbit_blocks() for t in ts for b in blocks]
     assert sorted(builds) == sorted(expected)
 
 
@@ -199,11 +210,10 @@ def test_the_walk_builds_each_bounded_member_once(monkeypatch):
     monkeypatch.setattr(reps, "STACK_BYTES", 2 * 16 * 4 * 4)  # two elements a block
     assert checks.run_check_suite(checks.SuiteConfig("star:4")).aggregate_pass
 
-    images = full_automorphism_group(make_star(4)).images
-    blocks = [images[b].tobytes() for b in reps.element_blocks(len(images), 4)]
-    assert len(blocks) == 3
+    origins = _orbit_blocks()
+    assert [len(blocks) for _, blocks in origins] == [1, 2]
     zs = checks.DEFAULT_Z_GRID
-    expected = [(o, z, b) for o in (0, 3) for z in zs for b in blocks]
+    expected = [(o, z, b) for o, blocks in origins for z in zs for b in blocks]
     assert sorted(builds) == sorted(expected)
 
 

@@ -220,7 +220,10 @@ class _Context:
     adjoint_rng: np.random.Generator  # one stream for both origins, in order
     # origin -> unitary-family's walk there, which limit-family reads
     walks: dict[int, dict] = field(default_factory=dict)
-    step_norms: dict = field(default_factory=dict)  # unitary_step_bound's tree_norms
+    # unitary_step_bound's tree_norms, the root-free ||U|| and ||U^-1|| per step
+    step_norms: dict = field(default_factory=dict)
+    # (orbit of the origin, by its least vertex, a, b) -> the step's bound
+    step_bounds: dict = field(default_factory=dict)
 
     @property
     def label(self) -> str:
@@ -496,9 +499,11 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
     """Every measurement of the unitary family at one origin, from one walk
     over _orbit_rows that builds each member once per element block and t:
     the grid values, then the extras that endpoint-start and limit-monotone
-    need. Grid steps are divided by bounds taken first (their origin-free
-    norms kept on ctx), each block is reduced by worst_of as it ends, and
-    homomorphism's pairs come last. Each record name maps to its worst value
+    need. Each block is reduced by worst_of as it ends, and homomorphism's
+    pairs come last. Each grid step's worst norm is divided by its bound
+    after the walk, exact for a positive bound. A step of exactly 0 needs no
+    bound; an orbit of origins, whose T_t are permutation conjugates, shares
+    one set. Each record name maps to its worst value
     (unitarity and conjugation-equivalence to one per grid t; limit-monotone
     to the number of broken curves, each counted |G|/len(rows) times). The
     origin's memoized matrices outlive the walk, until run_check_suite
@@ -511,8 +516,6 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
     keys += [(make, t) for make in (resolvent_operator, one_minus_shift) for t in grid]
     rows, orbit = _orbit_rows(ctx, rooted, [
         *keys, (origin_projection,), (parent_edge_operator,)])
-    bounds = np.reshape([reps_mod.unitary_step_bound(rooted, a, b, 1.0 + tol_u,
-                         ctx.step_norms) for a, b in zip(grid, grid[1:])], (-1, 1))
 
     def measure(images):
         limit = reps_mod.dense_limit_rep(rooted, images)
@@ -536,7 +539,7 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
             sphere = np.maximum(sphere, reps_mod.origin_sphere_residual(rooted, member))
         values = np.stack([to_limit[t] for t in MONOTONE_T_VALUES], axis=1)
         broken = ~_approaches_limit(rooted, images, values, tol_u)
-        per_row = (*unitary, *equiv, start, sphere, np.divide(steps, bounds))
+        per_row = (*unitary, *equiv, start, sphere, *steps)
         return np.array([[worst_of(row)[0] for row in per_row] + [broken.sum()]]).T
 
     images, k, o = ctx.closure.images, len(grid), rooted.origin
@@ -557,6 +560,13 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
             lambda block: reps_mod.dense_unitary_rep(rooted, block, 0.7), g, h, z)
 
     hom = _per_element(ctx, law, pairs)
+    lipschitz = []
+    for step, a, b in zip(worst[2 * k + 2:], grid, grid[1:]):
+        key = (images[:, o].min(), a, b)  # one set of bounds per orbit of origins
+        if step != 0.0 and key not in ctx.step_bounds:
+            ctx.step_bounds[key] = reps_mod.unitary_step_bound(
+                rooted, a, b, 1.0 + tol_u, ctx.step_norms)
+        lipschitz.append(step and step / ctx.step_bounds[key])  # 0 needs none
     return {
         "unitarity": worst[:k],
         "conjugation-equivalence": worst[k:2 * k],
@@ -564,7 +574,7 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
         "endpoint-start": worst[2 * k],
         "origin-sphere": worst[2 * k + 1],
         "limit-monotone": blocks[-1].sum() * (len(images) // len(rows)),
-        "grid-lipschitz": worst[2 * k + 2],
+        "grid-lipschitz": worst_of(lipschitz)[0],
     }
 
 

@@ -424,6 +424,21 @@ def test_wrong_inverse_fails_deformation_product_where_members_are_permutations(
     assert not any(r.passed for r in report.records if r.check == "deformation-product")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_member_fails_grid_lipschitz_where_members_are_permutations(
+    monkeypatch,
+):
+    # every member of random:5,3 is pi0(g) exactly, so each step of a finite
+    # walk is exactly 0 and needs no bound; a NaN step is a step, not 0, so
+    # it takes its bound and stays NaN over it at both origins
+    module, attr, wrap, _, _ = FAULTS["unitary-nan"]
+    monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    report = checks.run_check_suite(checks.SuiteConfig("random:5,3"))
+    lipschitz = [r for r in report.records if r.check == "grid-lipschitz"]
+    assert [r.origin for r in lipschitz if not r.passed] == [0, 4]
+    assert all(math.isnan(r.measured) for r in lipschitz)
+
+
 def test_wrong_inverse_reaches_the_members_where_the_group_moves_the_origin(
     monkeypatch,
 ):

@@ -2,7 +2,8 @@
 one representative per point of the origin's orbit, r_x, the first closure
 row that moves the origin to x, when an exact stabilizer guard holds, and
 every closure row when it does not. Both paths give the same verdicts, and
-their measurements agree to rounding."""
+their measurements agree to rounding. grid-lipschitz takes its step bounds
+only where a step moves, once per orbit of origins."""
 
 import importlib.util
 from pathlib import Path
@@ -13,7 +14,12 @@ import pytest
 
 from treelab import checks, reps
 from treelab.groups import full_automorphism_group
-from treelab.operators import deformation_operator, parent_edge_operator
+from treelab.operators import (
+    deformation_operator,
+    operator_norm,
+    parent_edge_operator,
+    worst_of,
+)
 from treelab.trees import make_regular, make_star, root_at, tree_from_spec
 
 from conftest import force_fallback, transversal
@@ -175,3 +181,80 @@ def test_a_product_against_another_coset_fails_the_law():
     other = [row for row in images[rows] if row[3] != gh[0, 3]]
     assert reps.homomorphism_residual(rep, g, h, np.array(z)).max() <= 1e-15
     assert reps.homomorphism_residual(rep, g, h, np.array(other[:1])).max() > 0.1
+
+
+def _count_step_bounds(monkeypatch) -> list:
+    """The (origin, a, b) of every reps.unitary_step_bound call."""
+    calls = []
+
+    def counting(rooted, a, b, *args):
+        calls.append((rooted.origin, a, b))
+        return original(rooted, a, b, *args)
+
+    original = reps.unitary_step_bound
+    monkeypatch.setattr(reps, "unitary_step_bound", counting)
+    return calls
+
+
+def test_a_walk_on_the_identity_alone_takes_no_step_bound(monkeypatch):
+    # every element of random:5,3 fixes both origins: each step reads exactly
+    # 0, over any positive bound
+    calls = _count_step_bounds(monkeypatch)
+    report = checks.run_check_suite(checks.SuiteConfig("random:5,3"))
+    assert calls == []
+    lipschitz = [r for r in report.records if r.check == "grid-lipschitz"]
+    assert [(r.origin, r.measured, r.passed) for r in lipschitz] == [
+        (0, 0.0, True), (4, 0.0, True)]
+
+
+@pytest.mark.parametrize("spec,origin", [
+    # the reflection maps origin 0 to 11: one orbit, one set of bounds
+    ("path:12", 0),
+    # the group fixes the centre 0 and moves the leaf origin 6
+    ("star:7", 6),
+])
+def test_one_set_of_step_bounds_per_orbit_of_origins(monkeypatch, spec, origin):
+    calls = _count_step_bounds(monkeypatch)
+    grid = checks.DEFAULT_T_GRID
+    checks.run_check_suite(checks.SuiteConfig(spec))
+    assert calls == [(origin, a, b) for a, b in zip(grid, grid[1:])]
+
+
+def _eager_lipschitz(spec: str) -> dict[int, float]:
+    """grid-lipschitz per origin as computed before the walk kept raw steps:
+    every step bound at every origin, taken first, with the root-free norms
+    shared from origin 0, and each step divided before it is reduced. The
+    members are built on the transversal, in the walk's blocks."""
+    tree = tree_from_spec(spec)
+    images = full_automorphism_group(tree).images
+    member_norm = 1.0 + checks.TOLERANCES["unitarity"]
+    grid, shared, out = checks.DEFAULT_T_GRID, {}, {}
+    for origin in (0, tree.n - 1):
+        rooted = root_at(tree, origin)
+        bounds = [reps.unitary_step_bound(rooted, a, b, member_norm, shared)
+                  for a, b in zip(grid, grid[1:])]
+        rows = images[transversal(images, origin)]
+        ratios = []
+        for block in reps.element_blocks(len(rows), tree.n):
+            members = [reps.dense_unitary_rep(rooted, rows[block], t) for t in grid]
+            ratios += [operator_norm(b - a) / bound
+                       for a, b, bound in zip(members, members[1:], bounds)]
+        out[origin] = worst_of(np.concatenate(ratios))[0]
+    return out
+
+
+@pytest.mark.parametrize("spec", ["star:7", "regular:2,2", "path:12", "random:12,3"])
+def test_grid_lipschitz_equals_the_eager_bounds(spec):
+    # bit for bit at origin 0, which takes the bounds first where it needs
+    # any; at the last origin the root-free norms, or the whole bound, may
+    # come from the other origin, which is a permutation conjugate of it
+    eager = _eager_lipschitz(spec)
+    assert 0.0 < max(eager.values()) <= 1.0
+    report = checks.run_check_suite(checks.SuiteConfig(spec))
+    records = [r for r in report.records if r.check == "grid-lipschitz"]
+    assert [r.origin for r in records] == list(eager)
+    for r in records:
+        if r.origin == 0:
+            assert r.measured == eager[0]
+        else:
+            assert abs(r.measured - eager[r.origin]) <= 1e-15

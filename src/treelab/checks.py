@@ -321,11 +321,13 @@ def _check_deformation_identity(ctx: _Context, rooted: RootedTree) -> list[Check
     bit, and an entry of the commutant, T T*[g x, g y] - T T*[x, y], is a
     difference of two entries of T T* - K_t: at most twice the product gap,
     up to the rounding of that difference. The commutant walks _orbit_rows,
-    guarded by T_t at every grid t."""
+    guarded by 1 - tP at every grid t, with one gather index for every t."""
     tol = ctx.tol["identity"]
     s_q = kernels_mod.dense_s_q(ctx.tree)
     n, grid = ctx.tree.n, ctx.config.t_grid
-    rows, _ = _orbit_rows(ctx, rooted, [(deformation_operator, t) for t in grid])
+    rows, _ = _orbit_rows(ctx, rooted, [(one_minus_shift, t) for t in grid])
+    images = ctx.closure.images[rows]
+    index = images[:, :, None] * n + images[:, None, :]  # (g x, g y) per row
     out = []
     for t in grid:
         tmat = reps_mod._dense_context(rooted, deformation_operator, t)
@@ -338,9 +340,8 @@ def _check_deformation_identity(ctx: _Context, rooted: RootedTree) -> list[Check
         out.append(_record(ctx, "deformation-product", rooted.origin, gap, tol,
                            parameter=f"t={t:g}"))
         # [prod, pi0(g)] holds the entries prod[g x, g y] - prod[x, y]
-        worst, worst_g = worst_of(_per_element(ctx, lambda images: _max_entry(
-            prod.take(images[:, :, None] * n + images[:, None, :]) - prod
-        ), ctx.closure.images[rows]))
+        worst, worst_g = worst_of(_per_element(
+            ctx, lambda block: _max_entry(prod.take(block) - prod), index))
         out.append(_record(ctx, "deformation-commutant", rooted.origin, worst, tol,
                            g=f"max@{rows[worst_g]}", parameter=f"t={t:g}"))
     return out
@@ -495,6 +496,12 @@ def _approaches_limit(
     return np.where(d == 0, (values <= tol).all(axis=1), falling)
 
 
+def _extra_ts(grid) -> list[float]:
+    """The t beyond the grid at which endpoint-start and limit-monotone read
+    the unitary members."""
+    return [t for t in (0.0, *MONOTONE_T_VALUES) if t not in grid]
+
+
 def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
     """Every measurement of the unitary family at one origin, from one walk
     over _orbit_rows that builds each member once per element block and t:
@@ -510,10 +517,9 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
     drops them."""
     tol_u = ctx.tol["unitarity"]
     grid, n = ctx.config.t_grid, ctx.tree.n
-    extra = [t for t in (0.0, *MONOTONE_T_VALUES) if t not in grid]
-    keys = [(make, t) for make in (deformation_operator, deformation_inverse)
+    extra = _extra_ts(grid)
+    keys = [(make, t) for make in (one_minus_shift, resolvent_operator)
             for t in (*grid, *extra)]
-    keys += [(make, t) for make in (resolvent_operator, one_minus_shift) for t in grid]
     rows, orbit = _orbit_rows(ctx, rooted, [
         *keys, (origin_projection,), (parent_edge_operator,)])
 
@@ -731,9 +737,13 @@ def run_check_suite(config: SuiteConfig) -> SuiteReport:
 
     total_start = time.perf_counter()
     runs = [(name, fn(ctx)) for name, fn in _CHECKS[:_ROOTED_CHECKS]]
+    # every real R that the rooted checks read: at the grid and extra t, and z
+    real = [*config.t_grid, *_extra_ts(config.t_grid),
+            *(complex(z).real for z in config.z_grid if not complex(z).imag)]
     # origin-major: every rooted check of one origin, then free its matrices,
     # so no two origins' matrices are ever held at once
     for i, rooted in enumerate(ctx.rooted_list):
+        reps_mod._dense_context.sweep(rooted, real)  # one level sweep
         for name, per_origin in runs:
             run(name, per_origin[i])
         reps_mod._dense_context.memos.pop(rooted, None)

@@ -49,6 +49,7 @@ __all__ = [
     "inverse_rescale",
     "resolvent_apply",
     "resolvent_operator",
+    "level_sweep",
     "parent_edge_operator",
     "coboundary_operator",
     "NAMED_OPERATORS",
@@ -133,9 +134,12 @@ class LinearOperator:
         return f"LinearOperator(shape={self.shape})"
 
 
-def _times(a: complex, block: np.ndarray) -> np.ndarray:
+def _times(a: complex | np.ndarray, block: np.ndarray) -> np.ndarray:
     """a * block, rounded as Python rounds a complex product (numpy's
-    complex multiply can differ in the last bit)."""
+    complex multiply can differ in the last bit). a may also be a row of
+    real factors, one per column of block."""
+    if isinstance(a, np.ndarray):
+        return block * a
     a = complex(a)
     if a.imag == 0:
         return block * a.real
@@ -243,8 +247,8 @@ def resolvent_operator(rooted: RootedTree, z: complex) -> LinearOperator:
     The shift is nilpotent on a finite tree, so the geometric series is the
     finite sum over ancestors: a vertex spreads along its path to the
     origin with weight z^k at the k-th ancestor. Any complex z is legal.
-    The applier sweeps the BFS levels deepest first, adding z times each
-    family's sum to its parent; the adjoint sweeps down from the origin.
+    The applier is level_sweep on a copy of its block; the adjoint sweeps
+    down from the origin.
     """
     levels = rooted.level_fanins
     parent = rooted.parent_array
@@ -252,10 +256,7 @@ def resolvent_operator(rooted: RootedTree, z: complex) -> LinearOperator:
     dtype = complex if zc.imag else None
 
     def apply(b: np.ndarray) -> np.ndarray:
-        out = b.astype(dtype or b.dtype)
-        for level in reversed(levels):
-            out[level.heads] += _times(z, _fan_in(level, out))
-        return out
+        return level_sweep(rooted, z, b.astype(dtype or b.dtype))
 
     def adjoint(b: np.ndarray) -> np.ndarray:
         out = b.astype(dtype or b.dtype)
@@ -264,6 +265,16 @@ def resolvent_operator(rooted: RootedTree, z: complex) -> LinearOperator:
         return out
 
     return LinearOperator((rooted.n, rooted.n), apply, adjoint)
+
+
+def level_sweep(rooted: RootedTree, z, block: np.ndarray) -> np.ndarray:
+    """block, swept in place over the BFS levels deepest first: z times each
+    family's sum is added to its parent. z is a scalar, or a row of real
+    factors, one per column, so that one sweep of a stacked identity block
+    gives R at several real z, each as its own sweep rounds it."""
+    for level in reversed(rooted.level_fanins):
+        block[level.heads] += _times(z, _fan_in(level, block))
+    return block
 
 
 def inverse_rescale(rooted: RootedTree, t: float) -> LinearOperator:

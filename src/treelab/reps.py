@@ -27,7 +27,10 @@ from it once. The dense functions (dense_*, displacement,
 multiplicative_defect, finite_rank_defect, defect_identity_residual,
 homomorphism_residual, homotopy_curve, and groups.edge_images) take their
 rows unchecked, since a check per call costs over half a member's build.
-The dense operators are memoized per rooted tree and die with it (_TreeMemo).
+The dense operators are memoized per rooted tree and die with it
+(_TreeMemo): 1 - tP and R(t) are stored, and T_t and T_t^-1 are read off
+them with the one column or row in which they differ, so each pair costs
+one dense matrix per t; the real R of an origin come from one level sweep.
 The test-suite checks both routes against oracles of its own.
 
 The reports here carry measurements only; the checks module compares
@@ -40,6 +43,7 @@ import math
 import weakref
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +55,7 @@ from .operators import (
     deformation_inverse,
     deformation_operator,
     inverse_rescale,
+    level_sweep,
     materialize,
     one_minus_shift,
     operator_norm,
@@ -151,38 +156,80 @@ _CacheInfo = namedtuple("_CacheInfo", "hits misses currsize")
 
 class _TreeMemo:
     """_dense_context(rooted, make, *args): materialize(make(rooted, *args)),
-    shared and therefore read-only. T_t^-1 is built on the memoized R(t),
-    which bounded members read too: inverse_rescale applied to it, plus +0.0,
-    is materialize's matrix bit for bit, from one resolvent sweep.
+    shared and therefore read-only.
+
+    Of T_t and 1 - tP, and of T_t^-1 and R(t), it stores the second. P
+    kills the origin o, so T_t = (1 - tP)(1 + alpha p0) differs from 1 - tP
+    only in column o, and T_t^-1 = (1 + beta p0) R(t) from R(t) only in row
+    o: a read of T_t or T_t^-1 copies its partner and writes in that line,
+    stored once per t as deformation_operator(rooted, t) @ e_o and as row o
+    of inverse_rescale applied to R(t). The appliers act column by column,
+    so each read is materialize's matrix bit for bit. sweep() stores R at
+    several real t as views of one level sweep; any other R, a complex z's
+    among them, takes its own sweep on first read.
 
     The memo is one dict per rooted tree, held by a weak reference to the
     tree, so it dies with the tree: a finished configuration keeps no
     matrices. cache_info() counts the hits and misses of the process's
-    lifetime and the matrices held now; perfbench reads it under the name
-    _dense_context.
+    lifetime (a read of T_t or T_t^-1 looks up its line and its partner)
+    and the matrices held now; perfbench reads it as _dense_context.
     """
 
     def __init__(self):
-        self.memos = weakref.WeakKeyDictionary()  # rooted tree -> {key: matrix}
+        self.memos = weakref.WeakKeyDictionary()  # rooted tree -> {key: array}
         self.hits = self.misses = 0
 
     def __call__(self, rooted: RootedTree, make, *args) -> np.ndarray:
         memo, key = self.memos.setdefault(rooted, {}), (make, *args)
         if key in memo:
             self.hits += 1
-            return memo[key]
-        self.misses += 1
-        if make is deformation_inverse:
-            rescale = inverse_rescale(rooted, *args)
-            mat = np.add(rescale @ self(rooted, resolvent_operator, *args), 0.0)
         else:
-            mat = materialize(make(rooted, *args))
+            self.misses += 1
+            memo[key] = self._build(rooted, make, *args)
+        if make is deformation_operator:
+            mat = self(rooted, one_minus_shift, *args).copy()
+            mat[:, rooted.origin] = memo[key]
+        elif make is deformation_inverse:
+            mat = self(rooted, resolvent_operator, *args).copy()
+            mat[rooted.origin] = memo[key]
+        else:
+            return memo[key]
         mat.flags.writeable = False
-        memo[key] = mat
         return mat
 
+    def _build(self, rooted: RootedTree, make, *args) -> np.ndarray:
+        """A key's stored array: its matrix, or the line of T_t or T_t^-1."""
+        if make is deformation_operator:
+            unit = np.zeros((rooted.n, 1))
+            unit[rooted.origin] = 1.0
+            line = np.add((make(rooted, *args) @ unit)[:, 0], 0.0)
+        elif make is deformation_inverse:
+            resolvent = self(rooted, resolvent_operator, *args)
+            rescaled = inverse_rescale(rooted, *args) @ resolvent
+            line = np.add(rescaled[rooted.origin], 0.0)
+        else:
+            line = materialize(make(rooted, *args))
+        line.flags.writeable = False
+        return line
+
+    def sweep(self, rooted: RootedTree, values) -> None:
+        """Store R(t) at each real t of values that the memo lacks, from one
+        level sweep of a stacked identity block with a factor t per column."""
+        memo, n = self.memos.setdefault(rooted, {}), rooted.n
+        ts = [t for t in dict.fromkeys(map(float, values))
+              if (resolvent_operator, t) not in memo]
+        if not ts:
+            return
+        block = level_sweep(rooted, np.repeat(ts, n), np.tile(np.eye(n), len(ts)))
+        np.add(block, 0.0, out=block)
+        block.flags.writeable = False
+        for i, t in enumerate(ts):
+            memo[resolvent_operator, t] = block[:, i * n:(i + 1) * n]
+        self.misses += len(ts)
+
     def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, sum(map(len, self.memos.values())))
+        held = sum(a.ndim == 2 for memo in self.memos.values() for a in memo.values())
+        return _CacheInfo(self.hits, self.misses, held)
 
 
 _dense_context = _TreeMemo()
@@ -206,12 +253,17 @@ def dense_bounded_rep(rooted: RootedTree, images: np.ndarray, z: complex) -> np.
 
 def dense_unitary_rep(rooted: RootedTree, images: np.ndarray, t: float) -> np.ndarray:
     """pi0(g) + T^-1 (pi0(g) T - T pi0(g)) at T = T_t: the difference of two
-    gathers of T is exactly 0 in the columns that the defect leaves alone."""
+    gathers of T is exactly 0 in the columns that the defect leaves alone.
+    Where the whole block's defect is 0 and T^-1 is finite, the product is
+    exactly 0 and is skipped; a NaN or inf in T^-1 still reaches the member."""
     t = check_t(t)
     tmat = _dense_context(rooted, deformation_operator, t)
     defect = _gathered(tmat, images)
     defect -= np.take(tmat, images, axis=1).swapaxes(0, 1)
-    member = _dense_context(rooted, deformation_inverse, t) @ defect
+    inverse = _dense_context(rooted, deformation_inverse, t)
+    member = defect
+    if defect.any() or not np.isfinite(inverse).all():
+        member = inverse @ defect
     member[np.arange(len(images))[:, None], images, np.arange(rooted.n)] += 1.0
     return member
 
@@ -395,9 +447,9 @@ def unitary_step_bound(
     ||U - 1|| and ||U^-1 - 1|| depend on the origin through p0.
     """
     a, b = check_t(a), check_t(b)
-    inverse = {t: _dense_context(rooted, deformation_inverse, t) for t in (a, b)}
-    deform = {t: _dense_context(rooted, deformation_operator, t) for t in (a, b)}
-    u, u_inv = inverse[a] @ deform[b], inverse[b] @ deform[a]
+    memo = partial(_dense_context, rooted)  # each read a copy, freed after its product
+    u = memo(deformation_inverse, a) @ memo(deformation_operator, b)
+    u_inv = memo(deformation_inverse, b) @ memo(deformation_operator, a)
     tree_norms = {} if tree_norms is None else tree_norms
     if (a, b) not in tree_norms:
         tree_norms[a, b] = operator_norm(u), operator_norm(u_inv)

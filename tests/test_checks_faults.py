@@ -439,6 +439,26 @@ def test_a_nan_member_fails_grid_lipschitz_where_members_are_permutations(
     assert all(math.isnan(r.measured) for r in lipschitz)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_resolvent_fails_limit_monotone_where_the_defect_is_zero(monkeypatch):
+    # every element of random:5,3 fixes origin 0, so each member's defect is
+    # exactly 0 and T^-1 @ 0 is skipped; a NaN in R(0.999) makes T^-1 not
+    # finite, so the product is kept and carries the NaN to both curves
+    def unitary_walk(ctx, rooted):
+        if rooted.origin == 0:
+            memo = reps._dense_context.memos[rooted]
+            key = (operators.resolvent_operator, 0.999)
+            memo[key] = memo[key].copy()
+            memo[key][1, 1] = np.nan
+        return original(ctx, rooted)
+
+    original = checks._unitary_walk
+    monkeypatch.setattr(checks, "_unitary_walk", unitary_walk)
+    report = checks.run_check_suite(checks.SuiteConfig("random:5,3"))
+    failed = [(r.check, r.origin, r.measured) for r in report.records if not r.passed]
+    assert failed == [("limit-monotone", 0, 2.0)]
+
+
 def test_wrong_inverse_reaches_the_members_where_the_group_moves_the_origin(
     monkeypatch,
 ):

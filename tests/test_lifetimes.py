@@ -3,8 +3,8 @@ trees, and the suite runs origin-major: every rooted check of origin 0,
 then the drop of that origin's matrices, then origin N-1, so the memo never
 holds two origins' matrices and a finished suite leaves none behind. The
 regrouping keeps the report's registry order, the unitary and bounded
-walks build each member once, and each origin and t costs one dense
-resolvent sweep."""
+walks build each member once, and every real resolvent of an origin comes
+from one level sweep."""
 
 import gc
 import json
@@ -16,8 +16,14 @@ import numpy as np
 import pytest
 
 from treelab import checks, kernels, operators, reps
+from treelab.cli import main
 from treelab.groups import full_automorphism_group
-from treelab.operators import deformation_operator, resolvent_operator
+from treelab.operators import (
+    deformation_inverse,
+    deformation_operator,
+    one_minus_shift,
+    resolvent_operator,
+)
 from treelab.trees import make_path, make_star, root_at
 
 from conftest import transversal
@@ -68,13 +74,18 @@ def test_the_memo_dies_with_its_rooted_trees(monkeypatch):
 def test_the_memo_holds_a_tree_s_matrices_while_it_lives():
     rooted = root_at(make_path(3), 0)
     held = reps._dense_context.cache_info().currsize
+    # T_t is read off the stored 1 - tP anew on each read: equal, not the same
     first = reps._dense_context(rooted, deformation_operator, 0.5)
-    assert reps._dense_context(rooted, deformation_operator, 0.5) is first
+    again = reps._dense_context(rooted, deformation_operator, 0.5)
+    assert again is not first and again.tobytes() == first.tobytes()
     assert not first.flags.writeable and first.dtype.kind == "f"
+    shift = reps._dense_context(rooted, one_minus_shift, 0.5)
+    assert reps._dense_context(rooted, one_minus_shift, 0.5) is shift
     resolvent = reps._dense_context(rooted, resolvent_operator, 0.5)
     assert resolvent.dtype == np.float64
     resolvent = reps._dense_context(rooted, resolvent_operator, 0.3 + 0.4j)
     assert resolvent.dtype == np.complex128
+    # 1 - tP and R at 0.5, R at 0.3+0.4i; T_0.5's column is no matrix
     assert reps._dense_context.cache_info().currsize == held + 3
     del rooted
     assert reps._dense_context.cache_info().currsize == held
@@ -217,31 +228,83 @@ def test_the_walk_builds_each_bounded_member_once(monkeypatch):
     assert sorted(builds) == sorted(expected)
 
 
-def test_the_rooted_pass_sweeps_the_resolvent_once_per_origin_and_t(monkeypatch):
-    # T_t^-1 is built on the memoized R(t), which conjugation-equivalence and
-    # the bounded members read too; resolvent-series makes its own sweep at
-    # each z, against its series oracle
+def test_the_rooted_pass_sweeps_the_resolvent_once_per_origin(monkeypatch):
+    # every real R of an origin, at the grid and extra t and at each real z,
+    # comes from one sweep of a stacked identity block, which T_t^-1,
+    # conjugation-equivalence and the bounded members read; resolvent-series
+    # makes its own sweep at each z, against its series oracle
     sweeps = Counter()
 
-    def resolvent_operator(rooted, z):
-        op = original(rooted, z)
-        sweep = op._apply
+    def level_sweep(rooted, z, block):
+        n = rooted.n
+        if block.shape[1] % n == 0 and np.array_equal(
+                block, np.tile(np.eye(n), block.shape[1] // n)):
+            factors = z[::n] if isinstance(z, np.ndarray) else [z]
+            sweeps[rooted.origin, frozenset(map(complex, factors))] += 1
+        return original(rooted, z, block)
 
-        def apply(block):
-            if np.array_equal(block, np.eye(rooted.n)):
-                sweeps[rooted.origin, complex(z)] += 1
-            return sweep(block)
-
-        op._apply = apply
-        return op
-
-    original = operators.resolvent_operator
-    for module in (operators, reps, checks):
-        monkeypatch.setattr(module, "resolvent_operator", resolvent_operator)
+    original = operators.level_sweep
+    for module in (operators, reps):
+        monkeypatch.setattr(module, "level_sweep", level_sweep)
     monkeypatch.setattr(checks, "_CHECKS", checks._CHECKS[:checks._ROOTED_CHECKS])
     assert checks.run_check_suite(checks.SuiteConfig("path:12")).aggregate_pass
 
-    ts = (*checks.DEFAULT_T_GRID, *checks.MONOTONE_T_VALUES)
-    expected = Counter({(o, complex(t)): 1 for o in (0, 11) for t in ts})
-    expected.update((o, complex(z)) for o in (0, 11) for z in checks.DEFAULT_Z_GRID)
+    real = {*checks.DEFAULT_T_GRID, *checks.MONOTONE_T_VALUES, *checks.DEFAULT_Z_GRID}
+    expected = Counter({(o, frozenset(map(complex, real))): 1 for o in (0, 11)})
+    expected.update((o, frozenset([complex(z)]))
+                    for o in (0, 11) for z in checks.DEFAULT_Z_GRID)
     assert sweeps == expected
+
+
+def test_the_memo_holds_no_deformation_matrix_after_the_unitary_walk(monkeypatch):
+    # per origin and t, the memo stores 1 - tP and R(t), and of T_t and
+    # T_t^-1 only the column and row in which they differ from them
+    held = []
+
+    def unitary_walk(ctx, rooted):
+        walk = original(ctx, rooted)
+        held.append(dict(reps._dense_context.memos[rooted]))
+        return walk
+
+    original = checks._unitary_walk
+    monkeypatch.setattr(checks, "_unitary_walk", unitary_walk)
+    monkeypatch.setattr(checks, "_CHECKS", checks._CHECKS[:checks._ROOTED_CHECKS])
+    checks.run_check_suite(checks.SuiteConfig("path:40"))
+
+    ts = {*checks.DEFAULT_T_GRID, *checks.MONOTONE_T_VALUES}
+    assert len(held) == 2
+    for memo in held:
+        derived = {key: a for key, a in memo.items()
+                   if key[0] in (deformation_operator, deformation_inverse)}
+        assert {key[1] for key in derived} == ts
+        assert all(a.shape == (40,) for a in derived.values())
+        for make in (one_minus_shift, resolvent_operator):
+            assert {key[1] for key in memo if key[0] is make} == ts
+            assert all(a.shape == (40, 40) for key, a in memo.items() if key[0] is make)
+
+
+def test_a_complex_z_sweeps_its_own_complex_resolvent(monkeypatch, tmp_path):
+    # --z 0.3+0.4i: the bounded family reads a complex R, built lazily, while
+    # the R that the unitary family reads stay float64 views of one sweep
+    resolvents = []
+
+    def unitary_walk(ctx, rooted):
+        walk = original(ctx, rooted)
+        memo = reps._dense_context.memos[rooted]
+        resolvents.append({key[1]: a for key, a in memo.items()
+                           if key[0] is resolvent_operator})
+        return walk
+
+    original = checks._unitary_walk
+    monkeypatch.setattr(checks, "_unitary_walk", unitary_walk)
+    assert main(["check", "--tree", "star:4", "--z", "0.3+0.4i",
+                 "--out", str(tmp_path)]) == 0
+    ts = {*checks.DEFAULT_T_GRID, *checks.MONOTONE_T_VALUES}
+    assert len(resolvents) == 2
+    for held in resolvents:
+        assert set(held) == ts | {0.3 + 0.4j}
+        assert held.pop(0.3 + 0.4j).dtype == np.complex128
+        assert {a.dtype for a in held.values()} == {np.dtype(np.float64)}
+        # views of one swept block
+        assert len({id(a.base) for a in held.values()}) == 1
+        assert all(a.base is not None for a in held.values())

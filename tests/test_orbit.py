@@ -15,9 +15,10 @@ import pytest
 from treelab import checks, reps
 from treelab.groups import full_automorphism_group
 from treelab.operators import (
-    deformation_operator,
+    one_minus_shift,
     operator_norm,
     parent_edge_operator,
+    resolvent_operator,
     worst_of,
 )
 from treelab.trees import make_regular, make_star, root_at, tree_from_spec
@@ -102,20 +103,24 @@ def test_the_transversal_is_the_first_row_per_orbit_point():
 
 
 @pytest.mark.parametrize("make,entry,falls_back", [
-    # leaf 1 is a child of the centre 0 at the leaf origin 4; the stabilizer
-    # of 4 swaps leaves 1 and 2, so it moves the entry (1, 0) elsewhere
-    (deformation_operator, (1, 0), True),
+    # the guard reads the stored 1 - tP and R(t), not T_t and T_t^-1, which
+    # differ from them only in the origin's column and row: leaf 1 is a child
+    # of the centre 0 at the leaf origin 4; the stabilizer of 4 swaps leaves
+    # 1 and 2, so it moves the entry (1, 0) elsewhere
+    (one_minus_shift, (1, 0), True),
     # it fixes the origin, so it maps the origin's diagonal entry to itself
-    (deformation_operator, (4, 4), False),
+    (one_minus_shift, (4, 4), False),
     # F, with the edge action on the left: edge {0, 1} against vertex 1
     (parent_edge_operator, (0, 1), True),
+    # R(t)'s (1, 0) is 0, since 1 is no ancestor of 0, and so is its image (2, 0)
+    (resolvent_operator, (1, 0), True),
 ])
 def test_an_entry_off_by_1e9_makes_the_guard_fall_back(make, entry, falls_back):
     tree = make_star(5)
     rooted = root_at(tree, 4)
     closure = full_automorphism_group(tree)
     ctx = SimpleNamespace(closure=closure, tree=tree)
-    key = (make, 0.5) if make is deformation_operator else (make,)
+    key = (make,) if make is parent_edge_operator else (make, 0.5)
     rows, orbit = checks._orbit_rows(ctx, rooted, [key])
     assert orbit and len(rows) == 4
     matrix = reps._dense_context(rooted, *key).copy()

@@ -18,6 +18,7 @@ from treelab.operators import (
     materialize,
     operator_norm,
     parent_shift_operator,
+    resolvent_operator,
 )
 from treelab.reps import (
     bounded_rep_operator,
@@ -694,3 +695,21 @@ def test_the_memoized_inverse_is_materialize_s_bit_for_bit(spec):
             memo = reps._dense_context(rooted, deformation_inverse, t)
             direct = materialize(deformation_inverse(rooted, t))
             assert memo.dtype == direct.dtype and memo.tobytes() == direct.tobytes()
+
+
+@pytest.mark.parametrize("spec", ["path:12", "star:5", "random:30,4", "regular:2,2"])
+def test_the_swept_and_derived_matrices_are_materialize_s_bit_for_bit(spec):
+    # R(t) at every t from one sweep of a stacked identity block, T_t and
+    # T_t^-1 read off 1 - tP and R(t) with the origin's column and row
+    tree = tree_from_spec(spec)
+    ts = (*DEFAULT_T_GRID, 0.999)
+    for origin in origin_pair(tree):
+        rooted = root_at(tree, origin)
+        reps._dense_context.sweep(rooted, ts)
+        for t in ts:
+            for make in (resolvent_operator, deformation_operator, deformation_inverse):
+                memo = reps._dense_context(rooted, make, t)
+                direct = materialize(make(rooted, t))
+                assert memo.dtype == direct.dtype == np.float64
+                assert memo.tobytes() == direct.tobytes(), (origin, t, make)
+                assert not memo.flags.writeable

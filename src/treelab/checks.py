@@ -220,9 +220,8 @@ class _Context:
     adjoint_rng: np.random.Generator  # one stream for both origins, in order
     # origin -> unitary-family's walk there, which limit-family reads
     walks: dict[int, dict] = field(default_factory=dict)
-    # unitary_step_bound's tree_norms, the root-free ||U|| and ||U^-1|| per step
-    step_norms: dict = field(default_factory=dict)
-    # (orbit of the origin, by its least vertex, a, b) -> the step's bound
+    # (orbit of the origin, by its least vertex, a, b) -> the step's bound,
+    # taken on the matrices of the orbit's first origin that needs it
     step_bounds: dict = field(default_factory=dict)
 
     @property
@@ -571,7 +570,7 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
         key = (images[:, o].min(), a, b)  # one set of bounds per orbit of origins
         if step != 0.0 and key not in ctx.step_bounds:
             ctx.step_bounds[key] = reps_mod.unitary_step_bound(
-                rooted, a, b, 1.0 + tol_u, ctx.step_norms)
+                rooted, a, b, 1.0 + tol_u)
         lipschitz.append(step and step / ctx.step_bounds[key])  # 0 needs none
     return {
         "unitarity": worst[:k],

@@ -356,26 +356,21 @@ def operator_norm(op: Union[LinearOperator, np.ndarray]):
     The square root of the largest eigenvalue of the Gram matrix a* a,
     clamped at 0: one symmetric eigensolve, cheaper than an SVD on real
     matrices, over the columns that some matrix of the stack uses (the rest
-    add exact zeros to the Gram). A matrix with no nonzero entry has norm 0
-    and skips the eigensolve. A matrix holding a NaN or inf has norm NaN; it
-    enters the Gram as zeros, so the stack's other norms stand.
+    add exact zeros to the Gram, so a zero matrix has norm 0). A matrix
+    holding a NaN or inf has norm NaN; it enters the Gram as zeros, so the
+    stack's other norms stand.
     """
     a = op if isinstance(op, np.ndarray) else materialize(op)
     finite = np.isfinite(a).all(axis=(-2, -1))
     if not finite.all():
         a = np.where(finite[..., None, None], a, 0.0)
-    columns = a.any(axis=-2)  # per matrix, the columns it uses
-    used = columns.any(axis=-1)
-    largest = np.zeros(used.shape)
-    if used.any():  # a mask that keeps every matrix or column would still copy a
-        a = a if used.all() else a[used]
-        keep = columns[used].any(axis=0)
-        if not keep.all():
-            a = a[..., keep]
-        gram = a.conj().swapaxes(-2, -1) @ a
-        largest[used] = np.linalg.eigvalsh(gram).max(axis=-1, initial=0.0)
+    keep = a.any(axis=tuple(range(a.ndim - 1)))
+    if not keep.all():  # a mask that keeps every column would still copy a
+        a = a[..., keep]
+    gram = a.conj().swapaxes(-2, -1) @ a
+    largest = np.linalg.eigvalsh(gram).max(axis=-1, initial=0.0)
     norms = np.where(finite, np.sqrt(largest), np.nan)
-    return norms if used.ndim else float(norms)
+    return norms if a.ndim > 2 else float(norms)
 
 
 def worst_of(values) -> tuple[float, int]:

@@ -428,7 +428,6 @@ def curve_to_csv(t_grid: Sequence[float], curve: np.ndarray) -> str:
 
 def unitary_step_bound(
     rooted: RootedTree, a: float, b: float, member_norm: float,
-    tree_norms: dict | None = None,
 ) -> float:
     """A bound on ||rho_b(g) - rho_a(g)|| for every element g, given that
     no member of the unitary family has norm above member_norm.
@@ -441,23 +440,17 @@ def unitary_step_bound(
     The four norms are operator_norm's, with U^-1 = T_b^-1 T_a formed
     directly. A member_norm above 1 keeps the bound from assuming the exact
     unitarity that the unitarity record tests; near t = 1 the cap governs.
-    ||U|| and ||U^-1|| are the tree's: ||U||^2 is the top eigenvalue of
-    K_a^-1 K_b and ||U^-1||^2 that of K_b^-1 K_a, with K_t = T_t T_t* =
-    1 - t S + t^2 Q. tree_norms, one dict per tree, keeps them per step (a, b);
-    ||U - 1|| and ||U^-1 - 1|| depend on the origin through p0.
+    All four norms are taken on this origin's memoized T_a, T_b and their
+    inverses.
     """
     a, b = check_t(a), check_t(b)
     memo = partial(_dense_context, rooted)  # each read a copy, freed after its product
     u = memo(deformation_inverse, a) @ memo(deformation_operator, b)
     u_inv = memo(deformation_inverse, b) @ memo(deformation_operator, a)
-    tree_norms = {} if tree_norms is None else tree_norms
-    if (a, b) not in tree_norms:
-        tree_norms[a, b] = operator_norm(u), operator_norm(u_inv)
-    norm_u, norm_u_inv = tree_norms[a, b]
     eye = np.eye(rooted.n)
     return 2.0 * member_norm * min(
-        operator_norm(u - eye) * norm_u_inv,
-        norm_u * operator_norm(u_inv - eye),
+        operator_norm(u - eye) * operator_norm(u_inv),
+        operator_norm(u) * operator_norm(u_inv - eye),
         1.0,
     )
 

@@ -39,11 +39,17 @@ def result():
     }
 
 
+def lines(changes):
+    return [line for *_, printed in changes for line in printed]
+
+
 def test_one_differing_record_stdout_and_exit_code(compare):
     parent, change = result(), result()
     change["exit"], change["stdout"] = 1, "FAIL cocycle-identities\n"
     change["report"]["records"][1] = record("cocycle-identities", 1.0)
-    assert compare._differences(parent, change) == [
+    changes = compare._changes(parent, change)
+    assert [kind for kind, *_ in changes] == ["other"] * 3
+    assert lines(changes) == [
         "  exit: 0 -> 1",
         "  stdout: 'all passed\\n' -> 'FAIL cocycle-identities\\n'",
         "  record 1:",
@@ -54,7 +60,44 @@ def test_one_differing_record_stdout_and_exit_code(compare):
 
 def test_equal_results_have_no_differences(compare):
     parent = result()
-    assert compare._differences(parent, copy.deepcopy(parent)) == []
+    assert compare._changes(parent, copy.deepcopy(parent)) == []
+
+
+def test_a_measured_move_of_rounding_size_is_class_a(compare):
+    parent, change = result(), result()
+    parent["report"]["records"][0] = record("shift-product", 0.25)
+    change["report"]["records"][0] = record("shift-product", 0.25 + 2**-54)
+    change["report"]["records"][1] = record("cocycle-identities", 1e-14)
+    (kind, delta, _), (kind2, delta2, _) = compare._changes(parent, change)
+    assert (kind, delta) == ("rounding", 2**-54)
+    assert (kind2, delta2) == ("rounding", 1e-14)
+    assert compare._summary([(kind, delta), (kind2, delta2)]) == (
+        "(a) 2 rounding-level measured moves, largest |delta| 1e-14; "
+        "(b) 0 witness changes; (c) 0 other differences")
+
+
+def test_a_changed_witness_is_class_b(compare):
+    parent, change = result(), result()
+    change["report"]["records"][1]["g"] = "[1, 0, 2, 3]"
+    [(kind, delta, printed)] = compare._changes(parent, change)
+    assert (kind, delta, printed[0]) == ("witness", 0.0, "  record 1:")
+    assert compare._summary([(kind, delta)]) == (
+        "(a) 0 rounding-level measured moves, largest |delta| 0; "
+        "(b) 1 witness changes; (c) 0 other differences")
+
+
+@pytest.mark.parametrize("field,value", [
+    # a larger move, a move to or from a non-finite value, a key, a bound and a verdict
+    ("measured", 2e-14), ("measured", None), ("origin", 3), ("bound", 1e-11),
+    ("passed", False),
+])
+def test_anything_else_is_class_c(compare, field, value):
+    parent, change = result(), result()
+    change["report"]["records"][0][field] = value
+    [(kind, delta, _)] = compare._changes(parent, change)
+    assert (kind, delta) == ("other", 0.0)
+    reverse = compare._changes(change, parent)
+    assert [kind for kind, *_ in reverse] == ["other"]
 
 
 @pytest.mark.parametrize("argv", [[], ["parent"], ["parent", "change", "extra"]])

@@ -435,9 +435,10 @@ class TestMaterializeAndNorm:
         assert operator_norm(np.zeros((2, 4, 4), dtype=complex)).tolist() == [0.0, 0.0]
         assert operator_norm(np.zeros((2, 4, 0))).tolist() == [0.0, 0.0]
 
-    def test_a_zero_matrix_skips_the_eigensolve(self, monkeypatch):
-        # a 2-D zero matrix is the float 0.0 without an eigensolve; in a stack
-        # the zero matrix reads 0 and the others are solved as they are alone
+    def test_a_zero_matrix_reads_zero_and_leaves_its_stack_s_norms(self, monkeypatch):
+        # a 2-D zero matrix is the float 0.0, from an empty Gram; in a stack
+        # the zero matrix adds no column and reads 0, and the others read
+        # their solo norms bit for bit
         calls = []
 
         def counting(gram):
@@ -447,15 +448,16 @@ class TestMaterializeAndNorm:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         for dtype in (float, complex):
+            calls.clear()
             zero = operator_norm(np.zeros((5, 5), dtype=dtype))
-            assert type(zero) is float and zero == 0.0 and calls == []
+            assert type(zero) is float and zero == 0.0 and calls == [(0, 0)]
         rng = np.random.default_rng(11)
         real = rng.standard_normal((3, 6, 6))
         for stack in (real, real + 1j * rng.standard_normal((3, 6, 6))):
             stack[1] = 0.0
             calls.clear()
             norms = operator_norm(stack)
-            assert calls == [(2, 6, 6)]
+            assert calls == [(3, 6, 6)]
             assert norms[1] == 0.0
             for i in (0, 2):
                 assert norms[i] == operator_norm(stack[i])

@@ -227,16 +227,16 @@ def test_one_set_of_step_bounds_per_orbit_of_origins(monkeypatch, spec, origin):
 
 def _eager_lipschitz(spec: str) -> dict[int, float]:
     """grid-lipschitz per origin as computed before the walk kept raw steps:
-    every step bound at every origin, taken first, with the root-free norms
-    shared from origin 0, and each step divided before it is reduced. The
-    members are built on the transversal, in the walk's blocks."""
+    every step bound at every origin, taken first from that origin's own
+    matrices, and each step divided before it is reduced. The members are
+    built on the transversal, in the walk's blocks."""
     tree = tree_from_spec(spec)
     images = full_automorphism_group(tree).images
     member_norm = 1.0 + checks.TOLERANCES["unitarity"]
-    grid, shared, out = checks.DEFAULT_T_GRID, {}, {}
+    grid, out = checks.DEFAULT_T_GRID, {}
     for origin in (0, tree.n - 1):
         rooted = root_at(tree, origin)
-        bounds = [reps.unitary_step_bound(rooted, a, b, member_norm, shared)
+        bounds = [reps.unitary_step_bound(rooted, a, b, member_norm)
                   for a, b in zip(grid, grid[1:])]
         rows = images[transversal(images, origin)]
         ratios = []
@@ -250,16 +250,30 @@ def _eager_lipschitz(spec: str) -> dict[int, float]:
 
 @pytest.mark.parametrize("spec", ["star:7", "regular:2,2", "path:12", "random:12,3"])
 def test_grid_lipschitz_equals_the_eager_bounds(spec):
-    # bit for bit at origin 0, which takes the bounds first where it needs
-    # any; at the last origin the root-free norms, or the whole bound, may
-    # come from the other origin, which is a permutation conjugate of it
+    # bit for bit at every origin that takes its own bounds; where the group
+    # maps origin 0 to the last one (path:12), the last reads origin 0's
+    # bounds, taken on a permutation conjugate of its own matrices
     eager = _eager_lipschitz(spec)
     assert 0.0 < max(eager.values()) <= 1.0
     report = checks.run_check_suite(checks.SuiteConfig(spec))
     records = [r for r in report.records if r.check == "grid-lipschitz"]
     assert [r.origin for r in records] == list(eager)
+    images = full_automorphism_group(tree_from_spec(spec)).images
+    shared = records[-1].origin in images[:, 0]
     for r in records:
-        if r.origin == 0:
-            assert r.measured == eager[0]
+        if r.origin == 0 or not shared:
+            assert r.measured == eager[r.origin]
         else:
             assert abs(r.measured - eager[r.origin]) <= 1e-15
+
+
+def test_two_orbits_of_origins_share_no_step_bound(monkeypatch):
+    # random:4,2's swap maps 0 to 2 and 3 to 1, so every step moves at both
+    # origins, and they lie in two orbits: each bounds its own steps
+    calls = _count_step_bounds(monkeypatch)
+    grid = checks.DEFAULT_T_GRID
+    report = checks.run_check_suite(checks.SuiteConfig("random:4,2"))
+    assert calls == [(o, a, b) for o in (0, 3) for a, b in zip(grid, grid[1:])]
+    lipschitz = {r.origin: r.measured for r in report.records
+                 if r.check == "grid-lipschitz"}
+    assert lipschitz == _eager_lipschitz("random:4,2")

@@ -642,9 +642,10 @@ class TestGridSteps:
             assert bound == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("spec", ["random:30,4", "path:40", "regular:2,3"])
-    def test_the_shared_step_norms_do_not_depend_on_the_origin(self, spec):
-        # ||U||^2 and ||U^-1||^2 are the top eigenvalues of K_a^-1 K_b and
-        # K_b^-1 K_a, with K_t = T_t T_t* the tree's alone
+    def test_the_norms_of_u_and_its_inverse_do_not_depend_on_the_origin(self, spec):
+        # ||U||^2 and ||U^-1||^2, U = T_a^-1 T_b, are the top eigenvalues of
+        # K_a^-1 K_b and K_b^-1 K_a, with K_t = T_t T_t* = 1 - tS + t^2 Q the
+        # tree's alone; equal only to rounding, so each origin takes its own
         tree = tree_from_spec(spec)
         steps = list(zip(DEFAULT_T_GRID, DEFAULT_T_GRID[1:]))
         norms = []
@@ -655,30 +656,22 @@ class TestGridSteps:
                 for a, b in steps])
         assert np.allclose(norms[1:], norms[0], rtol=1e-14, atol=0.0)
 
-    def test_the_first_origin_computes_the_four_norm_bound_and_shares_two(self):
+    def test_each_origin_computes_the_four_norm_bound_on_its_own_matrices(self):
         tree = make_random(30, 4)
         member_norm = 1.0 + TOLERANCES["unitarity"]
-        eye, shared = np.eye(tree.n), {}
+        eye = np.eye(tree.n)
         for origin in origin_pair(tree):
             rooted = root_at(tree, origin)
             for a, b in zip(DEFAULT_T_GRID, DEFAULT_T_GRID[1:]):
                 memo = lambda make, t: reps._dense_context(rooted, make, t)
                 u = memo(deformation_inverse, a) @ memo(deformation_operator, b)
                 u_inv = memo(deformation_inverse, b) @ memo(deformation_operator, a)
-                own = operator_norm(u), operator_norm(u_inv)
-                norm_u, norm_u_inv = shared.get((a, b), own)
                 expected = 2.0 * member_norm * min(
-                    operator_norm(u - eye) * norm_u_inv,
-                    norm_u * operator_norm(u_inv - eye),
+                    operator_norm(u - eye) * operator_norm(u_inv),
+                    operator_norm(u) * operator_norm(u_inv - eye),
                     1.0,
                 )
-                assert unitary_step_bound(rooted, a, b, member_norm, shared) == expected
-                assert shared[a, b] == (norm_u, norm_u_inv)
-                if origin == 0:
-                    # the bound alone, with nothing shared, is the same one
-                    assert unitary_step_bound(rooted, a, b, member_norm) == expected
-                    assert (norm_u, norm_u_inv) == own
-        assert len(shared) == len(DEFAULT_T_GRID) - 1
+                assert unitary_step_bound(rooted, a, b, member_norm) == expected
 
 
 @pytest.mark.parametrize("spec", [

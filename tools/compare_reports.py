@@ -11,7 +11,13 @@ path:1, path:2, star:2 and path:5. Per config it compares report.json
 without its `timings`, the stdout and the exit code, then runs
 `treelab report` on that report.json and compares its stdout and exit
 code too. It prints every difference, each differing record as a pair of
-JSON lines, and exits 1 on any difference, 0 when there is none.
+JSON lines, then a summary that sorts the differences into three classes:
+(a) rounding-level moves, a record whose `measured` moved by at most
+1e-14 between two finite values with every other field equal (with the
+largest such move); (b) witness changes, a record whose `g` changed and
+whose other fields are equal, `measured` up to such a move; (c) anything
+else: a key, a bound, `passed`, a record count, stdout or an exit code.
+It exits 1 on any difference, 0 when there is none.
 
 Each checkout runs in one child process, in that checkout's directory,
 with one BLAS thread. Its reports and the generator file of the `large`
@@ -24,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -31,6 +38,7 @@ import sys
 from pathlib import Path
 
 WORK_DIR = ".compare_reports"
+ROUNDING = 1e-14  # the largest move of a finite `measured` that class (a) takes
 EXTRA_TREES = ("path:12", "random:12,3", "path:1", "path:2", "star:2", "path:5")
 
 
@@ -92,26 +100,55 @@ def _collect(checkout: Path) -> subprocess.Popen:
     )
 
 
-def _differences(parent: dict, change: dict) -> list[str]:
-    """Every way one config's result differs between the two checkouts."""
-    lines = []
+def _changes(parent: dict, change: dict) -> list[tuple[str, float, list[str]]]:
+    """Every way one config's result differs between the two checkouts, each
+    as (class, |delta| of a rounding move or 0.0, its printed lines)."""
+    out = []
     for key in ("tree", "group", "exit", "stdout", "report exit", "report stdout"):
         if parent[key] != change[key]:
-            lines.append(f"  {key}: {parent[key]!r} -> {change[key]!r}")
+            out.append(("other", 0.0, [f"  {key}: {parent[key]!r} -> {change[key]!r}"]))
     a, b = parent["report"] or {}, change["report"] or {}
     for key in sorted((a.keys() | b.keys()) - {"records"}):
         if a.get(key) != b.get(key):
-            lines.append(f"  report {key}: {a.get(key)!r} -> {b.get(key)!r}")
+            out.append(("other", 0.0,
+                        [f"  report {key}: {a.get(key)!r} -> {b.get(key)!r}"]))
     records_a, records_b = a.get("records", []), b.get("records", [])
     if len(records_a) != len(records_b):
-        lines.append(f"  records: {len(records_a)} -> {len(records_b)}")
+        out.append(("other", 0.0, [f"  records: {len(records_a)} -> {len(records_b)}"]))
     for i in range(max(len(records_a), len(records_b))):
         ra = records_a[i] if i < len(records_a) else None
         rb = records_b[i] if i < len(records_b) else None
         if ra != rb:
-            lines.append(f"  record {i}:")
-            lines += [f"    - {json.dumps(ra)}", f"    + {json.dumps(rb)}"]
-    return lines
+            out.append((*_record_class(ra, rb), [f"  record {i}:",
+                        f"    - {json.dumps(ra)}", f"    + {json.dumps(rb)}"]))
+    return out
+
+
+def _record_class(ra: dict | None, rb: dict | None) -> tuple[str, float]:
+    """The class of two differing records, with |delta| of a rounding move."""
+    if ra is None or rb is None or ra.keys() != rb.keys():
+        return "other", 0.0
+    fields = {key for key in ra if ra[key] != rb[key]} - {"measured"}
+    x, y = ra.get("measured"), rb.get("measured")
+    delta = 0.0
+    if x != y:
+        finite = all(type(v) in (int, float) and math.isfinite(v) for v in (x, y))
+        if not finite or abs(x - y) > ROUNDING:
+            return "other", 0.0
+        delta = abs(x - y)
+    if not fields:
+        return "rounding", delta
+    return ("witness", 0.0) if fields == {"g"} else ("other", 0.0)
+
+
+def _summary(classes: list[tuple[str, float]]) -> str:
+    """One line that counts the differences per class."""
+    count = {kind: sum(k == kind for k, _ in classes)
+             for kind in ("rounding", "witness", "other")}
+    largest = max((delta for kind, delta in classes if kind == "rounding"), default=0.0)
+    return (f"(a) {count['rounding']} rounding-level measured moves, largest |delta| "
+            f"{largest:.3g}; (b) {count['witness']} witness changes; "
+            f"(c) {count['other']} other differences")
 
 
 def main(argv: list[str]) -> int:
@@ -135,16 +172,20 @@ def main(argv: list[str]) -> int:
                   file=sys.stderr)
             return 2
     parent, change = (json.loads(out.strip().splitlines()[-1]) for out in outputs)
-    differing = 0
+    differing, classes = 0, []
     if len(parent) != len(change):
         print(f"config count: {len(parent)} -> {len(change)}")
         differing += 1
+        classes.append(("other", 0.0))
     for i, (a, b) in enumerate(zip(parent, change)):
-        if lines := _differences(a, b):
+        if changes := _changes(a, b):
             differing += 1
             print(f"config {i} ({a['tree']}, group {a['group']}):")
-            print("\n".join(lines))
+            for kind, delta, lines in changes:
+                classes.append((kind, delta))
+                print("\n".join(lines))
     print(f"{len(parent)} configs compared; {differing} differ")
+    print(_summary(classes))
     return 1 if differing else 0
 
 

@@ -78,13 +78,12 @@ TOLERANCES: dict[str, float] = {
     "bound_slack": 1e-8,     # additive slack on the uniform norm bound
 }
 
-DEFAULT_SEED = 0xA11CE  # the two pair samples and the adjoint vectors
+DEFAULT_SEED = 0xA11CE  # the cocycle pair sample and the adjoint vectors
 DEFAULT_T_GRID: tuple[float, ...] = (
     0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99,
 )
 DEFAULT_Z_GRID: tuple[complex, ...] = (0.5,)
 MONOTONE_T_VALUES: tuple[float, ...] = (0.9, 0.99, 0.999)
-HOMOMORPHISM_PAIR_CAP = 4096
 COCYCLE_PAIR_CAP = 400
 
 
@@ -270,14 +269,13 @@ def _per_element(ctx: _Context, measure, rows: np.ndarray) -> np.ndarray:
     ], axis=-1)
 
 
-def _orbit_rows(ctx: _Context, rooted: RootedTree, keys) -> tuple[np.ndarray, bool]:
-    """The closure rows a family walks at the origin o, and whether they are
-    o's transversal (r_x, the first row with r_x o = x, per orbit point x, in
-    closure order): they are if each Schreier generator w = r_(s x)^-1 s r_x
-    of Stab(o), s a generator, gathers onto itself bit for bit each memoized
-    matrix M that the family reads, one per key (make, *args): pi0(w) M
-    pi0(w)^-1 == M, with pi1(w) on F's left. Exact equality composes to all
-    of Stab(o), so r_x s's member is r_x's times pi0(s). Else every row."""
+def _orbit_rows(ctx: _Context, rooted: RootedTree, keys) -> np.ndarray:
+    """o's transversal, the rows a family walks at the origin o: r_x, the
+    first closure row with r_x o = x, per orbit point x, in closure order.
+    Each Schreier generator w = r_(s x)^-1 s r_x of Stab(o), s a generator,
+    gathers each memoized matrix M of the family (one per key make, *args)
+    onto itself bit for bit, NaN onto NaN, or a LinAlgError names M: pi0(w) M
+    pi0(w)^-1 == M, pi1(w) on F's left; so r_x s's member is r_x's times pi0(s)."""
     images, o, n = ctx.closure.images, rooted.origin, ctx.tree.n
     points, first = np.unique(images[:, o], return_index=True)
     moved = images[list(ctx.closure.generator_indices)][:, images[first]].reshape(-1, n)
@@ -293,10 +291,12 @@ def _orbit_rows(ctx: _Context, rooted: RootedTree, keys) -> tuple[np.ndarray, bo
             gathered = m.take(left[:, :, None] * n + w[:, None, :])
             if make is parent_edge_operator:
                 gathered *= sign[..., None]
-            if not (gathered == m).all():
-                return np.arange(len(images)), False
+            same = gathered == m  # NaNs are looked at only on a miss
+            if not (same.all() or (same | np.isnan(gathered) & np.isnan(m)).all()):
+                raise np.linalg.LinAlgError(
+                    f"Stab({o}) moves {make.__name__}{tuple(args)}")
     # argsort, as elsewhere: np.sort's own SIMD code would add resident pages
-    return first[np.argsort(first)], True
+    return first[np.argsort(first)]
 
 
 def _check_shift_factorization(ctx: _Context, rooted: RootedTree) -> list[CheckRecord]:
@@ -324,7 +324,7 @@ def _check_deformation_identity(ctx: _Context, rooted: RootedTree) -> list[Check
     tol = ctx.tol["identity"]
     s_q = kernels_mod.dense_s_q(ctx.tree)
     n, grid = ctx.tree.n, ctx.config.t_grid
-    rows, _ = _orbit_rows(ctx, rooted, [(one_minus_shift, t) for t in grid])
+    rows = _orbit_rows(ctx, rooted, [(one_minus_shift, t) for t in grid])
     images = ctx.closure.images[rows]
     index = images[:, :, None] * n + images[:, None, :]  # (g x, g y) per row
     out = []
@@ -444,7 +444,7 @@ def _check_bounded_family(ctx: _Context, rooted: RootedTree) -> list[CheckRecord
     out = []
     for z in ctx.config.z_grid:
         ptxt = f"z={format_complex(z)}"
-        rows, _ = _orbit_rows(ctx, rooted, [
+        rows = _orbit_rows(ctx, rooted, [
             (resolvent_operator, z), (one_minus_shift, z), (parent_shift_operator,)])
 
         def measure(images):
@@ -519,7 +519,7 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
     extra = _extra_ts(grid)
     keys = [(make, t) for make in (one_minus_shift, resolvent_operator)
             for t in (*grid, *extra)]
-    rows, orbit = _orbit_rows(ctx, rooted, [
+    rows = _orbit_rows(ctx, rooted, [
         *keys, (origin_projection,), (parent_edge_operator,)])
 
     def measure(images):
@@ -551,18 +551,17 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
     blocks = _per_element(ctx, measure, images[rows])
     worst = [worst_of(row)[0] for row in blocks[:-1]]
     # the transversal's every pair: r_x r_y = r_z s with s in Stab(o), so A_x A_y
-    # against A_z pi0(s), A = rho_0.7, covers G x G; else a seeded sample of it
-    pairs = _pair_sample(len(rows), len(rows) ** 2 if orbit else HOMOMORPHISM_PAIR_CAP,
-                         ctx.config.seed)
+    # against A_z pi0(s), A = rho_0.7, covers G x G
+    pairs = np.stack(np.divmod(np.arange(len(rows) ** 2), len(rows)), axis=1)
     representative = np.zeros(n, dtype=np.intp)
     representative[images[rows, o]] = rows  # r_x's closure row, per orbit point x
 
     def law(pair):
         g, h = images[rows[pair.T]]
         gho = np.take_along_axis(g, h[:, [o]], axis=1)[:, 0]  # g h o
-        z = images[representative[gho]] if orbit else None
         return reps_mod.homomorphism_residual(
-            lambda block: reps_mod.dense_unitary_rep(rooted, block, 0.7), g, h, z)
+            lambda block: reps_mod.dense_unitary_rep(rooted, block, 0.7), g, h,
+            images[representative[gho]])
 
     hom = _per_element(ctx, law, pairs)
     lipschitz = []

@@ -389,9 +389,9 @@ def homomorphism_residual(
     """Per pair (g, h) of rows of the two blocks, the entrywise gap between
     rep(g) rep(h) and rep(z) pi0(z^-1 g h), where rep maps a (k, n) image
     block to the (k, n, n) stack of its members: dense_unitary_rep at one
-    rooted tree and t, say. z, a row of z_images, is g h itself by default,
-    so the gap is that of rep(g h); the orbit path passes the representative
-    of g h's coset of Stab(o), whose elements s have rep(s) = pi0(s)."""
+    rooted tree and t, say. check passes as z, a row of z_images, the
+    representative of g h's coset of Stab(o), whose elements s have
+    rep(s) = pi0(s); z is g h itself by default, for direct callers."""
     gh = np.take_along_axis(g_images, h_images, axis=1)  # g(h(x))
     z = gh if z_images is None else z_images
     s = np.take_along_axis(np.argsort(z, axis=1), gh, axis=1)  # z^-1 g h

@@ -38,12 +38,15 @@ def transversal(images: np.ndarray, origin: int) -> np.ndarray:
 
 
 def force_fallback(monkeypatch) -> None:
-    """Have every family walk every closure row, as if each of its stabilizer
-    guards (checks._orbit_rows) had failed."""
+    """The brute-force reference for the orbit path: every family walks every
+    closure row in place of checks._orbit_rows's transversal, each row
+    standing for itself, through the suite's own measurement code. Each
+    element weighs 1 in limit-monotone, and the homomorphism law takes all
+    of G x G."""
     from treelab import checks
 
-    monkeypatch.setattr(checks, "_orbit_rows", lambda ctx, rooted, keys: (
-        np.arange(len(ctx.closure)), False))
+    monkeypatch.setattr(checks, "_orbit_rows",
+                        lambda ctx, rooted, keys: np.arange(len(ctx.closure)))
 
 
 @pytest.fixture(scope="session")

@@ -539,7 +539,7 @@ def test_limit_monotone_weights_each_representative_by_its_stabilizer(
     monkeypatch, spec
 ):
     # the orbit path counts a broken curve |G|/|G.o| times: the count of
-    # broken elements that the fallback, which walks every row, takes
+    # broken elements that the brute-force reference, walking every row, takes
     monkeypatch.setattr(
         checks, "_approaches_limit", _rising_curve(checks._approaches_limit)
     )

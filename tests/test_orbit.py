@@ -1,11 +1,15 @@
 """The orbit path: deformation-commutant and the three family checks walk
 one representative per point of the origin's orbit, r_x, the first closure
-row that moves the origin to x, when an exact stabilizer guard holds, and
-every closure row when it does not. Both paths give the same verdicts, and
-their measurements agree to rounding. grid-lipschitz takes its step bounds
-only where a step moves, once per orbit of origins."""
+row that moves the origin to x, behind an exact stabilizer guard. A guard
+that fails is a defect: it fails the family's check with one error record.
+The orbit path and the brute-force reference, which walks every closure
+row, give the same verdicts, and their measurements agree to rounding.
+grid-lipschitz takes its step bounds only where a step moves, once per
+orbit of origins."""
 
 import importlib.util
+import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +17,7 @@ import numpy as np
 import pytest
 
 from treelab import checks, reps
+from treelab.cli import main
 from treelab.groups import full_automorphism_group
 from treelab.operators import (
     one_minus_shift,
@@ -37,13 +42,13 @@ def _workloads():
 
 
 def _spy_guard(monkeypatch) -> list:
-    """The (origin, rows, orbit) of every guard the suite takes."""
+    """The (origin, rows) of every guard the suite takes."""
     seen = []
 
     def spy(ctx, rooted, keys):
-        rows, orbit = original(ctx, rooted, keys)
-        seen.append((rooted.origin, rows, orbit))
-        return rows, orbit
+        rows = original(ctx, rooted, keys)
+        seen.append((rooted.origin, rows))
+        return rows
 
     original = checks._orbit_rows
     monkeypatch.setattr(checks, "_orbit_rows", spy)
@@ -82,8 +87,7 @@ def test_the_guard_takes_the_orbit_path_on_every_benchmark_origin(
         assert report.aggregate_pass
         last = tree_from_spec(tree).n - 1
         assert len(seen) == 2 * per_origin
-        assert all(orbit for _, _, orbit in seen), tree
-        walked = {o: rows.tolist() for o, rows, _ in seen}
+        walked = {o: rows.tolist() for o, rows in seen}
         assert {o: len(rows) for o, rows in walked.items()} == dict(zip((0, last), orbits))
         # a witness names a closure row: its origin's representative
         for r in report.records:
@@ -95,14 +99,13 @@ def test_the_transversal_is_the_first_row_per_orbit_point():
     tree = make_star(4)
     images = full_automorphism_group(tree).images
     ctx = SimpleNamespace(closure=full_automorphism_group(tree), tree=tree)
-    rows, orbit = checks._orbit_rows(ctx, root_at(tree, 3), [])
-    assert orbit and rows.tolist() == [0, 1, 3] == transversal(images, 3).tolist()
+    rows = checks._orbit_rows(ctx, root_at(tree, 3), [])
+    assert rows.tolist() == [0, 1, 3] == transversal(images, 3).tolist()
     assert images[rows, 3].tolist() == [3, 2, 1]
-    rows, orbit = checks._orbit_rows(ctx, root_at(tree, 0), [])
-    assert orbit and rows.tolist() == [0]
+    assert checks._orbit_rows(ctx, root_at(tree, 0), []).tolist() == [0]
 
 
-@pytest.mark.parametrize("make,entry,falls_back", [
+@pytest.mark.parametrize("make,entry,raises", [
     # the guard reads the stored 1 - tP and R(t), not T_t and T_t^-1, which
     # differ from them only in the origin's column and row: leaf 1 is a child
     # of the centre 0 at the leaf origin 4; the stabilizer of 4 swaps leaves
@@ -115,22 +118,58 @@ def test_the_transversal_is_the_first_row_per_orbit_point():
     # R(t)'s (1, 0) is 0, since 1 is no ancestor of 0, and so is its image (2, 0)
     (resolvent_operator, (1, 0), True),
 ])
-def test_an_entry_off_by_1e9_makes_the_guard_fall_back(make, entry, falls_back):
+def test_an_entry_off_by_1e9_fails_the_guard(
+    make, entry, raises
+):
     tree = make_star(5)
     rooted = root_at(tree, 4)
-    closure = full_automorphism_group(tree)
-    ctx = SimpleNamespace(closure=closure, tree=tree)
+    ctx = SimpleNamespace(closure=full_automorphism_group(tree), tree=tree)
     key = (make,) if make is parent_edge_operator else (make, 0.5)
-    rows, orbit = checks._orbit_rows(ctx, rooted, [key])
-    assert orbit and len(rows) == 4
+    assert len(checks._orbit_rows(ctx, rooted, [key])) == 4
     matrix = reps._dense_context(rooted, *key).copy()
     matrix[entry] += 1e-9
     reps._dense_context.memos[rooted][key] = matrix
-    rows, orbit = checks._orbit_rows(ctx, rooted, [key])
-    if falls_back:
-        assert not orbit and rows.tolist() == list(range(len(closure)))
+    if raises:
+        message = re.escape(f"Stab(4) moves {make.__name__}{key[1:]}")
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            checks._orbit_rows(ctx, rooted, [key])
     else:
-        assert orbit and len(rows) == 4
+        assert len(checks._orbit_rows(ctx, rooted, [key])) == 4
+
+
+@pytest.mark.parametrize("key,entry,broken", [
+    # the commutant's 1 - tP, which the unitary walk reads at the same grid t
+    ((one_minus_shift, 0.5), (1, 0),
+     ["deformation-identity", "unitary-family", "limit-family"]),
+    # R(z), at a z off the t grid, which bounded-family alone reads
+    ((resolvent_operator, 0.45), (1, 0), ["bounded-family"]),
+    # F, which limit-family walks again where unitary-family broke
+    ((parent_edge_operator,), (0, 1), ["unitary-family", "limit-family"]),
+])
+def test_a_guard_failure_fails_its_family_with_one_error_record(
+    monkeypatch, tmp_path, capsys, key, entry, broken
+):
+    # the entry is planted after the sweep of the leaf origin 4, whose
+    # stabilizer moves it (as above); origin 0's records ran clean, and each
+    # broken check keeps one record, at the first origin, for both
+    def sweep(rooted, values):
+        original(rooted, values)
+        if rooted.origin == 4:
+            matrix = reps._dense_context(rooted, *key).copy()
+            matrix[entry] += 1e-9
+            reps._dense_context.memos[rooted][key] = matrix
+
+    original = reps._dense_context.sweep
+    monkeypatch.setattr(reps._dense_context, "sweep", sweep)
+    argv = ["check", "--tree", "star:5", "--z", "0.45", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    records = json.loads((tmp_path / "report.json").read_text())["records"]
+    failed = [r for r in records if not r["passed"]]
+    assert [r["check"] for r in failed] == broken
+    for r in failed:
+        assert r["parameter"].startswith(f"error=Stab(4) moves {key[0].__name__}("), r
+        assert r["origin"] == 0 and r["measured"] is None
 
 
 def _keyed(report):
@@ -139,12 +178,13 @@ def _keyed(report):
 
 @pytest.mark.parametrize("spec", ["star:7", "regular:2,2"])
 def test_the_fallback_gives_the_same_verdicts_and_measurements(monkeypatch, spec):
+    # against the brute-force reference, whose homomorphism takes all of G x G
     orbit = checks.run_check_suite(checks.SuiteConfig(spec))
     force_fallback(monkeypatch)
-    fallback = checks.run_check_suite(checks.SuiteConfig(spec))
-    assert list(_keyed(orbit)) == list(_keyed(fallback))
+    reference = checks.run_check_suite(checks.SuiteConfig(spec))
+    assert list(_keyed(orbit)) == list(_keyed(reference))
     for key, a in _keyed(orbit).items():
-        b = _keyed(fallback)[key]
+        b = _keyed(reference)[key]
         assert (a.bound, a.passed) == (b.bound, b.passed)
         assert abs(a.measured - b.measured) <= 1e-14, key
 

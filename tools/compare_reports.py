@@ -6,12 +6,14 @@ checkouts: the refactor gate.
 PARENT and CHANGE are the roots of two checkouts. In each, with that
 checkout's own sources, it runs `treelab check` on the configs of the
 `symmetric`, `large` and `corpus` workloads at seed 1, which it takes from
-the checkout's own perfbench/workloads.py, then on path:12, random:12,3,
-path:1, path:2, star:2 and path:5. Per config it compares report.json
-without its `timings`, the stdout and the exit code, then runs
-`treelab report` on that report.json and compares its stdout and exit
-code too. It prints every difference, each differing record as a pair of
-JSON lines, then a summary that sorts the differences into three classes:
+the checkout's own perfbench/workloads.py, then with --group auto on
+path:12, random:12,3, path:1, path:2, star:2, path:5 and the group-heavy
+random:100,4, random:150,1, regular:2,3 and star:8. Per config it
+compares report.json without its `timings`, the stdout and the exit code,
+then runs `treelab report` on that report.json and compares its stdout
+and exit code too. It prints every difference, each differing record as a
+pair of JSON lines, then a summary that sorts the differences into three
+classes:
 (a) rounding-level moves, a record whose `measured` moved by at most
 1e-14 between two finite values with every other field equal (with the
 largest such move); (b) witness changes, a record whose `g` changed and
@@ -39,7 +41,8 @@ from pathlib import Path
 
 WORK_DIR = ".compare_reports"
 ROUNDING = 1e-14  # the largest move of a finite `measured` that class (a) takes
-EXTRA_TREES = ("path:12", "random:12,3", "path:1", "path:2", "star:2", "path:5")
+EXTRA_TREES = ("path:12", "random:12,3", "path:1", "path:2", "star:2", "path:5",
+               "random:100,4", "random:150,1", "regular:2,3", "star:8")
 
 
 def _configs(workloads) -> list[tuple[str, str]]:

@@ -41,7 +41,6 @@ from .operators import (
     format_complex,
 )
 from .groups import (
-    GroupClosure,
     verify_automorphism,
     close_group,
     full_automorphism_group,

@@ -24,12 +24,12 @@ from numpy.linalg import matrix_power
 from . import kernels as kernels_mod
 from . import reps as reps_mod
 from .groups import (
-    DEFAULT_GROUP_CAP,
-    GroupClosure,
-    close_group,
+    _centre_generators,
     edge_images,
-    full_automorphism_group,
+    orbit_transversal,
     parse_automorphisms,
+    schreier_generators,
+    stabilizer_chain,
 )
 from .operators import (
     NAMED_OPERATORS,
@@ -181,27 +181,20 @@ def resolve_tree(spec: str) -> Tree:
     return parse_tree(path.read_text(encoding="utf-8"))
 
 
-def resolve_group(tree: Tree, spec: str) -> GroupClosure:
-    """'auto' or an automorphism file whose lines are taken as generators
-    and closed under composition; either is refused above DEFAULT_GROUP_CAP
-    elements."""
+def resolve_group(tree: Tree, spec: str) -> tuple[np.ndarray, int]:
+    """The (k, n) generator rows, _centre_generators' for 'auto' or an
+    automorphism file's lines, and their group's order."""
     if spec == "auto":
+        generators = _centre_generators(tree)
+    else:
+        path = Path(spec)
+        if not path.is_file():
+            raise ConfigError(f"group spec {spec!r} is neither 'auto' nor a file")
         try:
-            return full_automorphism_group(tree)
+            generators = parse_automorphisms(tree, path.read_text(encoding="utf-8"))
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    path = Path(spec)
-    if not path.is_file():
-        raise ConfigError(f"group spec {spec!r} is neither 'auto' nor a file")
-    try:
-        generators = parse_automorphisms(tree, path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    closure = close_group(tree, generators, DEFAULT_GROUP_CAP)
-    if not closure.complete:
-        raise ConfigError(f"{path}: the generated group exceeds the cap of "
-                          f"{DEFAULT_GROUP_CAP} elements")
-    return closure
+            raise ConfigError(f"{path}: {exc}") from None
+    return generators, math.prod(map(len, stabilizer_chain(generators)))
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +206,8 @@ def resolve_group(tree: Tree, spec: str) -> GroupClosure:
 class _Context:
     config: SuiteConfig
     tree: Tree
-    closure: GroupClosure
+    generators: np.ndarray
+    order: int
     rooted_list: list[RootedTree]
     tol: dict[str, float]
     adjoint_rng: np.random.Generator  # one stream for both origins, in order
@@ -270,18 +264,14 @@ def _per_element(ctx: _Context, measure, rows: np.ndarray) -> np.ndarray:
 
 
 def _orbit_rows(ctx: _Context, rooted: RootedTree, keys) -> np.ndarray:
-    """o's transversal, the rows a family walks at the origin o: r_x, the
-    first closure row with r_x o = x, per orbit point x, in closure order.
-    Each Schreier generator w = r_(s x)^-1 s r_x of Stab(o), s a generator,
-    gathers each memoized matrix M of the family (one per key make, *args)
-    onto itself bit for bit, NaN onto NaN, or a LinAlgError names M: pi0(w) M
-    pi0(w)^-1 == M, pi1(w) on F's left; so r_x s's member is r_x's times pi0(s)."""
-    images, o, n = ctx.closure.images, rooted.origin, ctx.tree.n
-    points, first = np.unique(images[:, o], return_index=True)
-    moved = images[list(ctx.closure.generator_indices)][:, images[first]].reshape(-1, n)
-    back = np.argsort(images[first], axis=1)[np.searchsorted(points, moved[:, o])]
-    schreier = np.take_along_axis(back, moved, axis=1)
-    schreier = schreier[(schreier != np.arange(n)).any(axis=1)]
+    """The rows a family walks at the origin o, orbit_transversal's r_x per
+    orbit point x. Each Schreier generator w of Stab(o) gathers each
+    memoized matrix M of the family (one per key make, *args) onto itself
+    bit for bit, NaN onto NaN, or a LinAlgError names M: pi0(w) M pi0(w)^-1
+    == M, pi1(w) on F's left; so r_x s's member is r_x's times pi0(s)."""
+    o, n = rooted.origin, ctx.tree.n
+    rows = orbit_transversal(ctx.generators, o)
+    schreier = schreier_generators(ctx.generators, rows, o)
     for block in reps_mod.element_blocks(len(schreier), n):
         w = schreier[block]
         edge, sign = edge_images(ctx.tree, w)  # pi1(w): edge j to edge[j], by sign[j]
@@ -295,8 +285,7 @@ def _orbit_rows(ctx: _Context, rooted: RootedTree, keys) -> np.ndarray:
             if not (same.all() or (same | np.isnan(gathered) & np.isnan(m)).all()):
                 raise np.linalg.LinAlgError(
                     f"Stab({o}) moves {make.__name__}{tuple(args)}")
-    # argsort, as elsewhere: np.sort's own SIMD code would add resident pages
-    return first[np.argsort(first)]
+    return rows
 
 
 def _check_shift_factorization(ctx: _Context, rooted: RootedTree) -> list[CheckRecord]:
@@ -325,8 +314,7 @@ def _check_deformation_identity(ctx: _Context, rooted: RootedTree) -> list[Check
     s_q = kernels_mod.dense_s_q(ctx.tree)
     n, grid = ctx.tree.n, ctx.config.t_grid
     rows = _orbit_rows(ctx, rooted, [(one_minus_shift, t) for t in grid])
-    images = ctx.closure.images[rows]
-    index = images[:, :, None] * n + images[:, None, :]  # (g x, g y) per row
+    index = rows[:, :, None] * n + rows[:, None, :]  # (g x, g y) per row
     out = []
     for t in grid:
         tmat = reps_mod._dense_context(rooted, deformation_operator, t)
@@ -342,7 +330,8 @@ def _check_deformation_identity(ctx: _Context, rooted: RootedTree) -> list[Check
         worst, worst_g = worst_of(_per_element(
             ctx, lambda block: _max_entry(prod.take(block) - prod), index))
         out.append(_record(ctx, "deformation-commutant", rooted.origin, worst, tol,
-                           g=f"max@{rows[worst_g]}", parameter=f"t={t:g}"))
+                           g=f"max@x={rows[worst_g, rooted.origin]}",
+                           parameter=f"t={t:g}"))
     return out
 
 
@@ -458,7 +447,7 @@ def _check_bounded_family(ctx: _Context, rooted: RootedTree) -> list[CheckRecord
             cross = reps_mod.defect_identity_residual(rooted, images, z, defect)
             return rep.outside_residual, excess, cross, norms
 
-        *defects, norms = _per_element(ctx, measure, ctx.closure.images[rows])
+        *defects, norms = _per_element(ctx, measure, rows)
         names = ("defect-locality", "defect-rank", "defect-identity")
         for name, row, bound in zip(names, defects, (tol_loc, 0.0, tol_loc)):
             out.append(_record(ctx, name, rooted.origin, worst_of(row)[0], bound,
@@ -467,7 +456,7 @@ def _check_bounded_family(ctx: _Context, rooted: RootedTree) -> list[CheckRecord
         r = abs(z)
         bound = 1.0 + 2.0 * r / (1.0 - r) + ctx.tol["bound_slack"]
         out.append(_record(ctx, "uniform-bound", rooted.origin, max_norm, bound,
-                           g=f"max@{rows[argmax]}", parameter=ptxt))
+                           g=f"max@x={rows[argmax, rooted.origin]}", parameter=ptxt))
     return out
 
 
@@ -511,7 +500,7 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
     bound; an orbit of origins, whose T_t are permutation conjugates, shares
     one set. Each record name maps to its worst value
     (unitarity and conjugation-equivalence to one per grid t; limit-monotone
-    to the number of broken curves, each counted |G|/len(rows) times). The
+    to the number of broken curves, each counted |G|/|G o| times). The
     origin's memoized matrices outlive the walk, until run_check_suite
     drops them."""
     tol_u = ctx.tol["unitarity"]
@@ -547,26 +536,26 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
         per_row = (*unitary, *equiv, start, sphere, *steps)
         return np.array([[worst_of(row)[0] for row in per_row] + [broken.sum()]]).T
 
-    images, k, o = ctx.closure.images, len(grid), rooted.origin
-    blocks = _per_element(ctx, measure, images[rows])
+    k, o = len(grid), rooted.origin
+    blocks = _per_element(ctx, measure, rows)
     worst = [worst_of(row)[0] for row in blocks[:-1]]
     # the transversal's every pair: r_x r_y = r_z s with s in Stab(o), so A_x A_y
     # against A_z pi0(s), A = rho_0.7, covers G x G
     pairs = np.stack(np.divmod(np.arange(len(rows) ** 2), len(rows)), axis=1)
     representative = np.zeros(n, dtype=np.intp)
-    representative[images[rows, o]] = rows  # r_x's closure row, per orbit point x
+    representative[rows[:, o]] = np.arange(len(rows))  # r_x's row, per orbit point x
 
     def law(pair):
-        g, h = images[rows[pair.T]]
+        g, h = rows[pair.T]
         gho = np.take_along_axis(g, h[:, [o]], axis=1)[:, 0]  # g h o
         return reps_mod.homomorphism_residual(
             lambda block: reps_mod.dense_unitary_rep(rooted, block, 0.7), g, h,
-            images[representative[gho]])
+            rows[representative[gho]])
 
     hom = _per_element(ctx, law, pairs)
     lipschitz = []
     for step, a, b in zip(worst[2 * k + 2:], grid, grid[1:]):
-        key = (images[:, o].min(), a, b)  # one set of bounds per orbit of origins
+        key = (rows[:, o].min(), a, b)  # one set of bounds per orbit of origins
         if step != 0.0 and key not in ctx.step_bounds:
             ctx.step_bounds[key] = reps_mod.unitary_step_bound(
                 rooted, a, b, 1.0 + tol_u)
@@ -577,7 +566,7 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
         "homomorphism": worst_of(hom)[0],
         "endpoint-start": worst[2 * k],
         "origin-sphere": worst[2 * k + 1],
-        "limit-monotone": blocks[-1].sum() * (len(images) // len(rows)),
+        "limit-monotone": blocks[-1].sum() * (ctx.order // len(rows)),
         "grid-lipschitz": worst_of(lipschitz)[0],
     }
 
@@ -665,9 +654,8 @@ def _check_cocycles(ctx: _Context) -> list[CheckRecord]:
     ))
     out = [_record(ctx, "cocycle-identities", rooted.origin, worst_of(gaps)[0], tol)]
 
-    generators = ctx.closure.images[list(ctx.closure.generator_indices)]
     base = [(rooted.origin, y) for y in range(tree.n)]
-    gaps = kernels_mod.cocycle_equivariance_residual(tree, generators, base,
+    gaps = kernels_mod.cocycle_equivariance_residual(tree, ctx.generators, base,
                                                      rep.from_origin)
     out.append(
         _record(ctx, "cocycle-equivariance", rooted.origin, worst_of(gaps)[0], tol)
@@ -704,12 +692,13 @@ _CHECKS: list[tuple[str, Callable[[_Context], list]]] = [
 def run_check_suite(config: SuiteConfig) -> SuiteReport:
     config.validate()
     tree = resolve_tree(config.tree_spec)
-    closure = resolve_group(tree, config.group_spec)
+    generators, order = resolve_group(tree, config.group_spec)
     origins = [0] if tree.n == 1 else [0, tree.n - 1]
     ctx = _Context(
         config=config,
         tree=tree,
-        closure=closure,
+        generators=generators,
+        order=order,
         rooted_list=[root_at(tree, o) for o in origins],
         tol=config.tolerance_table(),
         adjoint_rng=np.random.default_rng(config.seed),
@@ -718,7 +707,7 @@ def run_check_suite(config: SuiteConfig) -> SuiteReport:
     timings = dict.fromkeys(results, 0.0)
     broken: set[str] = set()
 
-    def run(name, fn):
+    def run(name, fn, origin):
         if name in broken:
             return
         start = time.perf_counter()
@@ -726,10 +715,10 @@ def run_check_suite(config: SuiteConfig) -> SuiteReport:
             results[name].extend(fn())
         except np.linalg.LinAlgError as exc:
             # a numerical breakdown fails its check, at every origin, with
-            # one record; the other checks still run
+            # one record where it broke; the other checks still run
             broken.add(name)
             results[name] = [
-                _record(ctx, name, origins[0], math.nan, 0.0, parameter=f"error={exc}")
+                _record(ctx, name, origin, math.nan, 0.0, parameter=f"error={exc}")
             ]
         timings[name] += time.perf_counter() - start
 
@@ -743,10 +732,10 @@ def run_check_suite(config: SuiteConfig) -> SuiteReport:
     for i, rooted in enumerate(ctx.rooted_list):
         reps_mod._dense_context.sweep(rooted, real)  # one level sweep
         for name, per_origin in runs:
-            run(name, per_origin[i])
+            run(name, per_origin[i], rooted.origin)
         reps_mod._dense_context.memos.pop(rooted, None)
     for name, fn in _CHECKS[_ROOTED_CHECKS:]:
-        run(name, partial(fn, ctx))
+        run(name, partial(fn, ctx), origins[0])
     timings["total"] = time.perf_counter() - total_start
     records = [r for name in results for r in results[name]]
     return SuiteReport(
@@ -758,8 +747,8 @@ def run_check_suite(config: SuiteConfig) -> SuiteReport:
             "z_grid": [format_complex(z) for z in config.z_grid],
             "seed": config.seed,
             "tolerances": ctx.tol,
-            "group_order": len(closure),
-            "group_complete": closure.complete,
+            "group_order": order,
+            "group_complete": True,
         },
         records=records,
         aggregate_pass=all(r.passed for r in records),

@@ -29,6 +29,7 @@ from .checks import (
     resolve_tree,
     run_check_suite,
 )
+from .groups import close_group
 from .kernels import distance_kernel, exp_kernel, gram_kernel
 from .operators import NAMED_OPERATORS, materialize, matrix_to_csv, parse_complex
 from .reps import curve_to_csv, homotopy_curve
@@ -104,14 +105,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_curve(args) -> int:
     tree = resolve_tree(args.tree)
-    closure = resolve_group(tree, args.group)
-    if not 0 <= args.g < len(closure):
+    images = close_group(tree, resolve_group(tree, args.group)[0])
+    if not 0 <= args.g < len(images):
         raise ConfigError(
-            f"group element index {args.g} out of range 0..{len(closure) - 1}"
+            f"group element index {args.g} out of range 0..{len(images) - 1}"
         )
     rooted = root_at(tree, 0)
     grid = _parse_grid(args.t, "t", float)
-    curve = homotopy_curve(rooted, closure.images[args.g : args.g + 1], grid)
+    curve = homotopy_curve(rooted, images[args.g : args.g + 1], grid)
     out = _out_dir(args.out) / f"curve_{args.g}.csv"
     csv_text = curve_to_csv(grid, curve[:, 0])
     out.write_text(csv_text, encoding="utf-8")
@@ -181,8 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"generator string ({', '.join(TREE_SPEC_FORMS)}) "
                             "or a tree file"),
         "--group": dict(default="auto",
-                        help="'auto' for the full automorphism group "
-                             "(at most 20000 elements) or a generator file"),
+                        help="'auto' for the full automorphism group or a "
+                             "generator file (curve: at most 20000 elements)"),
         "--out": dict(default=".", help="output directory"),
     }
 

@@ -1,10 +1,13 @@
-"""Tree automorphisms, group closure, and the two permutation representations.
+"""Tree automorphisms, stabilizer chains, and the two permutation representations.
 
 A group element is its image row (images[x] is where x goes), a vertex
 permutation that preserves the edge set. The vertex representation
 permutes vertex basis vectors; the edge representation permutes signed
 edge classes, picking up a sign whenever the image of a canonical
 orientation is reversed.
+
+A group is held as its generator rows; Sims's stabilizer chain gives its
+order and, for a small group, every element.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import groupby
-from math import factorial
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,8 +24,10 @@ from .operators import LinearOperator
 from .trees import Tree, root_at
 
 __all__ = [
-    "GroupClosure",
     "verify_automorphism",
+    "orbit_transversal",
+    "schreier_generators",
+    "stabilizer_chain",
     "close_group",
     "full_automorphism_group",
     "parse_automorphisms",
@@ -71,63 +76,74 @@ def verify_automorphism(tree: Tree, images: Sequence[int]) -> tuple[int, ...]:
     return images
 
 
-@dataclass(frozen=True, eq=False)
-class GroupClosure:
-    """Deduplicated automorphisms: images is the read-only, sorted (len, n)
-    block of their image rows, the form the representation stacks take.
-    When complete is True the rows are closed under composition and
-    inverses and include the identity (which sorts first).
-    generator_indices locate the generating rows inside images."""
-
-    images: np.ndarray
-    generator_indices: tuple[int, ...]
-    complete: bool
-
-    def __len__(self) -> int:
-        return len(self.images)
+def orbit_transversal(generators: np.ndarray, o: int) -> np.ndarray:
+    """Rows r_x, x in o's orbit, from a breadth-first search under the (k, n)
+    generator rows: r_o = 1, and r_(s x) = s r_x for the first s to reach s x."""
+    rows, seen = [np.arange(generators.shape[1])], {o}
+    for r in rows:  # grows as it goes
+        for s in generators:
+            if s[r[o]] not in seen:
+                seen.add(s[r[o]])
+                rows.append(s[r])
+    return np.array(rows)
 
 
-def close_group(
-    tree: Tree,
-    generators: Iterable[Sequence[int]],
-    cap: int = DEFAULT_GROUP_CAP,
-) -> GroupClosure:
-    """Breadth-first closure of the generator rows under composition.
+def schreier_generators(generators: np.ndarray, rows: np.ndarray, o: int) -> np.ndarray:
+    """Schreier's generators of Stab(o), r_(s x)^-1 s r_x per generator s
+    and orbit_transversal row r_x, without the identity."""
+    count, n = rows.shape
+    at = np.zeros(n, int)
+    at[rows[:, o]] = np.arange(count)  # x -> r_x's row
+    moved = generators[:, rows].reshape(-1, n)  # s r_x
+    w = np.take_along_axis(np.argsort(rows, axis=1)[at[moved[:, o]]], moved, axis=1)
+    return w[(w != np.arange(n)).any(axis=1)]
 
-    Every generator is validated against the tree first. The identity is
-    always included. In a finite group inverses are positive powers, so
-    closing under composition alone is enough. If more than cap elements
-    appear the search stops and the result is flagged incomplete.
 
-    Each frontier row is composed with every generator in one gather, a
-    row at a time; the products are taken in (g, h) order.
-    """
+def _sims_filter(candidates: np.ndarray) -> np.ndarray:
+    """Rows generating the candidates' group, at most one per (first moved
+    point i, its image) (Sims's filter): a g meeting a kept h there becomes
+    h^-1 g."""
+    kept, identity = {}, np.arange(candidates.shape[1])
+    for g in candidates:
+        while (moved := np.flatnonzero(g != identity)).size:
+            if (h := kept.setdefault((moved[0], g[moved[0]]), g)) is g:
+                break
+            g = np.argsort(h)[g]  # h^-1 g
+    return np.array([*kept.values()]).reshape(-1, len(identity))
+
+
+def stabilizer_chain(generators: np.ndarray) -> list[np.ndarray]:
+    """Sims's stabilizer chain (Seress, Permutation Group Algorithms, ch. 4):
+    an orbit_transversal per base point, the least point the generators
+    move, whose filtered Schreier generators come next; each element is one
+    product u_0 u_1 ... of transversal rows."""
+    chain = []
+    while len(generators := _sims_filter(generators)):
+        base = int((generators != np.arange(generators.shape[1])).any(axis=0).argmax())
+        chain.append(orbit_transversal(generators, base))
+        generators = schreier_generators(generators, chain[-1], base)
+    return chain
+
+
+def close_group(tree: Tree, generators: Iterable[Sequence[int]],
+                cap: int = DEFAULT_GROUP_CAP) -> np.ndarray:
+    """The read-only, sorted (|G|, n) block of the group of the verified
+    generator rows, its chain's transversal products; a group over cap
+    elements is refused before any is built."""
     gens = [verify_automorphism(tree, g) for g in generators]
-    gen_block = np.array(gens, dtype=np.intp).reshape(-1, tree.n)
-    frontier = np.arange(tree.n)[None, :]
-    found = {tuple(range(tree.n))}  # image tuples
-    complete = True
-    while len(frontier) and complete:
-        fresh = []
-        # in (g, h) order, one frontier row g at a time: gh is x -> g(h(x))
-        for images in (tuple(gh) for g in frontier for gh in g[gen_block].tolist()):
-            if images not in found:
-                if len(found) >= cap:
-                    complete = False
-                    break
-                found.add(images)
-                fresh.append(images)
-        frontier = np.array(fresh, dtype=np.intp).reshape(-1, tree.n)
-    rows = sorted(found)
-    position = {row: i for i, row in enumerate(rows)}
-    gen_indices = tuple(position[g] for g in gens if g in position)
-    images = np.array(rows, dtype=np.intp)
+    chain = stabilizer_chain(np.array(gens, dtype=np.intp).reshape(-1, tree.n))
+    if (order := prod(map(len, chain))) > cap:
+        raise ValueError(f"group has {order} elements, which exceeds the cap of {cap}")
+    images = np.arange(tree.n)[None, :]
+    for rows in reversed(chain):
+        images = rows[:, images].reshape(-1, tree.n)  # u after each product
+    images = images[np.lexsort(images.T[::-1])]
     images.flags.writeable = False
-    return GroupClosure(images, gen_indices, complete)
+    return images
 
 
-def _centre_generators(tree: Tree) -> tuple[list[list[int]], int]:
-    """Generators of the full group, and its order, from the centre.
+def _centre_generators(tree: Tree) -> np.ndarray:
+    """The (k, n) generator rows of the full group, from the centre.
 
     Every automorphism fixes the centre of a longest path. Rooted there,
     subtrees get AHU labels bottom-up, equal exactly when isomorphic. Each
@@ -153,26 +169,20 @@ def _centre_generators(tree: Tree) -> tuple[list[list[int]], int]:
             pairs.extend(zip(kids[x], kids[y]))
         return images
 
-    generators, order = [], 1
+    generators = []
     for siblings in [sorted({centre, other})] + kids:
         for _, run in groupby(siblings, key=label.__getitem__):
             run = list(run)
-            order *= factorial(len(run))
             if len(run) > 1:
                 generators.append(moved(list(zip(run, run[1:] + run[:1]))))
             if len(run) > 2:
                 generators.append(moved([(run[0], run[1]), (run[1], run[0])]))
-    return generators, order
+    return np.array(generators, dtype=np.intp).reshape(-1, tree.n)
 
 
-def full_automorphism_group(tree: Tree) -> GroupClosure:
-    """All edge-preserving permutations, closed from _centre_generators; a
-    group over DEFAULT_GROUP_CAP elements is refused before any is built."""
-    generators, order = _centre_generators(tree)
-    if order > DEFAULT_GROUP_CAP:
-        raise ValueError(f"automorphism group has {order} elements, which exceeds "
-                         f"the cap of {DEFAULT_GROUP_CAP}; supply a generator file")
-    return close_group(tree, generators, DEFAULT_GROUP_CAP)
+def full_automorphism_group(tree: Tree) -> np.ndarray:
+    """Every edge-preserving permutation: close_group of _centre_generators."""
+    return close_group(tree, _centre_generators(tree))
 
 
 # ----------------------------------------------------------------------

@@ -240,9 +240,11 @@ def cocycle_equivariance_residual(tree: Tree, images, pairs, cocycles=None) -> n
     cocycles = geodesic_cocycle(tree, pairs) if cocycles is None else cocycles
     actions = [pi1_operator(tree, g) for g in images]
     moved = np.asarray(images, dtype=np.intp).reshape(len(actions), tree.n)[:, pairs]
-    keys, where = np.unique(moved[..., 0] * tree.n + moved[..., 1], return_inverse=True)
-    targets = geodesic_cocycle(tree, np.stack(np.divmod(keys, tree.n), axis=1))
+    keys = (moved[..., 0] * tree.n + moved[..., 1]).ravel().tolist()
+    column = {k: i for i, k in enumerate(dict.fromkeys(keys))}
+    targets = geodesic_cocycle(tree, [divmod(k, tree.n) for k in column])
     gaps = np.zeros(moved.shape[:2])
-    for row, action, at in zip(gaps, actions, where.reshape(gaps.shape)):
+    where = np.array([column[k] for k in keys], dtype=np.intp).reshape(gaps.shape)
+    for row, action, at in zip(gaps, actions, where):
         row[:] = _gaps(action @ cocycles, targets[:, at])
     return gaps

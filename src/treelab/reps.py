@@ -15,10 +15,10 @@ Two families are built by conjugating the vertex permutation action:
 Every operator, 1 - zP (operators.one_minus_shift) among them, is the
 operator module's; a member is a composition of its block appliers, from
 an image row that verify_automorphism checks. The dense route maps a
-block of elements, (k, n) image rows of a closure such as
-GroupClosure.images, to the (k, n, n) stack of its members: the operators
-materialized, gathers and one matrix product (a unitary member is pi0(g)
-plus T^-1 times the difference of two gathers of T); nothing here
+block of elements, (k, n) image rows such as an orbit transversal, to the
+(k, n, n) stack of its members: the operators materialized, gathers and
+one matrix product (a unitary member is pi0(g) plus T^-1 times the
+difference of two gathers of T); nothing here
 restates an operator in closed form. Every dense measurement returns one
 value per element, and a measurement of members takes the stack that the
 caller built: uniform_bound_certificate reads its norms, and the two
@@ -135,10 +135,9 @@ def limit_rep_operator(rooted: RootedTree, g: Sequence[int]) -> LinearOperator:
 
 # ----------------------------------------------------------------------
 # Dense stacks. A block of group elements is a (k, n) int array of vertex
-# images, one row per element; GroupClosure.images is the block of a whole
-# closure. Every dense matrix is an operator's, memoized per rooted tree,
-# constructor and parameters; a family maps a block to its (k, n, n) stack
-# of members by gathers and one matrix product.
+# images, one row per element. Every dense matrix is an operator's,
+# memoized per rooted tree, constructor and parameters; a family maps a
+# block to its (k, n, n) stack of members by gathers and one matrix product.
 # ----------------------------------------------------------------------
 
 STACK_BYTES = 1 << 17  # the byte budget of one (k, n, n) complex stack

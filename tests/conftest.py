@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from treelab.groups import GroupClosure, full_automorphism_group
+from treelab.groups import close_group, full_automorphism_group
 from treelab.trees import Tree, make_path, make_random, make_regular, make_star
 
 
@@ -31,22 +34,31 @@ def origin_pair(tree: Tree) -> tuple[int, ...]:
     return (0,) if tree.n == 1 else (0, tree.n - 1)
 
 
-def transversal(images: np.ndarray, origin: int) -> np.ndarray:
-    """The closure rows that the orbit path walks at origin: the first row
-    that moves origin to x, for each orbit point x, in closure order."""
-    return np.sort(np.unique(images[:, origin], return_index=True)[1])
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: its group orders are counted
+    by canonical forms, independently of treelab."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def force_fallback(monkeypatch) -> None:
     """The brute-force reference for the orbit path: every family walks every
-    closure row in place of checks._orbit_rows's transversal, each row
-    standing for itself, through the suite's own measurement code. Each
-    element weighs 1 in limit-monotone, and the homomorphism law takes all
-    of G x G."""
-    from treelab import checks
+    element of the group, close_group's block, in place of
+    checks._orbit_rows's transversal, each element standing for itself,
+    through the suite's own measurement code. Each element weighs 1 in
+    limit-monotone, and the homomorphism law takes all of G x G, each pair
+    measured against rep(g h) itself (z = None), not a coset's
+    representative."""
+    from treelab import checks, reps
 
     monkeypatch.setattr(checks, "_orbit_rows",
-                        lambda ctx, rooted, keys: np.arange(len(ctx.closure)))
+                        lambda ctx, rooted, keys: close_group(ctx.tree, ctx.generators))
+    law = reps.homomorphism_residual
+    monkeypatch.setattr(reps, "homomorphism_residual",
+                        lambda rep, g, h, z=None: law(rep, g, h))
 
 
 @pytest.fixture(scope="session")
@@ -60,7 +72,7 @@ def random_corpus() -> list[tuple[str, Tree]]:
 
 
 @pytest.fixture(scope="session")
-def closure_corpus() -> list[tuple[str, Tree, GroupClosure]]:
+def closure_corpus() -> list[tuple[str, Tree, np.ndarray]]:
     """Trees with their full automorphism groups: paths 3..8 and the
     radius-3 trivalent tree (whose group has 3072 elements)."""
     out = []
@@ -73,7 +85,7 @@ def closure_corpus() -> list[tuple[str, Tree, GroupClosure]]:
 
 
 @pytest.fixture(scope="session")
-def small_group_corpus() -> list[tuple[str, Tree, GroupClosure]]:
+def small_group_corpus() -> list[tuple[str, Tree, np.ndarray]]:
     """Trees whose full groups are small enough to enumerate all pairs."""
     out = []
     for spec, tree in [

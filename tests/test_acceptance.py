@@ -126,7 +126,7 @@ def test_criterion_02_deformation_product_and_commutant(
     for _, tree, closure in corpus:
         s, q = dense_s_q(tree)
         n = tree.n
-        gathers = [(np.argsort(g), g) for g in closure.images]
+        gathers = [(np.argsort(g), g) for g in closure]
         for rooted in rooted_pairs(tree):
             for t in DEFAULT_T_GRID:
                 tm = materialize(deformation_operator(rooted, t))
@@ -189,7 +189,7 @@ def test_criterion_04_bounded_family(closure_corpus, record_criterion):
         for rooted in defect_roots:
             for z in z_values:
                 for block in element_blocks(len(closure), tree.n):
-                    images = closure.images[block]
+                    images = closure[block]
                     defect = multiplicative_defect(
                         images, dense_bounded_rep(rooted, images, z)
                     )
@@ -202,7 +202,7 @@ def test_criterion_04_bounded_family(closure_corpus, record_criterion):
             for z in z_values:
                 bound = 1 + 2 * z / (1 - z)
                 for block in element_blocks(len(closure), tree.n):
-                    member = dense_bounded_rep(rooted, closure.images[block], z)
+                    member = dense_bounded_rep(rooted, closure[block], z)
                     max_norm = uniform_bound_certificate(z, member).max()
                     bounds_ok = bounds_ok and max_norm <= bound + BOUND_SLACK
                     worst_margin = max(worst_margin, max_norm - bound)
@@ -235,7 +235,7 @@ def test_criterion_05_unitary_family(
         for rooted in rooted_pairs(tree):
             for t in DEFAULT_T_GRID:
                 for block in element_blocks(len(closure), n):
-                    images = closure.images[block]
+                    images = closure[block]
                     rep = dense_unitary_rep(rooted, images, t)
                     gram = rep.conj().swapaxes(1, 2) @ rep
                     worst_unitary = max(worst_unitary, np.abs(gram - np.eye(n)).max())
@@ -250,7 +250,7 @@ def test_criterion_05_unitary_family(
                 worst_hom,
                 homomorphism_residual(
                     lambda images: dense_unitary_rep(rooted, images, t),
-                    closure.images[g], closure.images[h],
+                    closure[g], closure[h],
                 ).max(),
             )
     # the 3072-element group contributes a seeded sample of pairs
@@ -259,7 +259,7 @@ def test_criterion_05_unitary_family(
     rng = np.random.default_rng(0xA11CE)
     pair_idx = rng.integers(0, len(closure), size=(4096, 2))
     for block in element_blocks(len(pair_idx), tree.n):
-        g, h = closure.images[pair_idx[block]].swapaxes(0, 1)
+        g, h = closure[pair_idx[block]].swapaxes(0, 1)
         worst_hom = max(
             worst_hom,
             homomorphism_residual(
@@ -314,7 +314,7 @@ def test_criterion_07_limit_approach(closure_corpus, record_criterion):
     for spec, tree, closure in closure_corpus:
         for rooted in rooted_pairs(tree):
             for block in element_blocks(len(closure), tree.n):
-                images = closure.images[block]
+                images = closure[block]
                 for t in DEFAULT_T_GRID + (0.999,):
                     member = dense_unitary_rep(rooted, images, t)
                     sphere_worst = max(
@@ -328,7 +328,7 @@ def test_criterion_07_limit_approach(closure_corpus, record_criterion):
                         monotone_ok = monotone_ok and values[0] > values[1] > values[2]
     # the two-vertex path has the exact closed form sqrt(2 (1 - t))
     rooted = root_at(make_path(2), 0)
-    swap = full_automorphism_group(rooted.tree).images[1:2]
+    swap = full_automorphism_group(rooted.tree)[1:2]
     grid = (0.9, 0.99, 0.999)
     for t, dist in zip(grid, homotopy_curve(rooted, swap, grid)[0, 0]):
         p2_worst = max(p2_worst, abs(dist - math.sqrt(2 * (1 - t))))
@@ -360,8 +360,8 @@ def test_criterion_07_limit_gap_ceiling(closure_corpus, record_criterion):
     worst = 0.0
     for spec, tree, closure in closure_corpus:
         for rooted in rooted_pairs(tree):
-            d = displacement(rooted, closure.images)
-            images = closure.images[(1 <= d) & (d <= 6)]
+            d = displacement(rooted, closure)
+            images = closure[(1 <= d) & (d <= 6)]
             if len(images):
                 worst = max(worst, homotopy_curve(rooted, images, (0.999,))[0].max())
     record_criterion(
@@ -426,7 +426,7 @@ def test_criterion_09_cocycles(record_criterion):
             rep.closed_form_residual.max(),
             rep.antisymmetry_residual.max(),
         )
-        images = full_automorphism_group(tree).images
+        images = full_automorphism_group(tree)
         if len(images) > 64:
             rng = np.random.default_rng(0xA11CE)
             images = images[rng.integers(0, len(images), 64)]
@@ -453,7 +453,7 @@ def test_criterion_10_endpoints_and_continuity(closure_corpus, record_criterion)
         n = tree.n
         for rooted in rooted_pairs(tree):
             for block in element_blocks(len(closure), n):
-                images = closure.images[block]
+                images = closure[block]
                 gap = np.abs(
                     dense_unitary_rep(rooted, images, 0.0) - dense_pi0(n, images)
                 ).max()

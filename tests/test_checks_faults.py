@@ -15,11 +15,11 @@ import pytest
 from treelab import checks, kernels, operators, reps
 from treelab.checks import _record
 from treelab.cli import main
-from treelab.groups import full_automorphism_group
+from treelab.groups import full_automorphism_group, orbit_transversal
 from treelab.operators import LinearOperator, worst_of
 from treelab.trees import Tree, make_path, make_star, root_at, tree_from_spec
 
-from conftest import force_fallback, transversal
+from conftest import force_fallback
 
 
 def _nan_unitary_at_half(original):
@@ -63,12 +63,13 @@ def _inf_bounded(original):
 
 def _flip_one_member(original):
     # -rho is unitary too, but it lies about 2 away from its grid neighbours;
-    # the swap of leaves 2 and 3 is the representative of orbit point 2 at
-    # the leaf origin 3, so the orbit path builds it
+    # the 3-cycle of the leaves that takes 3 to 2, the square of the cycle
+    # generator, is the representative of orbit point 2 at the leaf origin 3,
+    # so the orbit path builds it
     def patched(rooted, images, t):
         stack = original(rooted, images, t)
         if t == 0.5:
-            flip = (images == (0, 1, 3, 2)).all(axis=1)
+            flip = (images == (0, 3, 1, 2)).all(axis=1)
             stack = np.where(flip[:, None, None], -stack, stack)
         return stack
 
@@ -77,9 +78,11 @@ def _flip_one_member(original):
 
 def _inverse_members(original):
     # each unitary member built from g^-1: an anti-homomorphism, which the
-    # homomorphism law catches on the non-abelian group of star:5. At the
-    # leaf origin 4 the representatives' inverses move it elsewhere, and
-    # some of their curves stop falling
+    # homomorphism law catches on regular:3,2, whose transversals are not
+    # closed under products (on a star they are the powers of the leaf
+    # cycle, an abelian group, so the law holds there). At the leaf origin
+    # 16 the representatives' inverses move it elsewhere, and some of their
+    # curves stop falling
     def patched(rooted, images, t):
         return original(rooted, np.argsort(images, axis=1), t)
 
@@ -275,7 +278,7 @@ FAULTS = {
 
 
 # the tree a fault runs on, where it is not star:4
-FAULT_TREES = {"inverse-members": "star:5"}
+FAULT_TREES = {"inverse-members": "regular:3,2"}
 
 # faults that plant no NaN or inf: each fails exactly the records it names
 FINITE_FAULTS = {
@@ -363,8 +366,8 @@ def test_a_breakdown_in_the_unitary_walk_fails_both_families(monkeypatch, tmp_pa
 
 def test_a_breakdown_at_the_last_origin_fails_its_check_once(monkeypatch):
     # bounded-family breaks down at origin 3 only, after origin 0's records:
-    # they are dropped for one error record at origin 0, origin 3 is not run
-    # again, and every other check records both origins as before
+    # they are dropped for one error record at origin 3, where it broke, and
+    # every other check records both origins as before
     def finite_rank_defect(rooted, *args):
         if rooted.origin == 3:
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -381,7 +384,7 @@ def test_a_breakdown_at_the_last_origin_fails_its_check_once(monkeypatch):
 
     expected = [key for key in keys(clean) if key[0] not in bounded]
     at = [key[0] in bounded for key in keys(clean)].index(True)
-    expected.insert(at, ("bounded-family", 0, "error=SVD did not converge"))
+    expected.insert(at, ("bounded-family", 3, "error=SVD did not converge"))
     assert records == expected
     for name in {r.check for r in clean.records if r.origin == 3} - bounded:
         assert {origin for check, origin, _ in records if check == name} == {0, 3}
@@ -415,7 +418,7 @@ def test_wrong_inverse_fails_deformation_product_where_members_are_permutations(
     # every element of random:5,3 fixes both origins, so each unitary member
     # is pi0(g) exactly, whatever T^-1 is; T T^-1 = 1 still reads the inverse
     tree = tree_from_spec("random:5,3")
-    images = full_automorphism_group(tree).images
+    images = full_automorphism_group(tree)
     assert len(images) == 2 and (images[:, [0, 4]] == [0, 4]).all()
     monkeypatch.setattr(reps, "inverse_rescale", _wrong_inverse(reps.inverse_rescale))
     report = checks.run_check_suite(checks.SuiteConfig("random:5,3"))
@@ -486,7 +489,7 @@ def test_non_finite_bounded_member_fails_certificate(monkeypatch):
     )
     tree = make_star(4)
     member = reps.dense_bounded_rep(
-        root_at(tree, 0), full_automorphism_group(tree).images, 0.5
+        root_at(tree, 0), full_automorphism_group(tree), 0.5
     )
     norms = reps.uniform_bound_certificate(0.5, member)
     assert not math.isfinite(worst_of(norms)[0])
@@ -517,7 +520,7 @@ def test_limit_monotone_counts_the_broken_curves(monkeypatch, tmp_path):
         checks, "_approaches_limit", _rising_curve(checks._approaches_limit)
     )
     tree = make_star(4)
-    images = full_automorphism_group(tree).images
+    images = full_automorphism_group(tree)
     broken = [int(_breaks_curve(root_at(tree, o), images).sum()) for o in (0, 3)]
     assert broken == [6, 4]
 
@@ -568,9 +571,9 @@ def test_limit_distances_equal_the_homotopy_curve(monkeypatch):
     checks.run_check_suite(checks.SuiteConfig("star:4"))
 
     assert [rooted.origin for rooted, _, _ in seen] == [0, 3]
-    group = full_automorphism_group(make_star(4)).images
+    generators, _ = checks.resolve_group(make_star(4), "auto")
     for rooted, images, values in seen:
-        assert np.array_equal(images, group[transversal(group, rooted.origin)])
+        assert np.array_equal(images, orbit_transversal(generators, rooted.origin))
         curve = reps.homotopy_curve(rooted, images, checks.MONOTONE_T_VALUES)[0]
         assert np.array_equal(values, curve)
 
@@ -583,7 +586,7 @@ def test_defect_rank_is_nan_on_a_non_finite_defect(monkeypatch):
         reps, "dense_bounded_rep", _inf_bounded(reps.dense_bounded_rep)
     )
     tree = make_path(2)
-    swap = full_automorphism_group(tree).images[1:2]
+    swap = full_automorphism_group(tree)[1:2]
     rooted = root_at(tree, 0)
     defect = reps.multiplicative_defect(swap, reps.dense_bounded_rep(rooted, swap, 0.5))
     rep = reps.finite_rank_defect(rooted, swap, defect)

@@ -206,21 +206,42 @@ class TestCheckCommand:
         assert payload["config"]["group_order"] == 8
 
     def test_auto_group_order_cap(self, tmp_path, capsys):
+        # check counts star:13's 12! automorphisms by their stabilizer chain
+        # and runs; only curve, which lists the group, keeps the cap
         assert run_cli("check", "--tree", "star:13", "--group", "auto",
+                       "--out", str(tmp_path)) == 0
+        payload = report_from_json((tmp_path / "report.json").read_text())
+        assert payload["config"]["group_order"] == 479001600
+        assert payload["config"]["group_complete"] is True
+        assert run_cli("curve", "--tree", "star:13", "--group", "auto", "--g", "0",
                        "--out", str(tmp_path)) == 2
         assert "479001600" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "curve_0.csv").exists()
+
+    @pytest.mark.parametrize("spec,order", [("star:9", 40320),
+                                            ("regular:2,4", 12582912)])
+    def test_auto_groups_above_20000_elements_run(self, tmp_path, spec, order):
+        # the chain gives the order and each origin's transversal; no element
+        # list is built, so the size of the group does not refuse a tree
+        assert run_cli("check", "--tree", spec, "--group", "auto",
+                       "--out", str(tmp_path)) == 0
+        payload = report_from_json((tmp_path / "report.json").read_text())
+        assert payload["config"]["group_order"] == order
+        assert len(payload["records"]) == 138
 
     def test_generator_file_over_the_cap(self, tmp_path, capsys):
         # a transposition and an 8-cycle of the leaves generate all 40320
-        # leaf permutations of star:9, twice the cap
+        # leaf permutations of star:9, twice curve's cap; check takes them
         group_file = tmp_path / "gens.txt"
         group_file.write_text("0 2 1 3 4 5 6 7 8\n0 2 3 4 5 6 7 8 1\n")
         assert run_cli("check", "--tree", "star:9", "--group", str(group_file),
-                       "--out", str(tmp_path)) == 2
+                       "--out", str(tmp_path)) == 0
+        payload = report_from_json((tmp_path / "report.json").read_text())
+        assert payload["config"]["group_order"] == 40320
+        assert run_cli("curve", "--tree", "star:9", "--group", str(group_file),
+                       "--g", "0", "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert "exceeds" in err and "20000" in err
-        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_tolerance_name(self, tmp_path, capsys):
         assert run_cli("check", "--tree", "path:2", "--group", "auto",

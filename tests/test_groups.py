@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import numpy as np
@@ -9,9 +10,12 @@ from treelab.groups import (
     _centre_generators,
     close_group,
     full_automorphism_group,
+    orbit_transversal,
     parse_automorphisms,
     pi0_operator,
     pi1_operator,
+    schreier_generators,
+    stabilizer_chain,
     verify_automorphism,
 )
 from treelab.kernels import cocycle_equivariance_residual
@@ -31,6 +35,8 @@ from treelab.trees import (
     root_at,
     tree_from_spec,
 )
+
+from conftest import perfbench_workloads
 
 
 def brute_force_group(tree):
@@ -87,60 +93,94 @@ class TestAutomorphismAlgebra:
 class TestClosure:
     def test_path_reflection(self):
         tree = make_path(3)
-        closure = close_group(tree, [[2, 1, 0]])
-        assert len(closure) == 2
-        assert closure.complete
+        assert close_group(tree, [[2, 1, 0]]).tolist() == [[0, 1, 2], [2, 1, 0]]
 
     def test_star_transpositions_generate_symmetric_group(self):
         tree = make_star(4)
         closure = close_group(tree, [[0, 2, 1, 3], [0, 1, 3, 2]])
         assert len(closure) == 6
-        assert sorted(map(tuple, closure.images.tolist())) == brute_force_group(tree)
+        assert sorted(map(tuple, closure.tolist())) == brute_force_group(tree)
 
     def test_empty_generators(self):
         closure = close_group(make_path(3), [])
-        assert closure.images.tolist() == [[0, 1, 2]]
+        assert closure.tolist() == [[0, 1, 2]]
 
-    def test_cap_flags_incomplete(self):
-        closure = close_group(make_star(4), [[0, 2, 1, 3], [0, 1, 3, 2]], cap=3)
-        assert not closure.complete
-        assert len(closure) == 3
-
-    def test_cap_keeps_the_discovery_order(self):
-        # a capped closure holds the first cap elements that a one-product-
-        # at-a-time breadth-first search finds, taking products g h in
-        # (frontier element g, generator h) order
-        tree = make_star(5)
-        gens = [(0, 2, 1, 3, 4), (0, 2, 3, 4, 1)]
-        found = frontier = [(0, 1, 2, 3, 4)]
-        while frontier:
-            fresh = []
-            for gh in (tuple(g[x] for x in h) for g in frontier for h in gens):
-                if gh not in found and gh not in fresh:
-                    fresh.append(gh)
-            found, frontier = found + fresh, fresh
-        assert len(found) == 24
-        for cap in range(1, 26):
-            closure = close_group(tree, gens, cap=cap)
-            assert closure.complete == (cap >= 24)
-            assert sorted(map(tuple, closure.images.tolist())) == sorted(found[:cap])
+    def test_cap_refuses_a_larger_group(self):
+        # the chain counts the group before any element is built
+        gens = [[0, 2, 1, 3], [0, 1, 3, 2]]
+        with pytest.raises(ValueError, match="group has 6 elements, which exceeds "
+                                             "the cap of 5"):
+            close_group(make_star(4), gens, cap=5)
+        assert len(close_group(make_star(4), gens, cap=6)) == 6
 
     def test_sorted_with_identity_first(self):
         closure = close_group(make_star(4), [[0, 2, 3, 1]])
-        assert closure.images.tolist() == [[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
-        assert closure.images.dtype == np.intp
-        assert not closure.images.flags.writeable
-
-    def test_generator_indices(self):
-        gen = [0, 2, 3, 1]
-        closure = close_group(make_star(4), [gen])
-        assert closure.generator_indices == (1,)
-        for i in closure.generator_indices:
-            assert closure.images[i].tolist() == gen
+        assert closure.tolist() == [[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+        assert closure.dtype == np.intp
+        assert not closure.flags.writeable
 
     def test_invalid_generator_rejected(self):
         with pytest.raises(ValueError):
             close_group(make_path(3), [[1, 0, 2]])
+
+
+def plain_closure(generators, n):
+    """Oracle: the set of image tuples that the generators reach from the
+    identity, one product at a time (inverses are positive powers)."""
+    found, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        fresh = {tuple(g[x] for x in h) for g in frontier for h in generators} - found
+        found |= fresh
+        frontier = list(fresh)
+    return found
+
+
+class TestStabilizerChain:
+    @pytest.mark.parametrize("spec", ["star:6", "regular:2,2", "random:30,4"])
+    def test_orders_of_generator_subsets_equal_a_plain_closure(self, spec):
+        # seeded subsets of the full group's elements, as generators: the
+        # chain's order and close_group's block against a set of tuples
+        tree = tree_from_spec(spec)
+        group = full_automorphism_group(tree)
+        rng = np.random.default_rng(7)
+        for size in (1, 1, 2, 2, 3):
+            generators = group[rng.choice(len(group), size=size)]
+            closed = plain_closure(generators.tolist(), tree.n)
+            chain = stabilizer_chain(generators)
+            assert math.prod(map(len, chain)) == len(closed)
+            assert close_group(tree, generators).tolist() == sorted(map(list, closed))
+
+    @pytest.mark.parametrize("spec", ["regular:2,4", "regular:3,3", "random:300,1",
+                                      "star:13"])
+    def test_orders_equal_the_counted_canonical_forms(self, spec):
+        # perfbench counts Aut(T) by canonical forms, independently of treelab
+        tree = tree_from_spec(spec)
+        chain = stabilizer_chain(_centre_generators(tree))
+        order = perfbench_workloads().automorphism_order(tree.n, tree.edges)
+        assert math.prod(map(len, chain)) == order > 20000
+
+    def test_each_level_fixes_the_earlier_base_points(self):
+        # the base points rise, and every row of a transversal fixes the
+        # points below its base, so the products are distinct elements
+        chain = stabilizer_chain(_centre_generators(make_regular(2, 3)))
+        bases = [int(np.flatnonzero((rows != np.arange(22)).any(axis=0))[0])
+                 for rows in chain]
+        assert bases == sorted(set(bases))
+        for base, rows in zip(bases, chain):
+            assert (rows[:, :base] == np.arange(base)).all()
+            assert rows[0].tolist() == list(range(22))
+
+    def test_schreier_generators_fix_the_point(self):
+        tree = make_regular(2, 3)
+        generators = _centre_generators(tree)
+        for o in (0, 5, 21):
+            rows = orbit_transversal(generators, o)
+            w = schreier_generators(generators, rows, o)
+            assert len(w) and (w[:, o] == o).all()
+            assert (w != np.arange(tree.n)).any(axis=1).all()
+            # they generate Stab(o): |G| = |G o| |Stab(o)|
+            order = math.prod(map(len, stabilizer_chain(w)))
+            assert order * len(rows) == 3072
 
 
 class TestFullGroup:
@@ -161,7 +201,7 @@ class TestFullGroup:
         trees = [make_path(4), make_star(5), make_random(6, seed=0),
                  make_random(7, seed=4)]
         for tree in trees:
-            found = full_automorphism_group(tree).images.tolist()
+            found = full_automorphism_group(tree).tolist()
             assert found == [list(g) for g in brute_force_group(tree)]
 
     @pytest.mark.parametrize(
@@ -174,8 +214,10 @@ class TestFullGroup:
         # bicentral ones with unequal halves
         tree = tree_from_spec(spec)
         group = full_automorphism_group(tree)
-        assert group.images.tolist() == [list(g) for g in brute_force_group(tree)]
-        assert len(group) == _centre_generators(tree)[1]
+        oracle = brute_force_group(tree)
+        assert group.tolist() == [list(g) for g in oracle]
+        chain = stabilizer_chain(_centre_generators(tree))
+        assert math.prod(map(len, chain)) == len(oracle)
 
     def test_refused_before_enumerating(self):
         # star:13 has 12! automorphisms; the order is counted, not searched
@@ -194,17 +236,17 @@ class TestFullGroup:
 
     def test_closed_under_composition(self):
         group = full_automorphism_group(make_star(4))
-        elements = set(map(tuple, group.images.tolist()))
-        for g in group.images:
+        elements = set(map(tuple, group.tolist()))
+        for g in group:
             assert tuple(np.argsort(g).tolist()) in elements
-            for h in group.images:
+            for h in group:
                 assert tuple(g[h].tolist()) in elements
 
 
 class TestAutomorphismFiles:
     def test_round_trip(self):
         tree = make_star(4)
-        images = full_automorphism_group(tree).images
+        images = full_automorphism_group(tree)
         text = "\n".join(" ".join(map(str, row)) for row in images.tolist()) + "\n"
         parsed = parse_automorphisms(tree, text)
         assert parsed.dtype == np.intp and np.array_equal(parsed, images)
@@ -233,13 +275,13 @@ class TestVertexAction:
         tree = make_star(4)
         rng = np.random.default_rng(3)
         v = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-        for g in full_automorphism_group(tree).images:
+        for g in full_automorphism_group(tree):
             image = pi0_operator(tree, g) @ v
             assert np.linalg.norm(image) == pytest.approx(np.linalg.norm(v), rel=1e-15)
 
     def test_unitary_and_homomorphism_dense(self):
         tree = make_star(4)
-        images = full_automorphism_group(tree).images
+        images = full_automorphism_group(tree)
         mats = {tuple(g): materialize(pi0_operator(tree, g)) for g in images.tolist()}
         for g in images:
             mg = mats[tuple(g.tolist())]
@@ -271,7 +313,7 @@ class TestEdgeAction:
 
     def test_matches_delta_edge_transport(self):
         tree = make_random(12, seed=6)
-        for g in full_automorphism_group(tree).images:
+        for g in full_automorphism_group(tree):
             for u, v in tree.edges:
                 image = pi1_operator(tree, g) @ signed_edge(tree, u, v)
                 assert np.array_equal(image, signed_edge(tree, g[u], g[v]))
@@ -280,7 +322,7 @@ class TestEdgeAction:
         # pi1(gh) = pi1(g) pi1(h) on every pair of G x G: the premise that
         # carries cocycle-equivariance from the generators to the group
         for tree in (make_star(5), make_regular(2, 2)):
-            images = full_automorphism_group(tree).images
+            images = full_automorphism_group(tree)
             position = {row: i for i, row in enumerate(map(tuple, images.tolist()))}
             mats = np.array([materialize(pi1_operator(tree, g)) for g in images])
             eye = np.eye(tree.edge_count)
@@ -295,7 +337,7 @@ class TestIntertwining:
     def test_coboundary_equivariance(self):
         tree = make_random(10, seed=12)
         b = materialize(coboundary_operator(tree))
-        for g in full_automorphism_group(tree).images:
+        for g in full_automorphism_group(tree):
             pi0 = materialize(pi0_operator(tree, g))
             pi1 = materialize(pi1_operator(tree, g))
             assert np.abs(b @ pi1 - pi0 @ b).max() == 0.0
@@ -304,7 +346,7 @@ class TestIntertwining:
         tree = make_star(5)
         s = materialize(adjacency_operator(tree))
         q = materialize(branching_operator(tree))
-        for g in full_automorphism_group(tree).images:
+        for g in full_automorphism_group(tree):
             pi0 = materialize(pi0_operator(tree, g))
             assert np.abs(s @ pi0 - pi0 @ s).max() == 0.0
             assert np.abs(q @ pi0 - pi0 @ q).max() == 0.0

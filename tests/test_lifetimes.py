@@ -17,7 +17,7 @@ import pytest
 
 from treelab import checks, kernels, operators, reps
 from treelab.cli import main
-from treelab.groups import full_automorphism_group
+from treelab.groups import orbit_transversal
 from treelab.operators import (
     deformation_inverse,
     deformation_operator,
@@ -26,7 +26,6 @@ from treelab.operators import (
 )
 from treelab.trees import make_path, make_star, root_at
 
-from conftest import transversal
 
 
 def _run_suite(monkeypatch, spec):
@@ -158,10 +157,10 @@ def test_the_report_keeps_the_registry_order():
 def _orbit_blocks():
     """Per origin of star:4, the element blocks of the rows that the orbit
     path walks there, as bytes: the transversals of 1 and 3 rows."""
-    images = full_automorphism_group(make_star(4)).images
+    generators, _ = checks.resolve_group(make_star(4), "auto")
     out = []
     for o in (0, 3):
-        rows = images[transversal(images, o)]
+        rows = orbit_transversal(generators, o)
         out.append((o, [rows[b].tobytes() for b in reps.element_blocks(len(rows), 4)]))
     return out
 

@@ -180,7 +180,7 @@ class TestDeformation:
         # closure row gathers it onto itself bit for bit, and the commutant
         # of T T* is at most twice its gap to K_t
         tree = tree_from_spec(spec)
-        n, images = tree.n, full_automorphism_group(tree).images
+        n, images = tree.n, full_automorphism_group(tree)
 
         def gathered_onto_itself(s, q, t):
             k = np.eye(n) - t * s + t * t * q

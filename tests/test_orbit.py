@@ -1,13 +1,13 @@
 """The orbit path: deformation-commutant and the three family checks walk
-one representative per point of the origin's orbit, r_x, the first closure
-row that moves the origin to x, behind an exact stabilizer guard. A guard
-that fails is a defect: it fails the family's check with one error record.
-The orbit path and the brute-force reference, which walks every closure
-row, give the same verdicts, and their measurements agree to rounding.
+one representative per point of the origin's orbit, r_x, the row of a
+breadth-first search of the orbit that moves the origin to x, behind an
+exact stabilizer guard. A guard that fails is a defect: it fails the
+family's check with one error record, at the origin where it failed. The
+orbit path and the brute-force reference, which walks every element of the
+group, give the same verdicts, and their measurements agree to rounding.
 grid-lipschitz takes its step bounds only where a step moves, once per
 orbit of origins."""
 
-import importlib.util
 import json
 import re
 from pathlib import Path
@@ -18,7 +18,7 @@ import pytest
 
 from treelab import checks, reps
 from treelab.cli import main
-from treelab.groups import full_automorphism_group
+from treelab.groups import full_automorphism_group, orbit_transversal
 from treelab.operators import (
     one_minus_shift,
     operator_norm,
@@ -28,17 +28,9 @@ from treelab.operators import (
 )
 from treelab.trees import make_regular, make_star, root_at, tree_from_spec
 
-from conftest import force_fallback, transversal
+from conftest import force_fallback, perfbench_workloads
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _spy_guard(monkeypatch) -> list:
@@ -58,7 +50,7 @@ def _spy_guard(monkeypatch) -> list:
 def _benchmark_configs(tmp_path):
     """The symmetric and large workloads at seed 1, as (tree, group) specs;
     the large random tree's generator file is written under tmp_path."""
-    workloads = _workloads()
+    workloads = perfbench_workloads()
     s = 1
     while (swap := workloads.sibling_leaf_swap(
             *workloads.tree_edges(f"random:200,{s}"))) is None:
@@ -87,22 +79,56 @@ def test_the_guard_takes_the_orbit_path_on_every_benchmark_origin(
         assert report.aggregate_pass
         last = tree_from_spec(tree).n - 1
         assert len(seen) == 2 * per_origin
-        walked = {o: rows.tolist() for o, rows in seen}
-        assert {o: len(rows) for o, rows in walked.items()} == dict(zip((0, last), orbits))
-        # a witness names a closure row: its origin's representative
+        walked = {o: rows[:, o].tolist() for o, rows in seen}
+        assert {o: len(points) for o, points in walked.items()} == dict(
+            zip((0, last), orbits))
+        # a witness names an orbit point: its representative's image of the origin
         for r in report.records:
             if r.g != "-":
-                assert int(r.g.removeprefix("max@")) in walked[r.origin], r
+                assert int(r.g.removeprefix("max@x=")) in walked[r.origin], r
+
+
+def _context(tree):
+    """The group fields of a suite context, for the guard alone."""
+    generators, order = checks.resolve_group(tree, "auto")
+    return SimpleNamespace(generators=generators, order=order, tree=tree)
 
 
 def test_the_transversal_is_the_first_row_per_orbit_point():
+    # r_x is the first row of a breadth-first search to reach x. star:4's
+    # generators are the leaf cycle c = (1 2 3) and the swap (1 2): from the
+    # leaf origin 3, c reaches 1 first, then c c reaches 2; the swap fixes 3
+    # and reaches 2 from 1 only after c has
     tree = make_star(4)
-    images = full_automorphism_group(tree).images
-    ctx = SimpleNamespace(closure=full_automorphism_group(tree), tree=tree)
+    ctx = _context(tree)
+    assert ctx.generators.tolist() == [[0, 2, 3, 1], [0, 2, 1, 3]]
     rows = checks._orbit_rows(ctx, root_at(tree, 3), [])
-    assert rows.tolist() == [0, 1, 3] == transversal(images, 3).tolist()
-    assert images[rows, 3].tolist() == [3, 2, 1]
-    assert checks._orbit_rows(ctx, root_at(tree, 0), []).tolist() == [0]
+    assert rows.tolist() == [[0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+    assert rows[:, 3].tolist() == [3, 1, 2]
+    assert checks._orbit_rows(ctx, root_at(tree, 0), []).tolist() == [[0, 1, 2, 3]]
+
+
+@pytest.mark.parametrize("spec", ["star:5", "regular:2,2", "random:12,3", "path:6"])
+def test_each_representative_is_its_parent_times_the_first_generator_to_reach_it(
+    spec,
+):
+    # r_o = 1 and r_(s x) = s r_x for the first generator s, in order, that
+    # reaches s x from the points in the order they were found
+    tree = tree_from_spec(spec)
+    generators, _ = checks.resolve_group(tree, "auto")
+    group = {tuple(g) for g in full_automorphism_group(tree).tolist()}
+    for o in (0, tree.n - 1):
+        expected, found = [list(range(tree.n))], {o}
+        for r in expected:
+            for s in generators.tolist():
+                if s[r[o]] not in found:
+                    found.add(s[r[o]])
+                    expected.append([s[y] for y in r])
+        rows = orbit_transversal(generators, o)
+        assert rows.tolist() == expected
+        assert {tuple(r) for r in rows.tolist()} <= group
+        assert sorted(rows[:, o].tolist()) == sorted(
+            {g[o] for g in group})
 
 
 @pytest.mark.parametrize("make,entry,raises", [
@@ -123,7 +149,7 @@ def test_an_entry_off_by_1e9_fails_the_guard(
 ):
     tree = make_star(5)
     rooted = root_at(tree, 4)
-    ctx = SimpleNamespace(closure=full_automorphism_group(tree), tree=tree)
+    ctx = _context(tree)
     key = (make,) if make is parent_edge_operator else (make, 0.5)
     assert len(checks._orbit_rows(ctx, rooted, [key])) == 4
     matrix = reps._dense_context(rooted, *key).copy()
@@ -151,7 +177,7 @@ def test_a_guard_failure_fails_its_family_with_one_error_record(
 ):
     # the entry is planted after the sweep of the leaf origin 4, whose
     # stabilizer moves it (as above); origin 0's records ran clean, and each
-    # broken check keeps one record, at the first origin, for both
+    # broken check keeps one record, at origin 4, where it broke, for both
     def sweep(rooted, values):
         original(rooted, values)
         if rooted.origin == 4:
@@ -169,7 +195,7 @@ def test_a_guard_failure_fails_its_family_with_one_error_record(
     assert [r["check"] for r in failed] == broken
     for r in failed:
         assert r["parameter"].startswith(f"error=Stab(4) moves {key[0].__name__}("), r
-        assert r["origin"] == 0 and r["measured"] is None
+        assert r["origin"] == 4 and r["measured"] is None
 
 
 def _keyed(report):
@@ -195,7 +221,7 @@ def test_the_orbit_pairs_give_the_homomorphism_of_g_times_g(tree):
     # takes every pair of G x G
     spec = "star:5" if tree.n == 5 else "regular:2,2"
     report = checks.run_check_suite(checks.SuiteConfig(spec))
-    images = full_automorphism_group(tree).images
+    images = full_automorphism_group(tree)
     g, h = np.divmod(np.arange(len(images) ** 2), len(images))
     for origin in (0, tree.n - 1):
         rooted = root_at(tree, origin)
@@ -206,7 +232,8 @@ def test_the_orbit_pairs_give_the_homomorphism_of_g_times_g(tree):
         record, = [r for r in report.records
                    if r.check == "homomorphism" and r.origin == origin]
         assert record.measured == brute
-        assert len(transversal(images, origin)) < len(images)
+        generators, _ = checks.resolve_group(tree, "auto")
+        assert len(orbit_transversal(generators, origin)) < len(images)
 
 
 def test_a_product_against_another_coset_fails_the_law():
@@ -214,16 +241,15 @@ def test_a_product_against_another_coset_fails_the_law():
     # z must be the representative of g h's coset, not any other row
     tree = make_star(4)
     rooted = root_at(tree, 3)
-    images = full_automorphism_group(tree).images
-    rows = transversal(images, 3)
+    rows = orbit_transversal(checks.resolve_group(tree, "auto")[0], 3)
 
     def rep(block):
         return reps.dense_unitary_rep(rooted, block, 0.7)
 
-    g, h = images[rows[[1]]], images[rows[[2]]]
+    g, h = rows[[1]], rows[[2]]
     gh = np.take_along_axis(g, h, axis=1)
-    z = [row for row in images[rows] if row[3] == gh[0, 3]]
-    other = [row for row in images[rows] if row[3] != gh[0, 3]]
+    z = [row for row in rows if row[3] == gh[0, 3]]
+    other = [row for row in rows if row[3] != gh[0, 3]]
     assert reps.homomorphism_residual(rep, g, h, np.array(z)).max() <= 1e-15
     assert reps.homomorphism_residual(rep, g, h, np.array(other[:1])).max() > 0.1
 
@@ -269,16 +295,16 @@ def _eager_lipschitz(spec: str) -> dict[int, float]:
     """grid-lipschitz per origin as computed before the walk kept raw steps:
     every step bound at every origin, taken first from that origin's own
     matrices, and each step divided before it is reduced. The members are
-    built on the transversal, in the walk's blocks."""
+    built on the suite's transversal, in the walk's blocks."""
     tree = tree_from_spec(spec)
-    images = full_automorphism_group(tree).images
+    generators, _ = checks.resolve_group(tree, "auto")
     member_norm = 1.0 + checks.TOLERANCES["unitarity"]
     grid, out = checks.DEFAULT_T_GRID, {}
     for origin in (0, tree.n - 1):
         rooted = root_at(tree, origin)
         bounds = [reps.unitary_step_bound(rooted, a, b, member_norm)
                   for a, b in zip(grid, grid[1:])]
-        rows = images[transversal(images, origin)]
+        rows = orbit_transversal(generators, origin)
         ratios = []
         for block in reps.element_blocks(len(rows), tree.n):
             members = [reps.dense_unitary_rep(rooted, rows[block], t) for t in grid]
@@ -298,7 +324,7 @@ def test_grid_lipschitz_equals_the_eager_bounds(spec):
     report = checks.run_check_suite(checks.SuiteConfig(spec))
     records = [r for r in report.records if r.check == "grid-lipschitz"]
     assert [r.origin for r in records] == list(eager)
-    images = full_automorphism_group(tree_from_spec(spec)).images
+    images = full_automorphism_group(tree_from_spec(spec))
     shared = records[-1].origin in images[:, 0]
     for r in records:
         if r.origin == 0 or not shared:

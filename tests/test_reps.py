@@ -110,7 +110,7 @@ def oracle_limit(rooted, g):
 def all_pairs(group):
     """The image blocks of g and of h over every pair (g, h), g-major."""
     g, h = np.divmod(np.arange(len(group) ** 2), len(group))
-    return group.images[g], group.images[h]
+    return group[g], group[h]
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +123,7 @@ class TestStacks:
     @pytest.mark.parametrize("corpus", ["random14_rooted", "star4_leaf_rooted"])
     def test_every_member_matches_its_oracle(self, corpus, request):
         rooted, group = request.getfixturevalue(corpus)
-        images = group.images
+        images = group
         for z in (0.5, 0.3 + 0.4j):
             for dense, g in zip(dense_bounded_rep(rooted, images, z), images):
                 assert np.abs(dense - oracle_bounded(rooted, g, z)).max() <= 1e-12
@@ -182,8 +182,8 @@ class TestBoundedFamily:
         rooted = root_at(make_random(14, seed=3), 5)
         group = full_automorphism_group(rooted.tree)
         for z in (0.5, 0.3 + 0.4j):
-            stack = dense_bounded_rep(rooted, group.images, z)
-            for dense, g in zip(stack, group.images):
+            stack = dense_bounded_rep(rooted, group, z)
+            for dense, g in zip(stack, group):
                 oracle = oracle_bounded(rooted, g, z)
                 assert np.abs(dense - oracle).max() <= 1e-12
                 assert np.abs(
@@ -220,16 +220,16 @@ class TestUnitaryFamily:
     def test_unitary_on_grid(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
         for t in T_GRID:
-            for rep in dense_unitary_rep(rooted, group.images, t):
+            for rep in dense_unitary_rep(rooted, group, t):
                 assert np.abs(rep.conj().T @ rep - np.eye(4)).max() <= 1e-11
 
     def test_dense_and_applier_match_oracle(self, random14_rooted):
         rooted, group = random14_rooted
-        moved = displacement(rooted, group.images) > 0
+        moved = displacement(rooted, group) > 0
         assert moved.tolist() == [False, False, True, True]
         for t in (0.0, 0.5, 0.9):
-            stack = dense_unitary_rep(rooted, group.images, t)
-            for dense, g in zip(stack, group.images):
+            stack = dense_unitary_rep(rooted, group, t)
+            for dense, g in zip(stack, group):
                 oracle = oracle_unitary(rooted, g, t)
                 assert np.abs(dense - oracle).max() <= 1e-12
                 assert np.abs(
@@ -239,7 +239,7 @@ class TestUnitaryFamily:
     def test_dense_matches_applier(self, star4_leaf_rooted):
         # up to t = 0.999: origin_sphere_residual reads the dense members only,
         # so they stand in for the applier there
-        rooted, images = star4_leaf_rooted[0], star4_leaf_rooted[1].images
+        rooted, images = star4_leaf_rooted[0], star4_leaf_rooted[1]
         for t in T_GRID + (0.7, 0.999):
             for dense, g in zip(dense_unitary_rep(rooted, images, t), images):
                 sparse = materialize(unitary_rep_operator(rooted, g, t))
@@ -262,7 +262,7 @@ class TestUnitaryFamily:
         # is off the geodesic from the origin o to g(o); when g fixes o the
         # member is pi0(g) bit for bit
         tree = tree_from_spec(spec)
-        rooted, images = root_at(tree, origin), full_automorphism_group(tree).images
+        rooted, images = root_at(tree, origin), full_automorphism_group(tree)
         dist = tree.distance_matrix()
         for t in T_GRID + (0.999,):
             stack = dense_unitary_rep(rooted, images, t)
@@ -275,15 +275,15 @@ class TestUnitaryFamily:
 
     def test_conjugation_equivalence(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        swap = group.images[1:2]
+        swap = group[1:2]
         member = dense_unitary_rep(rooted, swap, 0.0)
         assert conjugation_equivalence_residual(rooted, swap, 0.0, member) == 0.0
         for t in (0.3, 0.5, 0.9):
-            member = dense_unitary_rep(rooted, group.images, t)
-            gaps = conjugation_equivalence_residual(rooted, group.images, t, member)
+            member = dense_unitary_rep(rooted, group, t)
+            gaps = conjugation_equivalence_residual(rooted, group, t, member)
             assert gaps.max() <= 1e-12
             # the member is compared as given: a wrong one shows
-            wrong = conjugation_equivalence_residual(rooted, group.images, t, -member)
+            wrong = conjugation_equivalence_residual(rooted, group, t, -member)
             assert (wrong > 1.0).all()
 
     def test_homomorphism_in_g(self, star4_leaf_rooted):
@@ -307,13 +307,13 @@ class TestLimitRep:
     def test_origin_always_fixed(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
         d_origin = np.eye(rooted.n)[:, [rooted.origin]]
-        for g in group.images:
+        for g in group:
             op = limit_rep_operator(rooted, g)
             assert np.array_equal(op @ d_origin, d_origin)
 
     def test_unitary_and_homomorphism(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for rep in dense_limit_rep(rooted, group.images):
+        for rep in dense_limit_rep(rooted, group):
             assert np.abs(rep.conj().T @ rep - np.eye(4)).max() <= 1e-14
         g, h = all_pairs(group)
         rep = lambda images: dense_limit_rep(rooted, images)
@@ -321,14 +321,14 @@ class TestLimitRep:
 
     def test_dense_and_applier_match_oracle(self, random14_rooted):
         rooted, group = random14_rooted
-        for dense, g in zip(dense_limit_rep(rooted, group.images), group.images):
+        for dense, g in zip(dense_limit_rep(rooted, group), group):
             oracle = oracle_limit(rooted, g)
             assert np.abs(dense - oracle).max() == 0.0
             assert np.abs(materialize(limit_rep_operator(rooted, g)) - oracle).max() == 0.0
 
     def test_dense_matches_applier(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for dense, g in zip(dense_limit_rep(rooted, group.images), group.images):
+        for dense, g in zip(dense_limit_rep(rooted, group), group):
             sparse = materialize(limit_rep_operator(rooted, g))
             assert np.abs(dense - sparse).max() == 0.0
 
@@ -380,7 +380,7 @@ class TestDefect:
 
     def test_locality_off_the_segment(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        images = group.images
+        images = group
         for member in (
             dense_bounded_rep(rooted, images, 0.5),
             dense_unitary_rep(rooted, images, 0.9),
@@ -400,7 +400,7 @@ class TestDefect:
         # the predicted defect z R(z) (P - P') is exactly 0 off segment x
         # segment, so the identity's gap there is the defect itself
         tree = tree_from_spec(spec)
-        images = full_automorphism_group(tree).images
+        images = full_automorphism_group(tree)
         for rooted in (root_at(tree, 0), root_at(tree, tree.n - 1)):
             for z in (0.5, 0.3 + 0.4j, 0.9):
                 for part in element_blocks(len(images), tree.n):
@@ -409,7 +409,7 @@ class TestDefect:
 
     def test_stabilizer_elements_are_defect_free(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        stabilizer = group.images[group.images[:, rooted.origin] == rooted.origin]
+        stabilizer = group[group[:, rooted.origin] == rooted.origin]
         assert len(stabilizer) == 2
         rep, _ = bounded_defect(rooted, stabilizer, 0.9)
         assert (rep.rank == 0).all()
@@ -426,7 +426,7 @@ class TestDefect:
     def test_defect_identity_measures_the_member_given(self, star4_leaf_rooted):
         # a wrong member shows in the identity's gap
         rooted, group = star4_leaf_rooted
-        images = group.images
+        images = group
         member = dense_bounded_rep(rooted, images, 0.5)
         right = multiplicative_defect(images, member)
         wrong = multiplicative_defect(images, -member)
@@ -447,14 +447,14 @@ def bound_certificate(rooted, images, z):
 class TestUniformBound:
     def test_z_zero(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        bound, norms = bound_certificate(rooted, group.images, 0.0)
+        bound, norms = bound_certificate(rooted, group, 0.0)
         assert bound == 1.0
         assert norms.max() == pytest.approx(1.0, abs=1e-10)
         assert norms.max() <= bound + 1e-8
 
     def test_z_half_bound_three(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        bound, norms = bound_certificate(rooted, group.images, 0.5)
+        bound, norms = bound_certificate(rooted, group, 0.5)
         assert bound == pytest.approx(3.0)
         assert norms.max() <= 3.0 + 1e-8
         assert norms.max() <= bound + 1e-8
@@ -462,15 +462,15 @@ class TestUniformBound:
     def test_norms_grow_with_displacement(self):
         rooted = root_at(make_path(6), 0)
         group = full_automorphism_group(rooted.tree)
-        bound, norms = bound_certificate(rooted, group.images, 0.9)
+        bound, norms = bound_certificate(rooted, group, 0.9)
         assert norms.max() <= bound + 1e-8
         assert norms.max() > 1.5  # the reversal genuinely deforms the action
-        assert displacement(rooted, group.images)[norms.argmax()] == 5
+        assert displacement(rooted, group)[norms.argmax()] == 5
 
     def test_one_norm_per_member_of_the_stack_given(self, star4_leaf_rooted):
         # the certificate reads the stack the caller built and builds none
         rooted, group = star4_leaf_rooted
-        member = dense_bounded_rep(rooted, group.images, 0.3 + 0.4j)
+        member = dense_bounded_rep(rooted, group, 0.3 + 0.4j)
         norms = uniform_bound_certificate(0.3 + 0.4j, member)
         assert np.array_equal(norms, operator_norm(member))
         assert norms.shape == (len(group),)
@@ -479,9 +479,10 @@ class TestUniformBound:
 
     def test_capped_word_sample_on_radius_four_tree(self):
         # the radius-4 trivalent tree's full group is astronomically large;
-        # a capped closure is exactly the set of short generator words, and
-        # the bound must hold over that sample too
-        from treelab.groups import close_group
+        # the leaf origin's transversal under five subtree swaps is a sample
+        # of generator words, one per orbit point, and the bound must hold
+        # over that sample too
+        from treelab.groups import orbit_transversal, stabilizer_chain
         from treelab.trees import make_regular
 
         tree = make_regular(2, 4)
@@ -507,11 +508,13 @@ class TestUniformBound:
             subtree_swap(10, 11),
             subtree_swap(22, 23),
         ]
-        closure = close_group(tree, generators, cap=512)
-        assert not closure.complete
-        assert len(closure) == 512
+        generators = np.array(generators)
+        # the swaps generate the full group; its order, not its elements
+        assert math.prod(map(len, stabilizer_chain(generators))) == 12582912
+        rows = orbit_transversal(generators, tree.n - 1)
+        assert len(rows) == 24
         leaf_rooted = root_at(tree, tree.n - 1)
-        bound, norms = bound_certificate(leaf_rooted, closure.images, 0.9)
+        bound, norms = bound_certificate(leaf_rooted, rows, 0.9)
         assert bound == pytest.approx(19.0)
         assert norms.max() <= bound + 1e-8
 
@@ -546,8 +549,8 @@ class TestHomotopy:
 
     def test_monotone_approach(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        curves = homotopy_curve(rooted, group.images, (0.9, 0.99, 0.999))[0]
-        for values, d in zip(curves, displacement(rooted, group.images)):
+        curves = homotopy_curve(rooted, group, (0.9, 0.99, 0.999))[0]
+        for values, d in zip(curves, displacement(rooted, group)):
             if d == 0:
                 assert max(values) <= 1e-12
             else:
@@ -568,7 +571,7 @@ class TestOriginSphere:
     def test_unit_norm_preserved(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
         for t in T_GRID + (0.999,):
-            member = dense_unitary_rep(rooted, group.images, t)
+            member = dense_unitary_rep(rooted, group, t)
             residual = origin_sphere_residual(rooted, member)
             assert residual.shape == (len(group),)
             assert (residual <= 1e-13).all()
@@ -591,16 +594,16 @@ class TestOriginSphere:
 class TestEndpoints:
     def test_start_endpoint_exact(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        pi0 = dense_pi0(4, group.images)
-        gap = dense_unitary_rep(rooted, group.images, 0.0) - pi0
+        pi0 = dense_pi0(4, group)
+        gap = dense_unitary_rep(rooted, group, 0.0) - pi0
         assert np.abs(gap).max() == 0.0
-        for action, g in zip(pi0, group.images):
+        for action, g in zip(pi0, group):
             sparse = materialize(unitary_rep_operator(rooted, g, 0.0))
             assert np.abs(sparse - action).max() == 0.0
 
     def test_limit_endpoint_agrees_between_routes(self, star4_leaf_rooted):
         rooted, group = star4_leaf_rooted
-        for dense, g in zip(dense_limit_rep(rooted, group.images), group.images):
+        for dense, g in zip(dense_limit_rep(rooted, group), group):
             sparse = materialize(limit_rep_operator(rooted, g))
             assert np.abs(dense - sparse).max() <= 1e-14
 
@@ -620,7 +623,7 @@ class TestGridSteps:
                 for a, b in zip(DEFAULT_T_GRID, DEFAULT_T_GRID[1:])
             ]
             assert all(0.0 < bound <= 2.0 * member_norm for bound in bounds)
-            images = close_group(tree, [reflection]).images
+            images = close_group(tree, [reflection])
             members = [dense_unitary_rep(rooted, images, t) for t in DEFAULT_T_GRID]
             for i, bound in enumerate(bounds):
                 steps = np.linalg.norm(members[i + 1] - members[i], 2, axis=(1, 2))

@@ -24,7 +24,7 @@ from numpy.linalg import matrix_power
 from . import kernels as kernels_mod
 from . import reps as reps_mod
 from .groups import (
-    _centre_generators,
+    automorphism_generators,
     edge_images,
     orbit_transversal,
     parse_automorphisms,
@@ -181,20 +181,17 @@ def resolve_tree(spec: str) -> Tree:
     return parse_tree(path.read_text(encoding="utf-8"))
 
 
-def resolve_group(tree: Tree, spec: str) -> tuple[np.ndarray, int]:
-    """The (k, n) generator rows, _centre_generators' for 'auto' or an
-    automorphism file's lines, and their group's order."""
+def resolve_group(tree: Tree, spec: str) -> np.ndarray:
+    """The (k, n) generator rows: automorphism_generators' for 'auto', or a file's."""
     if spec == "auto":
-        generators = _centre_generators(tree)
-    else:
-        path = Path(spec)
-        if not path.is_file():
-            raise ConfigError(f"group spec {spec!r} is neither 'auto' nor a file")
-        try:
-            generators = parse_automorphisms(tree, path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    return generators, math.prod(map(len, stabilizer_chain(generators)))
+        return automorphism_generators(tree)
+    path = Path(spec)
+    if not path.is_file():
+        raise ConfigError(f"group spec {spec!r} is neither 'auto' nor a file")
+    try:
+        return parse_automorphisms(tree, path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -539,14 +536,15 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
     k, o = len(grid), rooted.origin
     blocks = _per_element(ctx, measure, rows)
     worst = [worst_of(row)[0] for row in blocks[:-1]]
-    # the transversal's every pair: r_x r_y = r_z s with s in Stab(o), so A_x A_y
-    # against A_z pi0(s), A = rho_0.7, covers G x G
-    pairs = np.stack(np.divmod(np.arange(len(rows) ** 2), len(rows)), axis=1)
+    # g r_y = r_z s, s in Stab(o): A_g A_y against A_z pi0(s), A = rho_0.7, g a row
+    # or a generator (a star leaf's rows commute: blind to rho(g^-1))
+    left = np.concatenate([rows, ctx.generators])
+    pairs = np.stack(np.divmod(np.arange(len(left) * len(rows)), len(rows)), axis=1)
     representative = np.zeros(n, dtype=np.intp)
     representative[rows[:, o]] = np.arange(len(rows))  # r_x's row, per orbit point x
 
     def law(pair):
-        g, h = rows[pair.T]
+        g, h = left[pair[:, 0]], rows[pair[:, 1]]
         gho = np.take_along_axis(g, h[:, [o]], axis=1)[:, 0]  # g h o
         return reps_mod.homomorphism_residual(
             lambda block: reps_mod.dense_unitary_rep(rooted, block, 0.7), g, h,
@@ -692,13 +690,13 @@ _CHECKS: list[tuple[str, Callable[[_Context], list]]] = [
 def run_check_suite(config: SuiteConfig) -> SuiteReport:
     config.validate()
     tree = resolve_tree(config.tree_spec)
-    generators, order = resolve_group(tree, config.group_spec)
+    generators = resolve_group(tree, config.group_spec)
     origins = [0] if tree.n == 1 else [0, tree.n - 1]
     ctx = _Context(
         config=config,
         tree=tree,
         generators=generators,
-        order=order,
+        order=math.prod(map(len, stabilizer_chain(generators))),
         rooted_list=[root_at(tree, o) for o in origins],
         tol=config.tolerance_table(),
         adjoint_rng=np.random.default_rng(config.seed),
@@ -747,7 +745,7 @@ def run_check_suite(config: SuiteConfig) -> SuiteReport:
             "z_grid": [format_complex(z) for z in config.z_grid],
             "seed": config.seed,
             "tolerances": ctx.tol,
-            "group_order": order,
+            "group_order": ctx.order,
             "group_complete": True,
         },
         records=records,

@@ -105,7 +105,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_curve(args) -> int:
     tree = resolve_tree(args.tree)
-    images = close_group(tree, resolve_group(tree, args.group)[0])
+    images = close_group(tree, resolve_group(tree, args.group))
     if not 0 <= args.g < len(images):
         raise ConfigError(
             f"group element index {args.g} out of range 0..{len(images) - 1}"

@@ -29,6 +29,7 @@ __all__ = [
     "schreier_generators",
     "stabilizer_chain",
     "close_group",
+    "automorphism_generators",
     "full_automorphism_group",
     "parse_automorphisms",
     "pi0_operator",
@@ -142,7 +143,7 @@ def close_group(tree: Tree, generators: Iterable[Sequence[int]],
     return images
 
 
-def _centre_generators(tree: Tree) -> np.ndarray:
+def automorphism_generators(tree: Tree) -> np.ndarray:
     """The (k, n) generator rows of the full group, from the centre.
 
     Every automorphism fixes the centre of a longest path. Rooted there,
@@ -181,8 +182,8 @@ def _centre_generators(tree: Tree) -> np.ndarray:
 
 
 def full_automorphism_group(tree: Tree) -> np.ndarray:
-    """Every edge-preserving permutation: close_group of _centre_generators."""
-    return close_group(tree, _centre_generators(tree))
+    """Every automorphism: close_group of automorphism_generators."""
+    return close_group(tree, automorphism_generators(tree))
 
 
 # ----------------------------------------------------------------------

@@ -78,11 +78,12 @@ def _flip_one_member(original):
 
 def _inverse_members(original):
     # each unitary member built from g^-1: an anti-homomorphism, which the
-    # homomorphism law catches on regular:3,2, whose transversals are not
-    # closed under products (on a star they are the powers of the leaf
-    # cycle, an abelian group, so the law holds there). At the leaf origin
-    # 16 the representatives' inverses move it elsewhere, and some of their
-    # curves stop falling
+    # homomorphism law catches on the non-abelian groups of star:5 and
+    # regular:3,2. On star:5 a leaf's representatives are the powers of the
+    # leaf cycle, closed under products, so the law needs the pairs whose
+    # left factor is a generator. At the leaf origins 4 and 16 the
+    # representatives' inverses move the origin elsewhere, and some of
+    # their curves stop falling
     def patched(rooted, images, t):
         return original(rooted, np.argsort(images, axis=1), t)
 
@@ -277,8 +278,14 @@ FAULTS = {
 }
 
 
-# the tree a fault runs on, where it is not star:4
-FAULT_TREES = {"inverse-members": "regular:3,2"}
+# the trees a fault runs on, where it is not star:4; a test past the first
+# tree carries the tree in its id
+FAULT_TREES = {"inverse-members": ("star:5", "regular:3,2")}
+FAULT_CASES = [
+    pytest.param(fault, tree, id=fault if i == 0 else f"{fault}-{tree}")
+    for fault in sorted(FAULTS)
+    for i, tree in enumerate(FAULT_TREES.get(fault, ("star:4",)))
+]
 
 # faults that plant no NaN or inf: each fails exactly the records it names
 FINITE_FAULTS = {
@@ -293,12 +300,11 @@ def _reject_constant(name):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_injected_fault_fails_loudly(fault, monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("fault, tree", FAULT_CASES)
+def test_injected_fault_fails_loudly(fault, tree, monkeypatch, tmp_path, capsys):
     module, attr, wrap, failing, broken = FAULTS[fault]
     monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
 
-    tree = FAULT_TREES.get(fault, "star:4")
     assert main(["check", "--tree", tree, "--out", str(tmp_path)]) == 1
     check_out = capsys.readouterr().out
     text = (tmp_path / "report.json").read_text()
@@ -571,7 +577,7 @@ def test_limit_distances_equal_the_homotopy_curve(monkeypatch):
     checks.run_check_suite(checks.SuiteConfig("star:4"))
 
     assert [rooted.origin for rooted, _, _ in seen] == [0, 3]
-    generators, _ = checks.resolve_group(make_star(4), "auto")
+    generators = checks.resolve_group(make_star(4), "auto")
     for rooted, images, values in seen:
         assert np.array_equal(images, orbit_transversal(generators, rooted.origin))
         curve = reps.homotopy_curve(rooted, images, checks.MONOTONE_T_VALUES)[0]

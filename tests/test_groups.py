@@ -7,7 +7,7 @@ import pytest
 
 from treelab.groups import (
     Automorphism,
-    _centre_generators,
+    automorphism_generators,
     close_group,
     full_automorphism_group,
     orbit_transversal,
@@ -155,14 +155,14 @@ class TestStabilizerChain:
     def test_orders_equal_the_counted_canonical_forms(self, spec):
         # perfbench counts Aut(T) by canonical forms, independently of treelab
         tree = tree_from_spec(spec)
-        chain = stabilizer_chain(_centre_generators(tree))
+        chain = stabilizer_chain(automorphism_generators(tree))
         order = perfbench_workloads().automorphism_order(tree.n, tree.edges)
         assert math.prod(map(len, chain)) == order > 20000
 
     def test_each_level_fixes_the_earlier_base_points(self):
         # the base points rise, and every row of a transversal fixes the
         # points below its base, so the products are distinct elements
-        chain = stabilizer_chain(_centre_generators(make_regular(2, 3)))
+        chain = stabilizer_chain(automorphism_generators(make_regular(2, 3)))
         bases = [int(np.flatnonzero((rows != np.arange(22)).any(axis=0))[0])
                  for rows in chain]
         assert bases == sorted(set(bases))
@@ -172,7 +172,7 @@ class TestStabilizerChain:
 
     def test_schreier_generators_fix_the_point(self):
         tree = make_regular(2, 3)
-        generators = _centre_generators(tree)
+        generators = automorphism_generators(tree)
         for o in (0, 5, 21):
             rows = orbit_transversal(generators, o)
             w = schreier_generators(generators, rows, o)
@@ -216,7 +216,7 @@ class TestFullGroup:
         group = full_automorphism_group(tree)
         oracle = brute_force_group(tree)
         assert group.tolist() == [list(g) for g in oracle]
-        chain = stabilizer_chain(_centre_generators(tree))
+        chain = stabilizer_chain(automorphism_generators(tree))
         assert math.prod(map(len, chain)) == len(oracle)
 
     def test_refused_before_enumerating(self):

@@ -157,7 +157,7 @@ def test_the_report_keeps_the_registry_order():
 def _orbit_blocks():
     """Per origin of star:4, the element blocks of the rows that the orbit
     path walks there, as bytes: the transversals of 1 and 3 rows."""
-    generators, _ = checks.resolve_group(make_star(4), "auto")
+    generators = checks.resolve_group(make_star(4), "auto")
     out = []
     for o in (0, 3):
         rows = orbit_transversal(generators, o)

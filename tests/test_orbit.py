@@ -90,8 +90,7 @@ def test_the_guard_takes_the_orbit_path_on_every_benchmark_origin(
 
 def _context(tree):
     """The group fields of a suite context, for the guard alone."""
-    generators, order = checks.resolve_group(tree, "auto")
-    return SimpleNamespace(generators=generators, order=order, tree=tree)
+    return SimpleNamespace(generators=checks.resolve_group(tree, "auto"), tree=tree)
 
 
 def test_the_transversal_is_the_first_row_per_orbit_point():
@@ -115,7 +114,7 @@ def test_each_representative_is_its_parent_times_the_first_generator_to_reach_it
     # r_o = 1 and r_(s x) = s r_x for the first generator s, in order, that
     # reaches s x from the points in the order they were found
     tree = tree_from_spec(spec)
-    generators, _ = checks.resolve_group(tree, "auto")
+    generators = checks.resolve_group(tree, "auto")
     group = {tuple(g) for g in full_automorphism_group(tree).tolist()}
     for o in (0, tree.n - 1):
         expected, found = [list(range(tree.n))], {o}
@@ -232,7 +231,7 @@ def test_the_orbit_pairs_give_the_homomorphism_of_g_times_g(tree):
         record, = [r for r in report.records
                    if r.check == "homomorphism" and r.origin == origin]
         assert record.measured == brute
-        generators, _ = checks.resolve_group(tree, "auto")
+        generators = checks.resolve_group(tree, "auto")
         assert len(orbit_transversal(generators, origin)) < len(images)
 
 
@@ -241,7 +240,7 @@ def test_a_product_against_another_coset_fails_the_law():
     # z must be the representative of g h's coset, not any other row
     tree = make_star(4)
     rooted = root_at(tree, 3)
-    rows = orbit_transversal(checks.resolve_group(tree, "auto")[0], 3)
+    rows = orbit_transversal(checks.resolve_group(tree, "auto"), 3)
 
     def rep(block):
         return reps.dense_unitary_rep(rooted, block, 0.7)
@@ -297,7 +296,7 @@ def _eager_lipschitz(spec: str) -> dict[int, float]:
     matrices, and each step divided before it is reduced. The members are
     built on the suite's transversal, in the walk's blocks."""
     tree = tree_from_spec(spec)
-    generators, _ = checks.resolve_group(tree, "auto")
+    generators = checks.resolve_group(tree, "auto")
     member_norm = 1.0 + checks.TOLERANCES["unitarity"]
     grid, out = checks.DEFAULT_T_GRID, {}
     for origin in (0, tree.n - 1):

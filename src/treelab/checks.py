@@ -26,9 +26,8 @@ from . import reps as reps_mod
 from .groups import (
     automorphism_generators,
     edge_images,
-    orbit_transversal,
     parse_automorphisms,
-    schreier_generators,
+    stabilizer,
     stabilizer_chain,
 )
 from .operators import (
@@ -261,16 +260,15 @@ def _per_element(ctx: _Context, measure, rows: np.ndarray) -> np.ndarray:
 
 
 def _orbit_rows(ctx: _Context, rooted: RootedTree, keys) -> np.ndarray:
-    """The rows a family walks at the origin o, orbit_transversal's r_x per
-    orbit point x. Each Schreier generator w of Stab(o) gathers each
-    memoized matrix M of the family (one per key make, *args) onto itself
-    bit for bit, NaN onto NaN, or a LinAlgError names M: pi0(w) M pi0(w)^-1
-    == M, pi1(w) on F's left; so r_x s's member is r_x's times pi0(s)."""
+    """The rows a family walks at the origin o, stabilizer's r_x per orbit
+    point x. Each Sims-filtered generator w of Stab(o) gathers each memoized
+    matrix M of the family (one per key make, *args) onto itself bit for bit,
+    NaN onto NaN, or a LinAlgError names M: pi0(w) M pi0(w)^-1 == M, pi1(w) on
+    F's left; an exact equality composes, so r_x s's member is r_x's times pi0(s)."""
     o, n = rooted.origin, ctx.tree.n
-    rows = orbit_transversal(ctx.generators, o)
-    schreier = schreier_generators(ctx.generators, rows, o)
-    for block in reps_mod.element_blocks(len(schreier), n):
-        w = schreier[block]
+    rows, stab = stabilizer(ctx.generators, o)
+    for block in reps_mod.element_blocks(len(stab), n):
+        w = stab[block]
         edge, sign = edge_images(ctx.tree, w)  # pi1(w): edge j to edge[j], by sign[j]
         for make, *args in keys:  # one gather at a time, to keep the peak low
             m = reps_mod._dense_context(rooted, make, *args)

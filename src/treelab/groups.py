@@ -26,7 +26,7 @@ from .trees import Tree, root_at
 __all__ = [
     "verify_automorphism",
     "orbit_transversal",
-    "schreier_generators",
+    "stabilizer",
     "stabilizer_chain",
     "close_group",
     "automorphism_generators",
@@ -89,17 +89,6 @@ def orbit_transversal(generators: np.ndarray, o: int) -> np.ndarray:
     return np.array(rows)
 
 
-def schreier_generators(generators: np.ndarray, rows: np.ndarray, o: int) -> np.ndarray:
-    """Schreier's generators of Stab(o), r_(s x)^-1 s r_x per generator s
-    and orbit_transversal row r_x, without the identity."""
-    count, n = rows.shape
-    at = np.zeros(n, int)
-    at[rows[:, o]] = np.arange(count)  # x -> r_x's row
-    moved = generators[:, rows].reshape(-1, n)  # s r_x
-    w = np.take_along_axis(np.argsort(rows, axis=1)[at[moved[:, o]]], moved, axis=1)
-    return w[(w != np.arange(n)).any(axis=1)]
-
-
 def _sims_filter(candidates: np.ndarray) -> np.ndarray:
     """Rows generating the candidates' group, at most one per (first moved
     point i, its image) (Sims's filter): a g meeting a kept h there becomes
@@ -110,31 +99,43 @@ def _sims_filter(candidates: np.ndarray) -> np.ndarray:
             if (h := kept.setdefault((moved[0], g[moved[0]]), g)) is g:
                 break
             g = np.argsort(h)[g]  # h^-1 g
-    return np.array([*kept.values()]).reshape(-1, len(identity))
+    return np.array([*kept.values()], dtype=np.intp).reshape(-1, len(identity))
+
+
+def stabilizer(generators: np.ndarray, o: int) -> tuple[np.ndarray, np.ndarray]:
+    """o's orbit_transversal rows r_x and generators of Stab(o): Schreier's
+    r_(s x)^-1 s r_x per generator s and row r_x, through Sims's filter."""
+    rows = orbit_transversal(generators, o)
+    count, n = rows.shape
+    at = np.zeros(n, int)
+    at[rows[:, o]] = np.arange(count)  # x -> r_x's row
+    moved = generators[:, rows].reshape(-1, n)  # s r_x
+    w = np.take_along_axis(np.argsort(rows, axis=1)[at[moved[:, o]]], moved, axis=1)
+    return rows, _sims_filter(w)
 
 
 def stabilizer_chain(generators: np.ndarray) -> list[np.ndarray]:
     """Sims's stabilizer chain (Seress, Permutation Group Algorithms, ch. 4):
-    an orbit_transversal per base point, the least point the generators
-    move, whose filtered Schreier generators come next; each element is one
-    product u_0 u_1 ... of transversal rows."""
-    chain = []
-    while len(generators := _sims_filter(generators)):
+    a fold of stabilizer over the base points, each the least point the
+    filtered generators move; each element is one product u_0 u_1 ... of
+    transversal rows."""
+    chain, generators = [], _sims_filter(generators)
+    while len(generators):
         base = int((generators != np.arange(generators.shape[1])).any(axis=0).argmax())
-        chain.append(orbit_transversal(generators, base))
-        generators = schreier_generators(generators, chain[-1], base)
+        rows, generators = stabilizer(generators, base)
+        chain.append(rows)
     return chain
 
 
-def close_group(tree: Tree, generators: Iterable[Sequence[int]],
-                cap: int = DEFAULT_GROUP_CAP) -> np.ndarray:
+def close_group(tree: Tree, generators: Iterable[Sequence[int]]) -> np.ndarray:
     """The read-only, sorted (|G|, n) block of the group of the verified
-    generator rows, its chain's transversal products; a group over cap
-    elements is refused before any is built."""
+    generator rows, its chain's transversal products; a group over
+    DEFAULT_GROUP_CAP elements is refused before any is built."""
     gens = [verify_automorphism(tree, g) for g in generators]
     chain = stabilizer_chain(np.array(gens, dtype=np.intp).reshape(-1, tree.n))
-    if (order := prod(map(len, chain))) > cap:
-        raise ValueError(f"group has {order} elements, which exceeds the cap of {cap}")
+    if (order := prod(map(len, chain))) > DEFAULT_GROUP_CAP:
+        raise ValueError(f"group has {order} elements, which exceeds "
+                         f"the cap of {DEFAULT_GROUP_CAP}")
     images = np.arange(tree.n)[None, :]
     for rows in reversed(chain):
         images = rows[:, images].reshape(-1, tree.n)  # u after each product

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from treelab import groups
 from treelab.groups import (
     Automorphism,
     automorphism_generators,
@@ -14,7 +15,7 @@ from treelab.groups import (
     parse_automorphisms,
     pi0_operator,
     pi1_operator,
-    schreier_generators,
+    stabilizer,
     stabilizer_chain,
     verify_automorphism,
 )
@@ -105,13 +106,16 @@ class TestClosure:
         closure = close_group(make_path(3), [])
         assert closure.tolist() == [[0, 1, 2]]
 
-    def test_cap_refuses_a_larger_group(self):
-        # the chain counts the group before any element is built
+    def test_cap_refuses_a_larger_group(self, monkeypatch):
+        # the chain counts the group before any element is built; the cap is
+        # read at call time
         gens = [[0, 2, 1, 3], [0, 1, 3, 2]]
+        monkeypatch.setattr(groups, "DEFAULT_GROUP_CAP", 5)
         with pytest.raises(ValueError, match="group has 6 elements, which exceeds "
                                              "the cap of 5"):
-            close_group(make_star(4), gens, cap=5)
-        assert len(close_group(make_star(4), gens, cap=6)) == 6
+            close_group(make_star(4), gens)
+        monkeypatch.setattr(groups, "DEFAULT_GROUP_CAP", 6)
+        assert len(close_group(make_star(4), gens)) == 6
 
     def test_sorted_with_identity_first(self):
         closure = close_group(make_star(4), [[0, 2, 3, 1]])
@@ -171,16 +175,31 @@ class TestStabilizerChain:
             assert rows[0].tolist() == list(range(22))
 
     def test_schreier_generators_fix_the_point(self):
-        tree = make_regular(2, 3)
-        generators = automorphism_generators(tree)
-        for o in (0, 5, 21):
-            rows = orbit_transversal(generators, o)
-            w = schreier_generators(generators, rows, o)
+        # stabilizer's rows: regular:2,3's centre, an inner vertex and a leaf,
+        # and regular:2,5's leaf 93, whose 2016 Schreier rows filter to 42
+        for spec, o in [("regular:2,3", 0), ("regular:2,3", 5), ("regular:2,3", 21),
+                        ("regular:2,5", 93)]:
+            tree = tree_from_spec(spec)
+            generators = automorphism_generators(tree)
+            rows, w = stabilizer(generators, o)
+            assert np.array_equal(rows, orbit_transversal(generators, o))
             assert len(w) and (w[:, o] == o).all()
-            assert (w != np.arange(tree.n)).any(axis=1).all()
-            # they generate Stab(o): |G| = |G o| |Stab(o)|
-            order = math.prod(map(len, stabilizer_chain(w)))
-            assert order * len(rows) == 3072
+            moved = w != np.arange(tree.n)
+            assert moved.any(axis=1).all()
+            # Sims's filter keeps at most one row per (first moved point, image)
+            first = moved.argmax(axis=1)
+            pairs = set(zip(first.tolist(), w[np.arange(len(w)), first].tolist()))
+            assert len(pairs) == len(w)
+            # they generate Stab(o): |G| = |G o| |Stab(o)|, |G| counted by perfbench
+            order = perfbench_workloads().automorphism_order(tree.n, tree.edges)
+            assert math.prod(map(len, stabilizer_chain(w))) * len(rows) == order
+
+    def test_a_stabilizer_without_generators_is_an_intp_block(self):
+        # path:200's reflection moves 0 to 199 and back: Stab(0) is trivial
+        generators = automorphism_generators(make_path(200))
+        rows, w = stabilizer(generators, 0)
+        assert rows[:, 0].tolist() == [0, 199]
+        assert w.shape == (0, 200) and w.dtype == np.intp
 
 
 class TestFullGroup:

@@ -132,12 +132,14 @@ def test_each_representative_is_its_parent_times_the_first_generator_to_reach_it
 
 @pytest.mark.parametrize("make,entry,raises", [
     # the guard reads the stored 1 - tP and R(t), not T_t and T_t^-1, which
-    # differ from them only in the origin's column and row: leaf 1 is a child
-    # of the centre 0 at the leaf origin 4; the stabilizer of 4 swaps leaves
-    # 1 and 2, so it moves the entry (1, 0) elsewhere
+    # differ from them only in the origin's column and row. At star:5's leaf
+    # origin 4 and at regular:2,3's leaf origin 21 (96 Schreier rows, 8 after
+    # Sims's filter), 1 and 2 are children of the centre 0 off the origin's
+    # path; the origin's stabilizer swaps them, so it moves the entry (1, 0)
     (one_minus_shift, (1, 0), True),
-    # it fixes the origin, so it maps the origin's diagonal entry to itself
-    (one_minus_shift, (4, 4), False),
+    # it fixes the origin, the last vertex of both trees, so it maps the
+    # origin's diagonal entry to itself
+    (one_minus_shift, (-1, -1), False),
     # F, with the edge action on the left: edge {0, 1} against vertex 1
     (parent_edge_operator, (0, 1), True),
     # R(t)'s (1, 0) is 0, since 1 is no ancestor of 0, and so is its image (2, 0)
@@ -146,20 +148,21 @@ def test_each_representative_is_its_parent_times_the_first_generator_to_reach_it
 def test_an_entry_off_by_1e9_fails_the_guard(
     make, entry, raises
 ):
-    tree = make_star(5)
-    rooted = root_at(tree, 4)
-    ctx = _context(tree)
-    key = (make,) if make is parent_edge_operator else (make, 0.5)
-    assert len(checks._orbit_rows(ctx, rooted, [key])) == 4
-    matrix = reps._dense_context(rooted, *key).copy()
-    matrix[entry] += 1e-9
-    reps._dense_context.memos[rooted][key] = matrix
-    if raises:
-        message = re.escape(f"Stab(4) moves {make.__name__}{key[1:]}")
-        with pytest.raises(np.linalg.LinAlgError, match=message):
-            checks._orbit_rows(ctx, rooted, [key])
-    else:
-        assert len(checks._orbit_rows(ctx, rooted, [key])) == 4
+    for spec, origin, orbit in [("star:5", 4, 4), ("regular:2,3", 21, 12)]:
+        tree = tree_from_spec(spec)
+        rooted = root_at(tree, origin)
+        ctx = _context(tree)
+        key = (make,) if make is parent_edge_operator else (make, 0.5)
+        assert len(checks._orbit_rows(ctx, rooted, [key])) == orbit
+        matrix = reps._dense_context(rooted, *key).copy()
+        matrix[entry] += 1e-9
+        reps._dense_context.memos[rooted][key] = matrix
+        if raises:
+            message = re.escape(f"Stab({origin}) moves {make.__name__}{key[1:]}")
+            with pytest.raises(np.linalg.LinAlgError, match=message):
+                checks._orbit_rows(ctx, rooted, [key])
+        else:
+            assert len(checks._orbit_rows(ctx, rooted, [key])) == orbit
 
 
 @pytest.mark.parametrize("key,entry,broken", [

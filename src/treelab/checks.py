@@ -83,6 +83,7 @@ DEFAULT_T_GRID: tuple[float, ...] = (
 )
 DEFAULT_Z_GRID: tuple[complex, ...] = (0.5,)
 MONOTONE_T_VALUES: tuple[float, ...] = (0.9, 0.99, 0.999)
+LAW_T = 0.7  # homomorphism's t, which the unitary walk guards on any grid
 COCYCLE_PAIR_CAP = 400
 
 
@@ -489,20 +490,20 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
     """Every measurement of the unitary family at one origin, from one walk
     over _orbit_rows that builds each member once per element block and t:
     the grid values, then the extras that endpoint-start and limit-monotone
-    need. Each block is reduced by worst_of as it ends, and homomorphism's
-    pairs come last. Each grid step's worst norm is divided by its bound
-    after the walk, exact for a positive bound. A step of exactly 0 needs no
-    bound; an orbit of origins, whose T_t are permutation conjugates, shares
-    one set. Each record name maps to its worst value
-    (unitarity and conjugation-equivalence to one per grid t; limit-monotone
-    to the number of broken curves, each counted |G|/|G o| times). The
-    origin's memoized matrices outlive the walk, until run_check_suite
-    drops them."""
+    need; the guard also covers LAW_T. Each block is reduced by worst_of as
+    it ends; homomorphism's pairs, each generator against each r_x, come
+    last. Each grid step's worst norm is divided by its bound after the
+    walk, exact for a positive bound. A step of exactly 0 needs no bound; an
+    orbit of origins, whose T_t are permutation conjugates, shares one set.
+    Each record name maps to its worst value (unitarity and
+    conjugation-equivalence to one per grid t; limit-monotone to the number
+    of broken curves, each counted |G|/|G o| times). The origin's memoized
+    matrices outlive the walk, until run_check_suite drops them."""
     tol_u = ctx.tol["unitarity"]
     grid, n = ctx.config.t_grid, ctx.tree.n
     extra = _extra_ts(grid)
     keys = [(make, t) for make in (one_minus_shift, resolvent_operator)
-            for t in (*grid, *extra)]
+            for t in dict.fromkeys((*grid, *extra, LAW_T))]
     rows = _orbit_rows(ctx, rooted, [
         *keys, (origin_projection,), (parent_edge_operator,)])
 
@@ -531,24 +532,23 @@ def _unitary_walk(ctx: _Context, rooted: RootedTree) -> dict:
         per_row = (*unitary, *equiv, start, sphere, *steps)
         return np.array([[worst_of(row)[0] for row in per_row] + [broken.sum()]]).T
 
-    k, o = len(grid), rooted.origin
+    k, o, gens = len(grid), rooted.origin, ctx.generators
     blocks = _per_element(ctx, measure, rows)
     worst = [worst_of(row)[0] for row in blocks[:-1]]
-    # g r_y = r_z s, s in Stab(o): A_g A_y against A_z pi0(s), A = rho_0.7, g a row
-    # or a generator (a star leaf's rows commute: blind to rho(g^-1))
-    left = np.concatenate([rows, ctx.generators])
-    pairs = np.stack(np.divmod(np.arange(len(left) * len(rows)), len(rows)), axis=1)
+    # Schreier's relations s r_y = r_z w, s a generator, w in Stab(o): A_s A_y
+    # against A_z pi0(w), A the member at LAW_T; they imply the law on G x G
+    pairs = np.stack(np.divmod(np.arange(len(gens) * len(rows)), len(rows)), axis=1)
     representative = np.zeros(n, dtype=np.intp)
     representative[rows[:, o]] = np.arange(len(rows))  # r_x's row, per orbit point x
 
     def law(pair):
-        g, h = left[pair[:, 0]], rows[pair[:, 1]]
+        g, h = gens[pair[:, 0]], rows[pair[:, 1]]
         gho = np.take_along_axis(g, h[:, [o]], axis=1)[:, 0]  # g h o
         return reps_mod.homomorphism_residual(
-            lambda block: reps_mod.dense_unitary_rep(rooted, block, 0.7), g, h,
+            lambda block: reps_mod.dense_unitary_rep(rooted, block, LAW_T), g, h,
             rows[representative[gho]])
 
-    hom = _per_element(ctx, law, pairs)
+    hom = _per_element(ctx, law, pairs) if len(pairs) else ()  # no generators
     lipschitz = []
     for step, a, b in zip(worst[2 * k + 2:], grid, grid[1:]):
         key = (rows[:, o].min(), a, b)  # one set of bounds per orbit of origins
@@ -578,7 +578,7 @@ def _check_unitary_family(ctx: _Context, rooted: RootedTree) -> list[CheckRecord
             out.append(_record(ctx, name, rooted.origin, walk[name][i],
                                ctx.tol["unitarity"], parameter=f"t={t:g}"))
     out.append(_record(ctx, "homomorphism", rooted.origin, walk["homomorphism"],
-                       ctx.tol["homomorphism"], parameter="t=0.7"))
+                       ctx.tol["homomorphism"], parameter=f"t={LAW_T:g}"))
     return out
 
 

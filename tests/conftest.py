@@ -49,9 +49,9 @@ def force_fallback(monkeypatch) -> None:
     element of the group, close_group's block, in place of
     checks._orbit_rows's transversal, each element standing for itself,
     through the suite's own measurement code. Each element weighs 1 in
-    limit-monotone, and the homomorphism law takes all of G x G, each pair
-    measured against rep(g h) itself (z = None), not a coset's
-    representative."""
+    limit-monotone, and the homomorphism law takes each generator against
+    every element, each pair measured against rep(g h) itself (z = None),
+    not a coset's representative."""
     from treelab import checks, reps
 
     monkeypatch.setattr(checks, "_orbit_rows",

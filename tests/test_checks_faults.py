@@ -79,9 +79,9 @@ def _flip_one_member(original):
 def _inverse_members(original):
     # each unitary member built from g^-1: an anti-homomorphism, which the
     # homomorphism law catches on the non-abelian groups of star:5 and
-    # regular:3,2. On star:5 a leaf's representatives are the powers of the
-    # leaf cycle, closed under products, so the law needs the pairs whose
-    # left factor is a generator. At the leaf origins 4 and 16 the
+    # regular:3,2, at both origins. Every pair's left factor is a generator
+    # s: at the centre 0, which every element fixes, the pair (s, 1) compares
+    # pi0(s^-1) with pi0(s). At the leaf origins 4 and 16 the
     # representatives' inverses move the origin elsewhere, and some of
     # their curves stop falling
     def patched(rooted, images, t):

@@ -150,11 +150,19 @@ class TestCheckCommand:
         assert all(r["passed"] for r in payload["records"])
 
     def test_trivial_group_checks_equivariance_on_no_generators(self, tmp_path):
-        # path:1's group is the identity alone, closed from no generators
-        assert run_cli("check", "--tree", "path:1", "--out", str(tmp_path)) == 0
-        payload = report_from_json((tmp_path / "report.json").read_text())
-        records = [r for r in payload["records"] if r["check"] == "cocycle-equivariance"]
-        assert [(r["measured"], r["passed"]) for r in records] == [(0.0, True)]
+        # the groups of path:1 and of the corpus's random:7,2 are the identity
+        # alone, closed from no generators: no Schreier relation, so the law
+        # measures no pair
+        for spec, origins in [("path:1", [0]), ("random:7,2", [0, 6])]:
+            assert run_cli("check", "--tree", spec, "--out", str(tmp_path)) == 0
+            payload = report_from_json((tmp_path / "report.json").read_text())
+            assert payload["config"]["group_order"] == 1
+            records = payload["records"]
+            cocycle = [r for r in records if r["check"] == "cocycle-equivariance"]
+            assert [(r["measured"], r["passed"]) for r in cocycle] == [(0.0, True)]
+            law = [r for r in records if r["check"] == "homomorphism"]
+            assert [(r["origin"], r["measured"], r["passed"]) for r in law] == [
+                (o, 0.0, True) for o in origins]
 
     def test_uniform_bound_reads_the_modulus_of_z(self, tmp_path):
         # 1 + 2|z|/(1 - |z|) plus the slack, at |0.3+0.4i| = 0.5

@@ -26,7 +26,7 @@ from treelab.operators import (
     resolvent_operator,
     worst_of,
 )
-from treelab.trees import make_regular, make_star, root_at, tree_from_spec
+from treelab.trees import make_star, root_at, tree_from_spec
 
 from conftest import force_fallback, perfbench_workloads
 
@@ -173,13 +173,16 @@ def test_an_entry_off_by_1e9_fails_the_guard(
     ((resolvent_operator, 0.45), (1, 0), ["bounded-family"]),
     # F, which limit-family walks again where unitary-family broke
     ((parent_edge_operator,), (0, 1), ["unitary-family", "limit-family"]),
+    # the homomorphism law's 1 - tP at t = 0.7, guarded on a grid without it
+    ((one_minus_shift, 0.7), (1, 0), ["unitary-family", "limit-family"]),
 ])
 def test_a_guard_failure_fails_its_family_with_one_error_record(
     monkeypatch, tmp_path, capsys, key, entry, broken
 ):
     # the entry is planted after the sweep of the leaf origin 4, whose
     # stabilizer moves it (as above); origin 0's records ran clean, and each
-    # broken check keeps one record, at origin 4, where it broke, for both
+    # broken check keeps one record, at origin 4, where it broke, for both.
+    # The law's t = 0.7 is planted on a grid of 0.5 alone, the rest on the default
     def sweep(rooted, values):
         original(rooted, values)
         if rooted.origin == 4:
@@ -189,7 +192,8 @@ def test_a_guard_failure_fails_its_family_with_one_error_record(
 
     original = reps._dense_context.sweep
     monkeypatch.setattr(reps._dense_context, "sweep", sweep)
-    argv = ["check", "--tree", "star:5", "--z", "0.45", "--out", str(tmp_path)]
+    grid = ["--t", "0.5"] if key[1:] == (checks.LAW_T,) else []
+    argv = ["check", "--tree", "star:5", "--z", "0.45", *grid, "--out", str(tmp_path)]
     assert main(argv) == 1
     assert "Traceback" not in capsys.readouterr().err
     records = json.loads((tmp_path / "report.json").read_text())["records"]
@@ -206,7 +210,8 @@ def _keyed(report):
 
 @pytest.mark.parametrize("spec", ["star:7", "regular:2,2"])
 def test_the_fallback_gives_the_same_verdicts_and_measurements(monkeypatch, spec):
-    # against the brute-force reference, whose homomorphism takes all of G x G
+    # against the brute-force reference, whose homomorphism takes each
+    # generator against every element of G
     orbit = checks.run_check_suite(checks.SuiteConfig(spec))
     force_fallback(monkeypatch)
     reference = checks.run_check_suite(checks.SuiteConfig(spec))
@@ -217,11 +222,14 @@ def test_the_fallback_gives_the_same_verdicts_and_measurements(monkeypatch, spec
         assert abs(a.measured - b.measured) <= 1e-14, key
 
 
-@pytest.mark.parametrize("tree", [make_star(5), make_regular(2, 2)])
-def test_the_orbit_pairs_give_the_homomorphism_of_g_times_g(tree):
-    # the record takes the |G.o|^2 pairs of representatives; brute force
-    # takes every pair of G x G
-    spec = "star:5" if tree.n == 5 else "regular:2,2"
+@pytest.mark.parametrize("spec", [
+    pytest.param("star:5", id="tree0"), pytest.param("regular:2,2", id="tree1"),
+    "star:6", "path:6", "random:12,3", "regular:3,1",
+])
+def test_the_orbit_pairs_give_the_homomorphism_of_g_times_g(spec):
+    # the record takes Schreier's relations, each generator against each of
+    # the |G.o| representatives; brute force takes every pair of G x G
+    tree = tree_from_spec(spec)
     report = checks.run_check_suite(checks.SuiteConfig(spec))
     images = full_automorphism_group(tree)
     g, h = np.divmod(np.arange(len(images) ** 2), len(images))
@@ -235,7 +243,51 @@ def test_the_orbit_pairs_give_the_homomorphism_of_g_times_g(tree):
                    if r.check == "homomorphism" and r.origin == origin]
         assert record.measured == brute
         generators = checks.resolve_group(tree, "auto")
-        assert len(orbit_transversal(generators, origin)) < len(images)
+        assert len(generators) * len(orbit_transversal(generators, origin)) < len(
+            images) ** 2
+
+
+def _spy_law(monkeypatch) -> dict:
+    """Per origin, the (g, z) blocks of every reps.homomorphism_residual
+    call: the left factors and the representatives measured against. The
+    spy measures nothing; each pair reads 0."""
+    seen, origin = {}, []
+
+    def walk(ctx, rooted):
+        origin[:] = [rooted.origin]
+        return original_walk(ctx, rooted)
+
+    def law(rep, g, h, z=None):
+        seen.setdefault(origin[0], []).append((g, z))
+        return np.zeros(len(g))
+
+    original_walk = checks._unitary_walk
+    monkeypatch.setattr(checks, "_unitary_walk", walk)
+    monkeypatch.setattr(reps, "homomorphism_residual", law)
+    return seen
+
+
+@pytest.mark.parametrize("spec,group,pairs", [
+    ("star:7", "auto", {0: 2, 6: 12}),
+    ("regular:2,3", "perfbench/inputs/regular_2_3.gens", {0: 10, 21: 40}),
+    ("regular:2,5", "auto", {0: 47, 93: 2256}),
+])
+def test_the_law_pairs_each_generator_with_each_representative(
+    monkeypatch, spec, group, pairs
+):
+    # Schreier's relations s r_y = r_z w: |S| |G.o| pairs per origin, every
+    # left factor a generator, in order, and every z a representative
+    group = group if group == "auto" else str(ROOT / group)
+    seen = _spy_law(monkeypatch)
+    checks.run_check_suite(checks.SuiteConfig(spec, group))
+    generators = checks.resolve_group(tree_from_spec(spec), group)
+    assert {o: sum(len(g) for g, _ in calls) for o, calls in seen.items()} == pairs
+    for o, calls in seen.items():
+        rows = orbit_transversal(generators, o)
+        left = np.concatenate([g for g, _ in calls])
+        assert (left == np.repeat(generators, len(rows), axis=0)).all()
+        z = np.concatenate([z for _, z in calls])
+        assert {tuple(r) for r in z.tolist()} <= {tuple(r) for r in rows.tolist()}
 
 
 def test_a_product_against_another_coset_fails_the_law():

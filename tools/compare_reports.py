@@ -12,7 +12,8 @@ random:100,4, random:150,1, regular:2,3 and star:8, and star:9,
 regular:3,3 and regular:2,5, whose groups (40320, about 6.8e13 and
 about 2.1e14 elements) are too large to list, so that a change to the
 group layer is compared where only the stabilizer chain and the orbits
-can be read. Per config it
+can be read, and regular:2,4 and regular:3,2, whose leaf orbits (24 and
+12 points) weigh on the homomorphism law's relations. Per config it
 compares report.json without its `timings`, the stdout and the exit code,
 then runs `treelab report` on that report.json and compares its stdout
 and exit code too. It prints every difference, each differing record as a
@@ -47,7 +48,7 @@ WORK_DIR = ".compare_reports"
 ROUNDING = 1e-14  # the largest move of a finite `measured` that class (a) takes
 EXTRA_TREES = ("path:12", "random:12,3", "path:1", "path:2", "star:2", "path:5",
                "random:100,4", "random:150,1", "regular:2,3", "star:8",
-               "star:9", "regular:3,3", "regular:2,5")
+               "star:9", "regular:3,3", "regular:2,5", "regular:2,4", "regular:3,2")
 
 
 def _configs(workloads) -> list[tuple[str, str]]:
